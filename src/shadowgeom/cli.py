@@ -37,6 +37,7 @@ from .helix import (
 from .reporting import (
     VERDICT_CONFIRMED,
     VERDICT_NOT_MET,
+    _atomic_write,
     canonical_json,
     csv_text,
     obj_text,
@@ -148,7 +149,7 @@ def _tols_with_flags(scene: Scene, tol_flags) -> Tolerances:
 
 
 def _resolution(scene: Scene, args, fallback):
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         return args.grid
     if scene.resolution is not None:
         return scene.resolution
@@ -215,13 +216,6 @@ def _run_report(scene: Scene, path: str, command: str, results: dict,
         "results": results,
         "timings": {"total_seconds": time.perf_counter() - t0},
     }
-
-
-def _atomic_write(path: str, text: str):
-    tmp = path + ".part"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _emit(text: str, out_path):
@@ -440,7 +434,7 @@ def cmd_verify_all(args, t0: float) -> int:
         path = find_scene(scene_name)
         scene = load_scene(path)
         tols = _tols_with_flags(scene, args.tol)
-        res = args.grid or scene.resolution or _THEOREM_RES[theorem]
+        res = _resolution(scene, args, _THEOREM_RES[theorem])
         report = _run_theorem(scene, theorem, res, tols)
         rows.append({
             "scene": scene_name,
@@ -571,6 +565,9 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    if args.grid is not None and args.grid < 2:
+        print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return _HANDLERS[args.command](args, t0)
     except SceneError as exc:

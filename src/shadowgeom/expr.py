@@ -35,7 +35,6 @@ __all__ = [
     "Jet2Batch",
     "parse_chart",
     "substitute_params",
-    "offset_params",
     "compose",
     "product_chart",
 ]
@@ -579,12 +578,6 @@ def substitute_params(node, replacements):
             node.pos, node.fn, tuple(substitute_params(a, replacements) for a in node.args)
         )
     raise TypeError(f"unknown node {node!r}")
-
-
-def offset_params(node, offset: int, new_params):
-    reps = [Param((0, 0), i + offset, new_params[i + offset]) for i in range(len(new_params) - offset)]
-    # replacements indexed by the node's own param indices
-    return substitute_params(node, reps)
 
 
 def compose(outer: ChartExpr, inner: ChartExpr) -> ChartExpr:

@@ -361,12 +361,11 @@ def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_T
             x[i],
         )
     dc = jets.jac  # (B, kc, m)
-    svals = np.linalg.svd(dc, compute_uv=False)
+    _, svals, vh = np.linalg.svd(dc, full_matrices=True)
     bad = svals[:, -1] < tols.rank_tol * svals[:, 0]
     if bad.any():
         i = int(np.argmax(bad))
         raise ChartRankError("constraint Jacobian is rank-deficient", x[i])
-    _, _, vh = np.linalg.svd(dc, full_matrices=True)
     kernel = vh[:, ambient.n_constraints :, :].transpose(0, 2, 1)
     return fix_column_signs(kernel)
 

@@ -106,6 +106,17 @@ def test_shadow_grid_flag_overrides_scene(capsys):
     assert report_of(out)["results"]["shadow"]["resolution"] == [16, 16]
 
 
+@pytest.mark.parametrize("argv", [
+    ("shadow", "sphere_e3", "--grid", "0"),
+    ("verify-all", "--grid", "1"),
+])
+def test_grid_below_two_is_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --grid must be at least 2")
+
+
 # -- helix command -----------------------------------------------------------------
 
 
@@ -252,6 +263,18 @@ def test_out_writes_file_atomically(capsys, tmp_path):
     rep = json.loads(target.read_text())
     assert rep["results"]["shadow"]["points"] == 2
     assert not list(tmp_path.glob("*.part"))
+
+
+def test_failed_out_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = invoke(capsys, "shadow", "circle_r2_e2", "--format", "json",
+                            "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert os.listdir(target) == []
 
 
 def test_reports_share_envelope(capsys):

@@ -15,6 +15,7 @@ from shadowgeom.geometry import (
     TangencyError,
 )
 from shadowgeom.transport import (
+    DEFAULT_STEPS,
     OBSTRUCTION_CLEAR_NOTE,
     ParamCurve,
     TransportField,
@@ -206,12 +207,15 @@ def test_latitude_obstruction_found_on_wrap():
     assert rep.note != OBSTRUCTION_CLEAR_NOTE
 
 
-def test_curved_region_obstruction_found():
+def sphere_region():
     chart = parse_chart("(sin(th)*cos(ph), sin(th)*sin(ph), cos(th))", ("th", "ph"))
-    region = SubmanifoldPatch(
+    return SubmanifoldPatch(
         chart, Box((0.6, 0.5), (1.4, 1.5), (False, False)), shapes.sphere_ambient()
     )
-    _, rep = construct_parallel_field(region, seed=3)
+
+
+def test_curved_region_obstruction_found():
+    _, rep = construct_parallel_field(sphere_region(), seed=3)
     assert not rep.ok
     assert rep.max_deviation > 1e-3
 
@@ -240,6 +244,76 @@ def test_transport_field_batch_independent():
     batch = fld.values(np.array([[1.0], [2.0], [3.0]]))
     alone = fld.values(np.array([[2.0]]))
     np.testing.assert_array_equal(batch[1], alone[0])
+
+
+def walked_lines(fld, axis, keys):
+    """Reference line caches: one _segment_matrices call per station."""
+    m = fld.patch.m
+    reach = fld.stations + fld._margin
+    h = fld._h[axis]
+    starts = np.tile(fld.base_point, (len(keys), 1))
+    for col in range(axis):
+        starts[:, col] = [k[col] for k in keys]
+    cum = np.empty((len(keys), 2 * reach + 1, m, m))
+    cum[:, reach] = np.eye(m)
+    for sign in (1.0, -1.0):
+        pos = starts.copy()
+        run = np.repeat(np.eye(m)[None], len(keys), axis=0)
+        lengths = np.full(len(keys), sign * h)
+        for s in range(1, reach + 1):
+            run = fld._segment_matrices(pos, axis, lengths) @ run
+            cum[:, reach + int(sign) * s] = run
+            pos[:, axis] += sign * h
+    return cum
+
+
+def region_field():
+    base = np.array([1.0, 1.0])
+    seed = np.array([math.cos(1.0) ** 2, math.cos(1.0) * math.sin(1.0), -math.sin(1.0)])
+    return TransportField(sphere_region(), base, seed)
+
+
+def latitude_field(stations=1024):
+    seed = np.array([-math.sin(1.3), math.cos(1.3), 0.0])
+    return TransportField(latitude(), np.array([1.3]), seed, stations_per_span=stations)
+
+
+@pytest.mark.parametrize("case", ["latitude", "region", "long-line"])
+def test_transport_field_lines_match_station_walk(case):
+    if case == "latitude":
+        fld, axis, keys = latitude_field(), 0, [()]
+    elif case == "region":
+        fld, axis = region_field(), 1
+        keys = [(0.6,), (0.75,), (1.0,), (1.2,), (1.4,)]
+    else:
+        # a line longer than one builder call is split across two
+        fld, axis, keys = latitude_field(DEFAULT_STEPS + 100), 0, [()]
+    fld._build_lines(axis, keys)
+    ref = walked_lines(fld, axis, keys)
+    for k, want in zip(keys, ref):
+        np.testing.assert_array_equal(fld._lines[(axis, k)], want)
+
+
+@pytest.mark.parametrize("case", ["region", "long-line"])
+def test_transport_field_builder_calls_are_capped(monkeypatch, case):
+    if case == "region":
+        fld, axis = region_field(), 1
+        keys = [(0.6 + 0.8 * i / 27,) for i in range(28)]
+    else:
+        fld, axis, keys = latitude_field(2 * DEFAULT_STEPS), 0, [()]
+    sizes = []
+    build = fld._segment_matrices
+
+    def spy(starts, axis, lengths):
+        sizes.append(starts.shape[0])
+        return build(starts, axis, lengths)
+
+    monkeypatch.setattr(fld, "_segment_matrices", spy)
+    fld._build_lines(axis, keys)
+    reach = fld.stations + fld._margin
+    assert max(sizes) <= DEFAULT_STEPS
+    assert sum(sizes) == 2 * len(keys) * reach
+    assert len(sizes) == 2 * len(keys) * math.ceil(reach / DEFAULT_STEPS)
 
 
 def test_transport_field_value_at_base_is_seed():
