@@ -48,7 +48,6 @@ from .shadow import (
     product_field,
     product_patch,
     product_shadow_check,
-    smoothness_certificate,
 )
 from .tolerances import Tolerances
 from .transport import (
@@ -144,7 +143,7 @@ def _tols_with_flags(scene: Scene, tol_flags) -> Tolerances:
         return scene.tols
     try:
         return scene.tols.with_overrides(overrides)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise SceneError(str(exc.args[0]), scene.name)
 
 
@@ -249,17 +248,18 @@ def cmd_validate(args, t0: float) -> int:
     return EXIT_OK if report.ok else EXIT_NOT_MET
 
 
-def _shadow_summary(shadow_set, cert) -> dict:
+def _shadow_summary(shadow_set) -> dict:
     d = shadow_set.as_dict()
     d["points"] = d.pop("n_points")
     if shadow_set.degenerate:
         d["set_equals_patch"] = True
-    if cert is not None:
-        d["certificate"] = cert.as_dict()
+    if shadow_set.certificate is not None:
+        d["certificate"] = shadow_set.certificate.as_dict()
     return d
 
 
-def _shadow_rows(patch, shadow_set, cert):
+def _shadow_rows(patch, shadow_set):
+    cert = shadow_set.certificate
     header = ([f"u_{i + 1}" for i in range(patch.n)]
               + [f"x_{j + 1}" for j in range(patch.m)]
               + ["|F|", "sigma_min", "smooth"])
@@ -285,12 +285,8 @@ def cmd_shadow(args, t0: float) -> int:
     shadow_set = extract_shadow_set(patch, field,
                                     resolution=_resolution(scene, args, 64),
                                     tols=tols)
-    cert = None
-    if shadow_set.n_points and not shadow_set.degenerate:
-        cert = smoothness_certificate(patch, field, shadow_set.params, tols=tols)
-
     if args.format == "json":
-        results = {"patch": patch.name, "shadow": _shadow_summary(shadow_set, cert)}
+        results = {"patch": patch.name, "shadow": _shadow_summary(shadow_set)}
         _emit(canonical_json(_run_report(scene, path, "shadow", results, t0)),
               args.out)
         return EXIT_OK
@@ -301,7 +297,7 @@ def cmd_shadow(args, t0: float) -> int:
     if args.format == "obj":
         _emit(obj_text(shadow_set.ambient, shadow_set.polylines), args.out)
     else:
-        header, rows = _shadow_rows(patch, shadow_set, cert)
+        header, rows = _shadow_rows(patch, shadow_set)
         _emit(csv_text(header, rows), args.out)
     return EXIT_OK
 
@@ -575,6 +571,9 @@ def run(argv=None) -> int:
         return EXIT_ERROR
     except (EvalDomainError, GeometryError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

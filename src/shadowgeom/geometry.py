@@ -153,10 +153,6 @@ class Box:
 # -- spaces ------------------------------------------------------------------
 
 
-def ambient_coord_names(m: int):
-    return tuple(f"x{i + 1}" for i in range(m))
-
-
 @dataclass(frozen=True)
 class AmbientSpace:
     """Flat R^m, or the zero set of a constraint map inside it."""

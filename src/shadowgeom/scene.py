@@ -41,7 +41,6 @@ import numpy as np
 from .expr import ParseError, parse_chart
 from .fields import ConstantField, ExprField, FieldAlongM
 from .geometry import AmbientSpace, Box, SubmanifoldPatch
-from .shapes import flat_ambient
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = ["SceneError", "NestedSpec", "TubeSpec", "SeedSpec", "Scene",
@@ -298,7 +297,7 @@ def _build_ambient(block: _Block, source: str) -> AmbientSpace:
     cons_txt, cline = _take(block, "constraint", source, required=False)
     if cons_txt is None:
         _finish(block, source)
-        return flat_ambient(dim)
+        return AmbientSpace(dim)
     coords_txt, _ = _take(block, "coords", source)
     _finish(block, source)
     try:
@@ -416,6 +415,9 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
             res_txt, res_line = _take(block, "resolution", source)
             _finish(block, source)
             values = _numbers(res_txt, source, res_line)
+            if min(values) < 2:
+                raise SceneError(f"grid resolution must be at least 2, got {res_txt}",
+                                 source, res_line)
             resolution = (int(values[0]) if len(values) == 1
                           else tuple(int(v) for v in values))
         elif block.kind == "tolerances":
@@ -426,7 +428,7 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
         raise SceneError("scene needs an ambient block", source)
     try:
         tols = DEFAULT_TOLS.with_overrides(overrides)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise SceneError(str(exc.args[0]), source)
 
     patches: dict = {}

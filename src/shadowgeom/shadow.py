@@ -49,7 +49,6 @@ __all__ = [
     "shadow_residual",
     "shadow_values",
     "shadow_system",
-    "shadow_jacobian",
     "shadow_jacobian_consistency",
     "extract_shadow_set",
     "smoothness_certificate",
@@ -93,11 +92,6 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     dy = field.param_jacobian(points, patch=patch, tols=tols)
     jac += np.einsum("bma,bml->bal", frames.normal, dy)
     return f, jac, frames
-
-
-def shadow_jacobian(patch: SubmanifoldPatch, field: FieldAlongM, points,
-                    tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    return shadow_system(patch, field, points, tols)[1]
 
 
 @dataclass(frozen=True)
@@ -177,6 +171,9 @@ class ShadowSet:
     curves (surface patches with one normal direction); other routes
     leave it empty.  A degenerate set (residual below tolerance on
     nearly the whole grid) is materialized as the grid itself.
+    `certificate` is the smoothness certificate of the extracted points,
+    None for a degenerate or empty set; `as_dict` reports its min_ratio
+    and ok as `rank_ratio` and `rank_ok`.
     """
 
     params: np.ndarray
@@ -186,8 +183,7 @@ class ShadowSet:
     degenerate: bool
     degenerate_fraction: float
     resolution: tuple
-    rank_ratio: float | None
-    rank_ok: bool | None
+    certificate: SmoothnessReport | None
     dropped_seeds: int = 0
 
     @property
@@ -203,6 +199,7 @@ class ShadowSet:
         return self.n_points
 
     def as_dict(self) -> dict:
+        cert = self.certificate
         return {
             "n_points": self.n_points,
             "n_components": self.n_components,
@@ -210,8 +207,8 @@ class ShadowSet:
             "degenerate_fraction": self.degenerate_fraction,
             "resolution": list(self.resolution),
             "max_residual": float(self.residuals.max()) if self.n_points else 0.0,
-            "rank_ratio": self.rank_ratio,
-            "rank_ok": self.rank_ok,
+            "rank_ratio": None if cert is None else cert.min_ratio,
+            "rank_ok": None if cert is None else cert.ok,
             "dropped_seeds": self.dropped_seeds,
         }
 
@@ -545,8 +542,7 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
             degenerate=True,
             degenerate_fraction=frac,
             resolution=res,
-            rank_ratio=None,
-            rank_ok=None,
+            certificate=None,
         )
 
     dropped = 0
@@ -559,10 +555,10 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 
     if pts.shape[0]:
         ambient = patch.chart.eval_values(pts)
-        ratio, ok = _rank_ratio(patch, field, pts, tols)
+        cert = smoothness_certificate(patch, field, pts, tols)
     else:
         ambient = np.zeros((0, patch.m))
-        ratio, ok = None, None
+        cert = None
     return ShadowSet(
         params=pts,
         ambient=ambient,
@@ -571,8 +567,7 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
         degenerate=False,
         degenerate_fraction=frac,
         resolution=res,
-        rank_ratio=ratio,
-        rank_ok=ok,
+        certificate=cert,
         dropped_seeds=dropped,
     )
 
@@ -606,14 +601,6 @@ class SmoothnessReport:
             "n_points": self.n_points,
             "expected_dim": self.expected_dim,
         }
-
-
-def _rank_ratio(patch, field, points, tols):
-    _, jac, _ = shadow_system(patch, field, points, tols)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-    i = int(np.argmin(ratios))
-    return float(ratios[i]), bool(ratios[i] > tols.rank_tol)
 
 
 def smoothness_certificate(patch: SubmanifoldPatch, field: FieldAlongM, points,

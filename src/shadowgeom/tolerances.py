@@ -6,6 +6,7 @@ named values so scenes and the command line can override them uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace, fields
 
 __all__ = ["Tolerances", "DEFAULT_TOLS"]
@@ -31,6 +32,13 @@ class Tolerances:
     # finite-difference steps for sampled data
     field_fd_step: float = 1e-5
     jacobian_fd_step: float = 1e-4
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"tolerance {f.name} must be finite and positive, got {value!r}")
 
     def with_overrides(self, overrides) -> "Tolerances":
         if not overrides:

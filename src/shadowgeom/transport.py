@@ -12,9 +12,12 @@ Flat ambient spaces carry no constraint, the right side vanishes, and
 parallel fields are the constant ones.  Integration is classical
 fourth-order Runge-Kutta on per-step matrices, with the projection onto
 the tangent space of N folded into every step; all stage data is built
-in batch before the sequential fold.  Transported fields build the step
-matrices of every station on a line sweep in one batched pass, one line
-(at most DEFAULT_STEPS segments) per builder call, and then fold them.
+in batch before the sequential fold.  One builder, `_rk4_increments`,
+does the stage math for curves, holonomy loops and transported fields;
+each caller only scales the increment and applies the projector.
+Transported fields build the step matrices of every station on a line
+sweep in one batched pass, one line (at most DEFAULT_STEPS segments) per
+builder call, and then fold them.
 """
 
 from __future__ import annotations
@@ -189,21 +192,25 @@ def _check_on_ambient(patch, values, params, tols):
         )
 
 
-def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
-                   tols: Tolerances):
-    """RK4 step matrices (S, m, m) plus step-end parameters and positions."""
-    u3, du3, h = curve.stage_points(steps)
+def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
+    """Shared RK4 stage math for a batch of transport steps.
+
+    Takes stage parameters u3 and parameter velocities du3, both (S, 3, n)
+    at step start, midpoint and end, and step sizes h (S,).  Returns the
+    increment k1 + 2 k2 + 2 k3 + k4 (S, m, m), the projector onto the
+    ambient tangent space at each step end (S, m, m) and the stage
+    positions (S, 3, m).  Over a flat ambient the increment is zero and
+    the projectors are the identity.
+    """
     s_count, n = u3.shape[0], u3.shape[2]
     flat_u = u3.reshape(-1, n)
     jets = patch.chart.eval_jets(flat_u, order=1)
     x = jets.value
     m = x.shape[1]
     xr = x.reshape(s_count, 3, m)
-    end_u = np.concatenate([u3[:, 0, :], u3[-1:, 2, :]], axis=0)
-    end_x = np.concatenate([xr[:, 0, :], xr[-1:, 2, :]], axis=0)
     if patch.ambient.flat:
-        mats = np.broadcast_to(np.eye(m), (s_count, m, m)).copy()
-        return mats, end_u, end_x
+        eye = np.broadcast_to(np.eye(m), (s_count, m, m))
+        return np.zeros((s_count, m, m)), eye, xr
     xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n))
     cjets = patch.ambient.constraint.eval_jets(x, order=2)
     _check_on_ambient(patch, cjets.value, flat_u, tols)
@@ -218,9 +225,19 @@ def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
     k2 = lm + half * (lm @ k1)
     k3 = lm + half * (lm @ k2)
     k4 = le + h[:, None, None] * (le @ k3)
-    mats = np.eye(m) + (h / 6.0)[:, None, None] * (k1 + 2 * k2 + 2 * k3 + k4)
     basis = ambient_tangent_basis(patch.ambient, xr[:, 2, :], tols)
     proj = np.einsum("bmd,bjd->bmj", basis, basis)
+    return k1 + 2 * k2 + 2 * k3 + k4, proj, xr
+
+
+def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
+                   tols: Tolerances):
+    """RK4 step matrices (S, m, m) plus step-end parameters and positions."""
+    u3, du3, h = curve.stage_points(steps)
+    inc, proj, xr = _rk4_increments(patch, u3, du3, h, tols)
+    end_u = np.concatenate([u3[:, 0, :], u3[-1:, 2, :]], axis=0)
+    end_x = np.concatenate([xr[:, 0, :], xr[-1:, 2, :]], axis=0)
+    mats = np.eye(inc.shape[1]) + (h / 6.0)[:, None, None] * inc
     return proj @ mats, end_u, end_x
 
 
@@ -427,7 +444,10 @@ class TransportField(FieldAlongM):
     and repeated nearby queries cost one extra integrator step each.
     The step matrices of all stations on newly visited lines are built in
     one batched pass, one line (at most DEFAULT_STEPS segments) per
-    builder call, before the sequential fold.
+    builder call, before the sequential fold.  Each segment is one
+    unit-time RK4 step built by `_rk4_increments`, the builder curve
+    transport uses; only the final scaling differs, S/6 against (h/6)*S,
+    because the two round differently.
 
     Over a flat ambient the field is the constant seed vector.
     """
@@ -452,32 +472,15 @@ class TransportField(FieldAlongM):
     # one RK4 step per segment, batched; starts (B, n), lengths (B,)
     def _segment_matrices(self, starts, axis: int, lengths):
         b = starts.shape[0]
-        n = starts.shape[1]
         offs = np.array([0.0, 0.5, 1.0])
         u3 = np.repeat(starts[:, None, :], 3, axis=1)
         u3[:, :, axis] += offs[None, :] * lengths[:, None]
-        flat_u = u3.reshape(-1, n)
-        jets = self.patch.chart.eval_jets(flat_u, order=1)
-        x = jets.value
-        m = x.shape[1]
-        xdot = jets.jac[:, :, axis] * lengths.repeat(3)[:, None]
-        cjets = self.patch.ambient.constraint.eval_jets(x, order=2)
-        _check_on_ambient(self.patch, cjets.value, flat_u, self.tols)
-        dc = cjets.jac
-        dcdot = np.einsum("bi,baij->baj", xdot, cjets.hess)
-        gram = np.einsum("bai,bci->bac", dc, dc)
-        w = np.linalg.solve(gram, dcdot)
-        big_l = -np.einsum("bai,baj->bij", dc, w).reshape(b, 3, m, m)
-        l0, lm, le = big_l[:, 0], big_l[:, 1], big_l[:, 2]
-        k1 = l0
-        k2 = lm + 0.5 * (lm @ k1)
-        k3 = lm + 0.5 * (lm @ k2)
-        k4 = le + le @ k3
-        mats = np.eye(m) + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        xe = x.reshape(b, 3, m)[:, 2, :]
-        basis = ambient_tangent_basis(self.patch.ambient, xe, self.tols)
-        proj = np.einsum("bmd,bjd->bmj", basis, basis)
-        return proj @ mats
+        du3 = np.zeros_like(u3)
+        du3[:, :, axis] = lengths[:, None]
+        inc, proj, _ = _rk4_increments(self.patch, u3, du3, np.ones(b), self.tols)
+        # S/6 here but (h/6)*S in _step_matrices: one shared final line
+        # moves parallel-field report values by about 1e-16 relative
+        return proj @ (np.eye(inc.shape[1]) + inc / 6.0)
 
     def _build_lines(self, axis: int, keys):
         """Cache cumulative station transports along axis for new keys."""

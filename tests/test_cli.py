@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from shadowgeom import cli, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.scene import SceneError
 
@@ -104,6 +105,20 @@ def test_shadow_grid_flag_overrides_scene(capsys):
                           "--format", "json")
     assert code == 0
     assert report_of(out)["results"]["shadow"]["resolution"] == [16, 16]
+
+
+def test_shadow_runs_the_shadow_system_once(capsys, monkeypatch):
+    calls = []
+    system = shadow.shadow_system
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return system(*args, **kwargs)
+
+    monkeypatch.setattr(shadow, "shadow_system", spy)
+    code, _, _ = invoke(capsys, "shadow", "sphere_e3")
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,6 +221,26 @@ def test_verify_unknown_tol_name_errors(capsys):
                           "--tol", "bogus=1")
     assert code == 1
     assert "unknown tolerance" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_tol_value_errors(capsys, value):
+    code, out, err = invoke(capsys, "shadow", "sphere_e3",
+                            "--tol", f"extract_tol={value}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "extract_tol" in err
+
+
+def test_memory_error_is_reported(capsys, monkeypatch):
+    def exhausted(args, t0):
+        raise MemoryError("cannot allocate the grid")
+
+    monkeypatch.setitem(cli._HANDLERS, "shadow", exhausted)
+    code, out, err = invoke(capsys, "shadow", "sphere_e3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_verify_all_plan_matches(capsys):

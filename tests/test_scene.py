@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowgeom.fields import ConstantField, ExprField, ScaledField
 from shadowgeom.scene import Scene, SceneError, load_scene, parse_scene
+from shadowgeom.tolerances import DEFAULT_TOLS, Tolerances
 
 MINIMAL = """
 scene demo
@@ -77,11 +81,32 @@ def test_grid_scalar_and_tuple():
     assert s.resolution == (24, 48)
 
 
+@pytest.mark.parametrize("res", ["1", "0", "64, 1"])
+def test_grid_below_two_is_rejected(res):
+    text = MINIMAL + f"\ngrid {{\n  resolution = {res}\n}}\n"
+    with pytest.raises(SceneError, match="at least 2") as info:
+        parse_scene(text)
+    assert info.value.line == text.splitlines().index(f"  resolution = {res}") + 1
+
+
 def test_tolerance_overrides():
     s = parse_scene(MINIMAL + "\ntolerances {\n  extract_tol = 1e-6\n}\n")
     assert s.tols.extract_tol == 1e-6
     with pytest.raises(SceneError, match="unknown tolerance"):
         parse_scene(MINIMAL + "\ntolerances {\n  bogus = 1\n}\n")
+    with pytest.raises(SceneError, match="rank_tol"):
+        parse_scene(MINIMAL + "\ntolerances {\n  rank_tol = 0\n}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(Tolerances)]),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+def test_tolerance_override_must_be_finite_and_positive(name, value):
+    if math.isfinite(value) and value > 0.0:
+        assert getattr(DEFAULT_TOLS.with_overrides({name: value}), name) == value
+    else:
+        with pytest.raises(ValueError, match=name):
+            DEFAULT_TOLS.with_overrides({name: value})
 
 
 def test_constraint_ambient():

@@ -95,7 +95,7 @@ def test_extract_sphere_equator():
     np.testing.assert_allclose(s.params[:, 0], np.pi / 2, atol=1e-9)
     assert np.max(np.abs(s.ambient[:, 2])) < 1e-9
     assert np.all(s.residuals < 1e-8)
-    assert s.rank_ok
+    assert s.certificate.ok
 
 
 def test_extract_torus_two_circles():
@@ -128,7 +128,7 @@ def test_extract_cylinder_degenerate():
     assert s.degenerate
     assert s.degenerate_fraction == 1.0
     assert s.n_points == 32 * 32
-    assert s.rank_ratio is None
+    assert s.certificate is None
     d = s.as_dict()
     assert d["degenerate"] and d["n_components"] == 1
 

@@ -26,6 +26,7 @@ from shadowgeom.transport import (
     parallel_transport,
     parallelity_residual,
     probe_loops,
+    _step_matrices,
 )
 
 from oracles import cone_development_angle
@@ -292,6 +293,17 @@ def test_transport_field_lines_match_station_walk(case):
     ref = walked_lines(fld, axis, keys)
     for k, want in zip(keys, ref):
         np.testing.assert_array_equal(fld._lines[(axis, k)], want)
+
+
+def test_segment_step_matches_curve_step():
+    # one builder serves both; only the final scaling rounds differently
+    fld = region_field()
+    start, length = np.array([1.0, 0.7]), 0.05
+    seg = fld._segment_matrices(start[None, :], 1, np.array([length]))
+    curve = ParamCurve.polyline([start, start + [0.0, length]])
+    mats, _, _ = _step_matrices(fld.patch, curve, 1, fld.tols)
+    assert not np.allclose(seg[0], np.eye(3))
+    np.testing.assert_allclose(seg[0], mats[0], rtol=1e-14)
 
 
 @pytest.mark.parametrize("case", ["region", "long-line"])
