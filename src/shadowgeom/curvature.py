@@ -31,6 +31,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "SecondForm",
+    "second_form_coord",
     "second_form_components",
     "second_fundamental_form",
     "shape_operator",
@@ -67,11 +68,21 @@ class SecondForm:
         return self.frame.normal @ comps
 
 
-def second_form_components(frames: FrameBatch):
-    """Batched (coord, orth) components, shapes (B, n, n, k)."""
+def second_form_coord(frames: FrameBatch) -> np.ndarray:
+    """Batched chart-coordinate components coord[b, p, q, a], (B, n, n, k).
+
+    The normal-frame components of the chart Hessian, without the
+    orthonormal-basis change that `second_form_components` adds; callers
+    that never read `orth` skip its n^4 k work per row.
+    """
     if frames.hess is None:
         raise GeometryError("second-order frame data required")
-    coord = np.einsum("bma,bmpq->bpqa", frames.normal, frames.hess)
+    return np.einsum("bma,bmpq->bpqa", frames.normal, frames.hess)
+
+
+def second_form_components(frames: FrameBatch):
+    """Batched (coord, orth) components, shapes (B, n, n, k)."""
+    coord = second_form_coord(frames)
     orth = np.einsum("bpi,bqj,bpqa->bija", frames.rinv, frames.rinv, coord)
     return coord, orth
 
@@ -155,7 +166,7 @@ def tgs_scan(patch: SubmanifoldPatch, grid_points, tols: Tolerances = DEFAULT_TO
     differences).  Returns (max_residual, argmax_point)."""
     pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
     frames = frames_at(patch, pts, order=2, tols=tols)
-    coord, _ = second_form_components(frames)
+    coord = second_form_coord(frames)
     dirs = _direction_set(patch.n)
     comps = np.einsum("dp,dq,bpqa->bda", dirs, dirs, coord)
     vecs = np.einsum("bma,bda->bdm", frames.normal, comps)
@@ -287,11 +298,11 @@ def bang_decomposition_check(parent: SubmanifoldPatch, sub_chart: ChartExpr,
 
     composite = composed_patch(parent, sub_chart, sub_domain)
     frames_l = frames_at(composite, pts, order=2, tols=tols)
-    coord_l, _ = second_form_components(frames_l)
+    coord_l = second_form_coord(frames_l)
     ii_n = np.einsum("bcda,bma->bmcd", coord_l, frames_l.normal)
 
     frames_m = frames_at(parent, nested.parent_points, order=2, tols=tols)
-    coord_m, _ = second_form_components(frames_m)
+    coord_m = second_form_coord(frames_m)
     t = nested.tangent_coords
     comps = np.einsum("bpc,bqd,bpqa->bacd", t, t, coord_m)
     ii_m = np.einsum("bma,bacd->bmcd", frames_m.normal, comps)

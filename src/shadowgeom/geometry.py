@@ -15,6 +15,7 @@ evaluations at the same parameters produce bit-identical frames.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,16 +128,18 @@ class Box:
         out = []
         for i, r in enumerate(res):
             cells = r if self.periodic[i] else r - 1
-            out.append((self.hi[i] - self.lo[i]) / max(cells, 1))
+            out.append((self.hi[i] - self.lo[i]) / cells)
         return tuple(out)
 
     def _res_tuple(self, res):
-        if np.isscalar(res):
-            return (int(res),) * self.n
-        res = tuple(int(r) for r in res)
+        """Per-axis grid resolutions; each must be an integer of at least 2."""
+        res = (res,) * self.n if np.isscalar(res) else tuple(res)
         if len(res) != self.n:
             raise ValueError(f"expected {self.n} resolutions, got {len(res)}")
-        return res
+        for r in res:
+            if not isinstance(r, numbers.Integral) or r < 2:
+                raise ValueError(f"grid resolution must be an integer of at least 2, got {r!r}")
+        return tuple(int(r) for r in res)
 
     def param_distance(self, a, b):
         """Componentwise distance honoring periodic wrap."""

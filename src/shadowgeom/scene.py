@@ -415,9 +415,9 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
             res_txt, res_line = _take(block, "resolution", source)
             _finish(block, source)
             values = _numbers(res_txt, source, res_line)
-            if min(values) < 2:
-                raise SceneError(f"grid resolution must be at least 2, got {res_txt}",
-                                 source, res_line)
+            if any(not v.is_integer() or v < 2 for v in values):
+                raise SceneError("grid resolution must be integers of at least 2, "
+                                 f"got {res_txt}", source, res_line)
             resolution = (int(values[0]) if len(values) == 1
                           else tuple(int(v) for v in values))
         elif block.kind == "tolerances":

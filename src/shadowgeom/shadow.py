@@ -15,8 +15,13 @@ submanifold of dimension n - rank.
 
 Extraction walks a parameter grid.  Codimension-one sets on surfaces
 come out as chained polylines (marching squares with bisected edge
-crossings); curves yield isolated bisected points; everything else goes
-through damped Gauss-Newton from grid seeds.  Normal frames built
+crossings, cells paired in one vectorised pass); curves yield isolated
+bisected points; everything else goes through damped Gauss-Newton from
+grid seeds.  Newton iterates only the active set, the seeds that moved
+in the previous iteration and stayed in the box; every other seed
+carries the residual of its last evaluation, and is evaluated again
+after the loop only if it moved since (the iteration cap ran out) or
+the final wrap changed its coordinates.  Normal frames built
 pointwise carry an arbitrary sign/rotation, so every comparison of F
 across nearby points first aligns the frames (sign for k = 1, polar
 factor for k >= 2).
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import second_form_components
+from .curvature import second_form_coord
 from .expr import ChartExpr, Param, product_chart, substitute_params
 from .fields import BlockField, FieldAlongM
 from .geometry import (
@@ -85,7 +90,7 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     frames = frames_at(patch, points, order=2, tols=tols)
     y = field.values(points, patch=patch, tols=tols)
     f = np.einsum("bmj,bm->bj", frames.normal, y)
-    coord, _ = second_form_components(frames)          # (B, n, n, k)
+    coord = second_form_coord(frames)                  # (B, n, n, k)
     rhs = np.einsum("bmp,bm->bp", frames.jac, y)
     yc = np.linalg.solve(frames.metric, rhs[..., None])[..., 0]
     jac = -np.einsum("bp,bpla->bal", yc, coord)
@@ -327,38 +332,41 @@ def _extract_1d(patch, field, f, normals, res, tols):
 
 
 def _march_cells(point_ids, center_sign_fn, res, periodic):
-    """Pair edge crossings inside each grid cell into segments."""
+    """Pair edge crossings inside each grid cell into segments.
+
+    point_ids maps an edge key (axis, i, j) to its crossing's point id.
+    A cell's sides, in order, are the axis-0 edges at columns j and j + 1
+    and the axis-1 edges at rows i and i + 1.  Two crossings pair up in
+    side order; four (a saddle) are paired by `center_sign_fn`, which gets
+    the saddle cells in row-major order; other counts give no segment.
+    """
     r0, r1 = res
     c0 = r0 if periodic[0] else r0 - 1
     c1 = r1 if periodic[1] else r1 - 1
-    segments = []
-    saddles = []
-    for i in range(c0):
-        for j in range(c1):
-            sides = [
-                (0, i, j),
-                (0, i, (j + 1) % r1),
-                (1, i, j),
-                (1, (i + 1) % r0, j),
-            ]
-            hit = [s for s in sides if point_ids.get(s) is not None]
-            if len(hit) == 2:
-                a, b = point_ids[hit[0]], point_ids[hit[1]]
-                if a != b:
-                    segments.append((a, b))
-            elif len(hit) == 4:
-                saddles.append((i, j))
+    ids = np.full((2, r0, r1), -1, dtype=np.int64)
+    for (axis, i, j), pid in point_ids.items():
+        ids[axis, i, j] = pid
+    sides = np.stack([
+        ids[0],
+        np.roll(ids[0], -1, axis=1),
+        ids[1],
+        np.roll(ids[1], -1, axis=0),
+    ], axis=-1)[:c0, :c1]                          # (c0, c1, 4)
+    hits = np.count_nonzero(sides >= 0, axis=-1)
+    pairs = sides[hits == 2]
+    pairs = pairs[pairs >= 0].reshape(-1, 2)
     # ambiguous cells: the residual sign at the center picks the pairing
-    if saddles:
-        flags = center_sign_fn(saddles)
-        for (i, j), through in zip(saddles, flags):
-            a0 = point_ids[(0, i, j)]
-            a1 = point_ids[(0, i, (j + 1) % r1)]
-            b0 = point_ids[(1, i, j)]
-            b1 = point_ids[(1, (i + 1) % r0, j)]
-            pairs = ((a0, b1), (b0, a1)) if through else ((a0, b0), (a1, b1))
-            segments.extend(p for p in pairs if p[0] != p[1])
-    return segments
+    saddle_i, saddle_j = np.nonzero(hits == 4)
+    if saddle_i.size:
+        cells = list(zip(saddle_i.tolist(), saddle_j.tolist()))
+        through = np.asarray(center_sign_fn(cells), dtype=bool)
+        a0, a1, b0, b1 = sides[saddle_i, saddle_j].T
+        # per cell (a0, b1), (b0, a1) when `through`, else (a0, b0), (a1, b1)
+        quads = np.stack([a0, np.where(through, b1, b0),
+                          np.where(through, b0, a1), np.where(through, a1, b1)], axis=1)
+        pairs = np.vstack([pairs, quads.reshape(-1, 2)])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return [tuple(p) for p in pairs.tolist()]
 
 
 def _chain(segments, n_points):
@@ -485,32 +493,55 @@ def _dedup(box: Box, points, residuals, radius):
 
 
 def _extract_newton(patch, field, grid, res, tols):
+    """Damped Gauss-Newton from every grid seed; returns (points, residuals,
+    polylines, dropped seeds).
+
+    Only the active rows, those that moved in the previous iteration and
+    are still inside the padded box, go through `shadow_system`.  A row
+    that did not move keeps its `u`, so evaluating it again would give the
+    same F and again no step; its residual from the last evaluation is
+    carried instead.  After the loop a row is evaluated again only when
+    that carried residual is stale: it moved in the last iteration
+    (`_NEWTON_ITERS` ran out) or the final wrap changed its bits.  The
+    order-1 frames of `shadow_values` give the same normals, hence the
+    same F, as the order-2 frames of `shadow_system`, so every other row's
+    carried residual is exact.
+    """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
     diag = float(np.linalg.norm(cell))
     u = grid.copy()
     alive = np.ones(u.shape[0], dtype=bool)
+    resid = np.empty(u.shape[0])
+    active = np.arange(u.shape[0])
     for _ in range(_NEWTON_ITERS):
-        f, jac, _ = shadow_system(patch, field, u[alive], tols)
+        f, jac, _ = shadow_system(patch, field, u[active], tols)
         bad = np.max(np.abs(f), axis=1)
+        resid[active] = bad
         move = bad > tols.extract_tol
-        if not bool(move.any()):
+        active = active[move]
+        if not active.size:
             break
         pinv = np.linalg.pinv(jac[move], rcond=1e-10)
         step = -np.einsum("bnk,bk->bn", pinv, f[move])
         norms = np.linalg.norm(step, axis=1)
         scale = np.minimum(1.0, diag / np.maximum(norms, 1e-300))
-        idx = np.nonzero(alive)[0][move]
-        u[idx] += step * scale[:, None]
-        u[idx] = box.wrap(u[idx])
-        alive[idx] = box.contains(u[idx], pad=float(cell.max()))
-        if not bool(alive.any()):
+        u[active] += step * scale[:, None]
+        u[active] = box.wrap(u[active])
+        alive[active] = box.contains(u[active], pad=float(cell.max()))
+        active = active[alive[active]]
+        if not active.size:
             break
     if not bool(alive.any()):
         return np.zeros((0, box.n)), np.zeros(0), (), int(u.shape[0])
-    u = box.wrap(u[alive])
-    f = shadow_values(patch, field, u, tols)
-    resid = np.max(np.abs(f), axis=1)
+    rows = np.nonzero(alive)[0]
+    last = u[rows]
+    u = box.wrap(last)
+    stale = np.isin(rows, active) | np.any(u.view(np.int64) != last.view(np.int64), axis=1)
+    resid = resid[rows]
+    if stale.any():
+        f = shadow_values(patch, field, u[stale], tols)
+        resid[stale] = np.max(np.abs(f), axis=1)
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
     pts, res_kept = _dedup(box, u[good], resid[good], 0.5 * diag)

@@ -225,6 +225,14 @@ def test_minimality_equator_in_sphere():
     assert report.conclusions[0].status == "small"
 
 
+@pytest.mark.parametrize("resolution", [1, 0, 16.9])
+def test_minimality_rejects_a_degenerate_grid(resolution):
+    # one sample cannot support a verdict; a fractional count is no grid
+    with pytest.raises(ValueError, match="at least 2"):
+        minimality_criterion(shapes.sphere(), equator_chart(), CIRCLE_BOX, E3,
+                             resolution=resolution)
+
+
 def test_minimality_outer_torus_equator():
     report = minimality_criterion(shapes.torus(), parse_chart("(0, s)", ("s",)),
                                   CIRCLE_BOX, E3, name="outer_equator")

@@ -89,6 +89,14 @@ def test_grid_below_two_is_rejected(res):
     assert info.value.line == text.splitlines().index(f"  resolution = {res}") + 1
 
 
+@pytest.mark.parametrize("res", ["16.9", "2.5, 64"])
+def test_grid_fractional_is_rejected(res):
+    text = MINIMAL + f"\ngrid {{\n  resolution = {res}\n}}\n"
+    with pytest.raises(SceneError, match="integers") as info:
+        parse_scene(text)
+    assert info.value.line == text.splitlines().index(f"  resolution = {res}") + 1
+
+
 def test_tolerance_overrides():
     s = parse_scene(MINIMAL + "\ntolerances {\n  extract_tol = 1e-6\n}\n")
     assert s.tols.extract_tol == 1e-6

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from shadowgeom import shapes
+from shadowgeom import shadow, shapes
 from shadowgeom.fields import ConstantField
-from shadowgeom.geometry import GeometryError, validate_patch
+from shadowgeom.geometry import Box, GeometryError, validate_patch
 from shadowgeom.shadow import (
     extract_shadow_set,
     product_field,
@@ -15,6 +17,7 @@ from shadowgeom.shadow import (
     shadow_values,
     smoothness_certificate,
 )
+from shadowgeom.tolerances import DEFAULT_TOLS
 
 E1 = ConstantField([1.0, 0.0, 0.0])
 E2 = ConstantField([0.0, 1.0, 0.0])
@@ -317,3 +320,211 @@ def test_block_field_jacobian_consistency():
     pts = np.array([[0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]])
     diff, _ = shadow_jacobian_consistency(pp, pf, pts)
     assert diff < 1e-6
+
+
+# -- Newton active set ------------------------------------------------------------
+
+
+def _newton_full_batch(patch, field, grid, res, tols):
+    """Reference Newton loop: every alive seed goes through shadow_system on
+    every iteration, and the final residuals come from shadow_values."""
+    box = patch.domain
+    cell = np.array(box.cell_sizes(res))
+    diag = float(np.linalg.norm(cell))
+    u = grid.copy()
+    alive = np.ones(u.shape[0], dtype=bool)
+    for _ in range(shadow._NEWTON_ITERS):
+        f, jac, _ = shadow_system(patch, field, u[alive], tols)
+        bad = np.max(np.abs(f), axis=1)
+        move = bad > tols.extract_tol
+        if not bool(move.any()):
+            break
+        pinv = np.linalg.pinv(jac[move], rcond=1e-10)
+        step = -np.einsum("bnk,bk->bn", pinv, f[move])
+        norms = np.linalg.norm(step, axis=1)
+        scale = np.minimum(1.0, diag / np.maximum(norms, 1e-300))
+        idx = np.nonzero(alive)[0][move]
+        u[idx] += step * scale[:, None]
+        u[idx] = box.wrap(u[idx])
+        alive[idx] = box.contains(u[idx], pad=float(cell.max()))
+        if not bool(alive.any()):
+            break
+    if not bool(alive.any()):
+        return np.zeros((0, box.n)), np.zeros(0), (), int(u.shape[0])
+    u = box.wrap(u[alive])
+    f = shadow_values(patch, field, u, tols)
+    resid = np.max(np.abs(f), axis=1)
+    good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
+    dropped = int(grid.shape[0] - np.count_nonzero(good))
+    pts, res_kept = shadow._dedup(box, u[good], resid[good], 0.5 * diag)
+    return pts, res_kept, (), dropped
+
+
+def _product_spheres():
+    sp = shapes.sphere()
+    return product_patch(sp, sp), product_field(E3, E3, sp), 12
+
+
+def _product_circles():
+    c = shapes.circle2()
+    y = ConstantField([0.0, 1.0])
+    return product_patch(c, c), product_field(y, y, c), 24
+
+
+def _run_newton(make):
+    patch, field, resolution = make()
+    res = patch.domain._res_tuple(resolution)
+    grid = patch.domain.grid(res)
+    return (shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS),
+            _newton_full_batch(patch, field, grid, res, DEFAULT_TOLS))
+
+
+@pytest.mark.parametrize("make, iters", [
+    (_product_spheres, None),
+    (_product_circles, None),
+    # loop cut short: rows still moving are evaluated again, all or some of them
+    (_product_spheres, 2),
+    (_product_spheres, 4),
+], ids=["product-spheres", "product-circles", "product-spheres-2-iters",
+        "product-spheres-4-iters"])
+def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
+    if iters is not None:
+        monkeypatch.setattr(shadow, "_NEWTON_ITERS", iters)
+    (pts, resid, lines, dropped), (ref_pts, ref_resid, ref_lines, ref_dropped) = \
+        _run_newton(make)
+    assert pts.shape[0] > 0
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert resid.tobytes() == ref_resid.tobytes()
+    assert lines == ref_lines
+    assert dropped == ref_dropped
+
+
+def test_newton_recomputes_rows_the_final_wrap_moves(monkeypatch):
+    real_wrap = Box.wrap
+
+    def nudging_wrap(self, points):
+        # not idempotent on exact zeros, which only seeds that never moved
+        # still hold when the final wrap sees them
+        w = real_wrap(self, points)
+        return np.where(w == 0.0, np.nextafter(0.0, 1.0), w)
+
+    recomputed = []
+    real_values = shadow.shadow_values
+
+    def values_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
+        recomputed.append(len(points))
+        return real_values(patch, field, points, tols, frames)
+
+    monkeypatch.setattr(Box, "wrap", nudging_wrap)
+    monkeypatch.setattr(shadow, "shadow_values", values_spy)
+    (pts, resid, _, dropped), (ref_pts, ref_resid, _, ref_dropped) = \
+        _run_newton(_product_circles)
+    assert 0 < sum(recomputed) < 24 * 24
+    assert pts.shape[0] > 0
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert resid.tobytes() == ref_resid.tobytes()
+    assert dropped == ref_dropped
+
+
+def test_newton_evaluates_only_moving_rows(monkeypatch):
+    rows, order1_rows = [], []
+    real_system, real_frames = shadow.shadow_system, shadow.frames_at
+
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
+        rows.append(len(points))
+        return real_system(patch, field, points, tols)
+
+    def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS, strict=True):
+        if order == 1:
+            order1_rows.append(len(points))
+        return real_frames(patch, points, order=order, tols=tols, strict=strict)
+
+    monkeypatch.setattr(shadow, "shadow_system", system_spy)
+    monkeypatch.setattr(shadow, "frames_at", frames_spy)
+    patch, field, resolution = _product_spheres()
+    res = patch.domain._res_tuple(resolution)
+    shadow._extract_newton(patch, field, patch.domain.grid(res), res, DEFAULT_TOLS)
+    # the full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1 rows
+    assert rows == [20736, 20736, 20736, 20160, 12096, 576]
+    assert sum(rows) == 95040
+    assert order1_rows == []
+
+
+# -- marching cells ----------------------------------------------------------------
+
+
+def _march_cells_loop(point_ids, center_sign_fn, res, periodic):
+    """Reference cell-by-cell pairing of edge crossings."""
+    r0, r1 = res
+    c0 = r0 if periodic[0] else r0 - 1
+    c1 = r1 if periodic[1] else r1 - 1
+    segments = []
+    saddles = []
+    for i in range(c0):
+        for j in range(c1):
+            sides = [(0, i, j), (0, i, (j + 1) % r1), (1, i, j), (1, (i + 1) % r0, j)]
+            hit = [s for s in sides if point_ids.get(s) is not None]
+            if len(hit) == 2:
+                a, b = point_ids[hit[0]], point_ids[hit[1]]
+                if a != b:
+                    segments.append((a, b))
+            elif len(hit) == 4:
+                saddles.append((i, j))
+    if saddles:
+        flags = center_sign_fn(saddles)
+        for (i, j), through in zip(saddles, flags):
+            a0 = point_ids[(0, i, j)]
+            a1 = point_ids[(0, i, (j + 1) % r1)]
+            b0 = point_ids[(1, i, j)]
+            b1 = point_ids[(1, (i + 1) % r0, j)]
+            pairs = ((a0, b1), (b0, a1)) if through else ((a0, b0), (a1, b1))
+            segments.extend(p for p in pairs if p[0] != p[1])
+    return segments
+
+
+def _random_id_map(rng, res, periodic, n_ids):
+    r0, r1 = res
+    ids = {}
+    for i in range(r0 if periodic[0] else r0 - 1):
+        for j in range(r1):
+            if rng.random() < 0.5:
+                ids[(0, i, j)] = int(rng.integers(n_ids))
+    for i in range(r0):
+        for j in range(r1 if periodic[1] else r1 - 1):
+            if rng.random() < 0.5:
+                ids[(1, i, j)] = int(rng.integers(n_ids))
+    return ids
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True), (True, True)])
+def test_march_cells_matches_cell_loop(periodic):
+    rng = np.random.default_rng(7)
+    hit_counts = Counter()
+    self_pairs = 0
+    for trial in range(20):
+        res = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        ids = _random_id_map(rng, res, periodic, n_ids=6)
+        calls = {"new": [], "loop": []}
+
+        def signs(key):
+            def fn(cells):
+                calls[key].append(list(cells))
+                return [(3 * i + j + trial) % 2 == 0 for i, j in cells]
+            return fn
+
+        got = shadow._march_cells(ids, signs("new"), res, periodic)
+        want = _march_cells_loop(ids, signs("loop"), res, periodic)
+        unordered = lambda segs: Counter(tuple(sorted(p)) for p in segs)  # noqa: E731
+        assert unordered(got) == unordered(want)
+        assert all(type(a) is int and type(b) is int for a, b in got)
+        assert calls["new"] == calls["loop"]
+
+        r0, r1 = res
+        for i in range(r0 if periodic[0] else r0 - 1):
+            for j in range(r1 if periodic[1] else r1 - 1):
+                sides = [(0, i, j), (0, i, (j + 1) % r1), (1, i, j), (1, (i + 1) % r0, j)]
+                hit = [ids[s] for s in sides if s in ids]
+                hit_counts[len(hit)] += 1
+                self_pairs += len(hit) == 2 and hit[0] == hit[1]
+    assert set(hit_counts) == {0, 1, 2, 3, 4}
+    assert self_pairs > 0
