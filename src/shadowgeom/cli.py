@@ -566,10 +566,8 @@ def run(argv=None) -> int:
         return EXIT_ERROR
     try:
         return _HANDLERS[args.command](args, t0)
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (EvalDomainError, GeometryError, ValueError, KeyError, OSError) as exc:
+    except (SceneError, EvalDomainError, GeometryError, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

@@ -49,12 +49,6 @@ class Dual2:
         h = fp[:, None, None] * self.hess + fpp[:, None, None] * _outer(self.grad)
         return Dual2(f, g, h)
 
-    @staticmethod
-    def _as_value(other):
-        if isinstance(other, Dual2):
-            return None
-        return other
-
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self):

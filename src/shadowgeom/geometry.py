@@ -93,13 +93,18 @@ class Box:
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
     def wrap(self, points):
-        """Map periodic coordinates into [lo, hi); clamp nothing else."""
+        """Map periodic coordinates into [lo, hi); clamp nothing else.
+
+        A value that rounds onto hi (one just below lo, say) maps to lo,
+        so the result lies in [lo, hi) and wrapping it again changes no bit.
+        """
         pts = np.array(points, dtype=float, copy=True)
         flat = pts.reshape(-1, self.n)
         for i, per in enumerate(self.periodic):
             if per:
-                span = self.hi[i] - self.lo[i]
-                flat[:, i] = self.lo[i] + np.mod(flat[:, i] - self.lo[i], span)
+                lo, hi = self.lo[i], self.hi[i]
+                w = lo + np.mod(flat[:, i] - lo, hi - lo)
+                flat[:, i] = np.where(w < hi, w, lo)
         return pts
 
     def contains(self, points, pad: float = 0.0):
@@ -309,7 +314,6 @@ class FrameBatch:
     rinv: np.ndarray  # (B, n, n)
     ambient: np.ndarray  # (B, m, d)
     normal: np.ndarray  # (B, m, k)
-    valid: np.ndarray | None = None  # (B,) bool when built non-strict
 
     def __len__(self):
         return self.points.shape[0]
@@ -370,11 +374,11 @@ def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_T
 
 
 def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
-              tols: Tolerances = DEFAULT_TOLS, strict: bool = True) -> FrameBatch:
+              tols: Tolerances = DEFAULT_TOLS) -> FrameBatch:
     """Build adapted frames at a batch of parameter points.
 
-    With strict=False, rank failures mark rows invalid instead of raising;
-    invalid rows hold unspecified values.
+    Raises ChartRankError at the first point where the chart Jacobian is
+    rank-deficient.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     jets = patch.chart.eval_jets(points, order=order)
@@ -382,18 +386,13 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     b, m, n = jac.shape
     svals = np.linalg.svd(jac, compute_uv=False)
     good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
-    valid = None
     if not good.all():
-        if strict:
-            i = int(np.argmax(~good))
-            raise ChartRankError(
-                f"chart Jacobian is rank-deficient (singular value ratio "
-                f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
-                points[i],
-            )
-        valid = good.copy()
-        jac = jac.copy()
-        jac[~good] = np.eye(m, n)  # placeholder, keeps decompositions finite
+        i = int(np.argmax(~good))
+        raise ChartRankError(
+            f"chart Jacobian is rank-deficient (singular value ratio "
+            f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
+            points[i],
+        )
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
     q = q * signs[:, None, :]
@@ -413,7 +412,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
         resid = amb - q @ np.einsum("bmn,bmd->bnd", q, amb)
         normal = orthonormal_span(resid, k, orthogonal_to=q, point_hint=points)
         normal = fix_column_signs(normal)
-    return FrameBatch(points, x, jets.jac, jets.hess, metric, q, rinv, amb, normal, valid)
+    return FrameBatch(points, x, jets.jac, jets.hess, metric, q, rinv, amb, normal)
 
 
 def frame_at(patch: SubmanifoldPatch, point, order: int = 2,

@@ -13,18 +13,20 @@ so the formula is exact at zeros for any smooth choice of frame.  Full
 rank of this Jacobian certifies that the shadow set is locally a
 submanifold of dimension n - rank.
 
-Extraction walks a parameter grid.  Codimension-one sets on surfaces
-come out as chained polylines (marching squares with bisected edge
-crossings, cells paired in one vectorised pass); curves yield isolated
-bisected points; everything else goes through damped Gauss-Newton from
-grid seeds.  Newton iterates only the active set, the seeds that moved
-in the previous iteration and stayed in the box; every other seed
-carries the residual of its last evaluation, and is evaluated again
-after the loop only if it moved since (the iteration cap ran out) or
-the final wrap changed its coordinates.  Normal frames built
-pointwise carry an arbitrary sign/rotation, so every comparison of F
-across nearby points first aligns the frames (sign for k = 1, polar
-factor for k >= 2).
+Extraction walks a parameter grid.  On curves and surfaces with one
+normal direction, one edge scan finds the roots: a zero at a grid node
+is keyed by the node, so every edge that reports it gives one point,
+and a strict sign change is bisected and keyed by its edge.  Curves
+yield those isolated points; on surfaces marching squares pairs the
+edge keys inside each cell in one vectorised pass and chains the
+segments into polylines.  Everything else goes through damped
+Gauss-Newton from grid seeds.  Newton iterates only the active set:
+a seed is evaluated again only when its coordinates changed in the
+previous iteration and it stayed in the box; every other seed carries
+the residual of its last evaluation.  Normal frames built pointwise
+carry an arbitrary sign/rotation, so every comparison of F across
+nearby points first aligns the frames (sign for k = 1, polar factor
+for k >= 2).
 """
 
 from __future__ import annotations
@@ -254,81 +256,83 @@ def _classify_edges(fa, fb, na, nb, ztol):
     return strict, vertex, za
 
 
+def _aligned_residual(patch, field, pts, anchors, tols):
+    """Scalar F at pts, each normal flipped to agree with its anchor normal."""
+    fr = frames_at(patch, pts, order=1, tols=tols)
+    nm = fr.normal[:, :, 0]
+    flip = _sign(np.einsum("bm,bm->b", nm, anchors))
+    y = field.values(pts, patch=patch, tols=tols)
+    return flip * np.einsum("bm,bm->b", nm, y)
+
+
 def _bisect(patch, field, a_pts, b_pts, anchors, tols):
     """Roots of the aligned scalar residual on segments [a, b], batched."""
     lo = np.array(a_pts, dtype=float)
     hi = np.array(b_pts, dtype=float)
-
-    def aligned(pts):
-        fr = frames_at(patch, pts, order=1, tols=tols)
-        nm = fr.normal[:, :, 0]
-        flip = _sign(np.einsum("bm,bm->b", nm, anchors))
-        y = field.values(pts, patch=patch, tols=tols)
-        return flip * np.einsum("bm,bm->b", nm, y)
-
-    s_lo = _sign(aligned(lo))
+    s_lo = _sign(_aligned_residual(patch, field, lo, anchors, tols))
     for _ in range(64):
         if float(np.max(np.linalg.norm(hi - lo, axis=1))) <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        same = _sign(aligned(mid)) == s_lo
+        same = _sign(_aligned_residual(patch, field, mid, anchors, tols)) == s_lo
         lo = np.where(same[:, None], mid, lo)
         hi = np.where(same[:, None], hi, mid)
     root = 0.5 * (lo + hi)
-    res = np.abs(aligned(root))
+    res = np.abs(_aligned_residual(patch, field, root, anchors, tols))
     return root, res
 
 
-def _merge_roots(box: Box, roots, resids, keys, radius):
-    """Cluster near-coincident roots; returns points, residuals, key->id map.
+def _edge_roots(patch, field, f, normals, res, tols):
+    """Roots of F on every grid edge of a curve or surface patch (k = 1).
 
-    Node zeros get reported once per incident edge; after wrapping they
-    collapse to a single point here.
+    Returns (points, residuals, ids); ids maps each edge key (axis, *start)
+    that reports a root to that root's point id.  A zero at a grid node is
+    keyed by the node (its index taken mod res on a periodic axis), so
+    every edge that reports it maps to one point, with the coordinates and
+    residual of the first edge to report it.  A strict sign change is
+    bisected and keyed by its own edge.  Node points come first, then
+    bisected points, each in axis-then-edge order.
     """
-    wrapped = box.wrap(roots)
-    points: list[np.ndarray] = []
-    point_res = []
-    idmap = {}
-    for key, p, r in zip(keys, wrapped, resids):
-        if points:
-            d = box.param_distance(np.array(points), p)
-            j = int(np.argmin(d))
-            if d[j] < radius:
-                idmap[key] = j
-                point_res[j] = min(point_res[j], float(r))
-                continue
-        idmap[key] = len(points)
-        points.append(p)
-        point_res.append(float(r))
-    return np.array(points).reshape(-1, box.n), np.array(point_res), idmap
-
-
-def _extract_1d(patch, field, f, normals, res, tols):
     box = patch.domain
-    fa, fb, na, nb = _edge_endpoints(f[:, 0], normals, 0, box.periodic[0])
-    strict, vertex, za = _classify_edges(fa, fb, na, nb, tols.extract_tol)
-    grid = box.axis_grid(0, res[0])[: fa.shape[0]]
-    h = box.cell_sizes(res)[0]
+    shape = tuple(res)
+    ff = f[:, 0].reshape(shape)
+    nn = normals.reshape(shape + (-1,))
+    starts = box.grid(res).reshape(shape + (box.n,))
+    node_keys, node_of, node_pts, node_res = [], [], [], []
+    bis_keys, bis_a, bis_b, bis_anchor = [], [], [], []
+    for axis, h in enumerate(box.cell_sizes(res)):
+        fa, fb, na, nb = _edge_endpoints(ff, nn, axis, box.periodic[axis])
+        strict, vertex, za = _classify_edges(fa, fb, na, nb, tols.extract_tol)
+        off = np.zeros(box.n)
+        off[axis] = h
+        idx = np.nonzero(vertex)
+        at_a = za[idx]
+        ends = np.array(idx)
+        ends[axis] = (ends[axis] + ~at_a) % shape[axis]
+        node_keys += [(axis, *s) for s in np.transpose(idx).tolist()]
+        node_of.append(np.ravel_multi_index(ends, shape))
+        node_pts.append(np.where(at_a[:, None], starts[idx], starts[idx] + off))
+        node_res.append(np.abs(np.where(at_a, fa[idx], fb[idx])))
+        idx = np.nonzero(strict)
+        bis_keys += [(axis, *s) for s in np.transpose(idx).tolist()]
+        bis_a.append(starts[idx])
+        bis_b.append(starts[idx] + off)
+        bis_anchor.append(na[idx])
 
-    keys, roots, resids = [], [], []
-    idx = np.nonzero(strict)[0]
-    if idx.size:
-        a = grid[idx][:, None]
-        r, rs = _bisect(patch, field, a, a + h, na[idx], tols)
-        for n_i, i in enumerate(idx):
-            keys.append((0, int(i)))
-            roots.append(r[n_i])
-            resids.append(rs[n_i])
-    for i in np.nonzero(vertex)[0]:
-        u = grid[i] if za[i] else grid[i] + h
-        keys.append((0, int(i)))
-        roots.append(np.array([u]))
-        resids.append(abs(fa[i]) if za[i] else abs(fb[i]))
-    if not keys:
-        return np.zeros((0, 1)), np.zeros(0), ()
-    pts, rs, _ = _merge_roots(box, np.array(roots), np.array(resids), keys,
-                              1e-6 * h)
-    return pts, rs, ()
+    _, first, inverse = np.unique(np.concatenate(node_of), return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # node -> point id, by first report
+    ids = dict(zip(node_keys, rank[inverse].tolist()))
+    keep = np.sort(first)
+    pts = [np.concatenate(node_pts)[keep]]
+    resid = [np.concatenate(node_res)[keep]]
+    if bis_keys:
+        r, rs = _bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b),
+                        np.concatenate(bis_anchor), tols)
+        ids.update(zip(bis_keys, range(keep.size, keep.size + len(bis_keys))))
+        pts.append(r)
+        resid.append(rs)
+    return box.wrap(np.concatenate(pts)), np.concatenate(resid), ids
 
 
 def _march_cells(point_ids, center_sign_fn, res, periodic):
@@ -413,62 +417,22 @@ def _chain(segments, n_points):
 
 
 def _extract_marching(patch, field, f, normals, res, tols):
-    r0, r1 = res
-    ff = f[:, 0].reshape(r0, r1)
-    nn = normals.reshape(r0, r1, -1)
+    """Edge roots of a surface patch, paired per cell and chained."""
+    pts, resid, ids = _edge_roots(patch, field, f, normals, res, tols)
     box = patch.domain
-    per = box.periodic
-    g0 = box.axis_grid(0, r0)
-    g1 = box.axis_grid(1, r1)
+    nn = normals.reshape(res[0], res[1], -1)
     h0, h1 = box.cell_sizes(res)
-
-    keys = []
-    bis_keys, bis_a, bis_off, bis_anchor = [], [], [], []
-    roots_fixed, resid_fixed, fixed_keys = [], [], []
-    for axis, h in ((0, h0), (1, h1)):
-        fa, fb, na, nb = _edge_endpoints(ff, nn, axis, per[axis])
-        strict, vertex, za = _classify_edges(fa, fb, na, nb, tols.extract_tol)
-        off = (h, 0.0) if axis == 0 else (0.0, h)
-        for i, j in zip(*np.nonzero(strict)):
-            bis_keys.append((axis, int(i), int(j)))
-            bis_a.append((g0[i], g1[j]))
-            bis_off.append(off)
-            bis_anchor.append(na[i, j])
-        for i, j in zip(*np.nonzero(vertex)):
-            a = np.array((g0[i], g1[j]))
-            fixed_keys.append((axis, int(i), int(j)))
-            roots_fixed.append(a if za[i, j] else a + off)
-            resid_fixed.append(abs(fa[i, j]) if za[i, j] else abs(fb[i, j]))
-
-    if not bis_keys and not fixed_keys:
-        return np.zeros((0, 2)), np.zeros(0), ()
-
-    all_roots, all_res, all_keys = list(roots_fixed), list(resid_fixed), list(fixed_keys)
-    if bis_keys:
-        a_pts = np.array(bis_a)
-        r, rs = _bisect(patch, field, a_pts, a_pts + np.array(bis_off),
-                        np.array(bis_anchor), tols)
-        all_roots.extend(r)
-        all_res.extend(rs)
-        all_keys.extend(bis_keys)
-
-    pts, rs, idmap = _merge_roots(box, np.array(all_roots), np.array(all_res),
-                                  all_keys, 1e-6 * min(h0, h1))
+    g0 = box.axis_grid(0, res[0])
+    g1 = box.axis_grid(1, res[1])
 
     def center_signs(cells):
-        centers = np.array([(g0[i] + 0.5 * h0, g1[j] + 0.5 * h1) for i, j in cells])
-        fr = frames_at(patch, centers, order=1, tols=tols)
-        nm = fr.normal[:, :, 0]
-        base = np.array([nn[i, j] for i, j in cells])
-        flip = _sign(np.einsum("bm,bm->b", nm, base))
-        y = field.values(centers, patch=patch, tols=tols)
-        fc = flip * np.einsum("bm,bm->b", nm, y)
-        f00 = np.array([ff[i, j] for i, j in cells])
-        return _sign(fc) == _sign(f00)
+        i, j = np.array(cells).T
+        centers = np.stack([g0[i] + 0.5 * h0, g1[j] + 0.5 * h1], axis=1)
+        fc = _aligned_residual(patch, field, centers, nn[i, j], tols)
+        return _sign(fc) == _sign(f[:, 0].reshape(res)[i, j])
 
-    segments = _march_cells(idmap, center_signs, res, per)
-    lines = _chain(segments, pts.shape[0])
-    return pts, rs, lines
+    segments = _march_cells(ids, center_signs, res, box.periodic)
+    return pts, resid, _chain(segments, pts.shape[0])
 
 
 def _dedup(box: Box, points, residuals, radius):
@@ -496,16 +460,17 @@ def _extract_newton(patch, field, grid, res, tols):
     """Damped Gauss-Newton from every grid seed; returns (points, residuals,
     polylines, dropped seeds).
 
-    Only the active rows, those that moved in the previous iteration and
-    are still inside the padded box, go through `shadow_system`.  A row
-    that did not move keeps its `u`, so evaluating it again would give the
-    same F and again no step; its residual from the last evaluation is
-    carried instead.  After the loop a row is evaluated again only when
-    that carried residual is stale: it moved in the last iteration
-    (`_NEWTON_ITERS` ran out) or the final wrap changed its bits.  The
-    order-1 frames of `shadow_values` give the same normals, hence the
-    same F, as the order-2 frames of `shadow_system`, so every other row's
-    carried residual is exact.
+    Only the active rows, those whose coordinates changed bit for bit in
+    the previous iteration and are still inside the padded box, go
+    through `shadow_system`.  A row whose `u` did not change would get
+    the same F and the same step again (a zero step where the Jacobian is
+    singular, or one below an ulp), so it keeps the residual of its last
+    evaluation instead.  Every step is wrapped in the loop and `Box.wrap`
+    is idempotent, so after the loop a carried residual is stale only for
+    rows still active (`_NEWTON_ITERS` ran out); those are evaluated once
+    more.  The order-1 frames of `shadow_values` give the same normals,
+    hence the same F, as the order-2 frames of `shadow_system`, so every
+    other row's carried residual is exact.
     """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
@@ -526,19 +491,20 @@ def _extract_newton(patch, field, grid, res, tols):
         step = -np.einsum("bnk,bk->bn", pinv, f[move])
         norms = np.linalg.norm(step, axis=1)
         scale = np.minimum(1.0, diag / np.maximum(norms, 1e-300))
-        u[active] += step * scale[:, None]
-        u[active] = box.wrap(u[active])
+        old = u[active]
+        u[active] = box.wrap(old + step * scale[:, None])
         alive[active] = box.contains(u[active], pad=float(cell.max()))
-        active = active[alive[active]]
+        moved = np.any(u[active].view(np.int64) != old.view(np.int64), axis=1)
+        del old  # freed before the next shadow_system call, which sets the peak memory
+        active = active[moved & alive[active]]
         if not active.size:
             break
     if not bool(alive.any()):
         return np.zeros((0, box.n)), np.zeros(0), (), int(u.shape[0])
     rows = np.nonzero(alive)[0]
-    last = u[rows]
-    u = box.wrap(last)
-    stale = np.isin(rows, active) | np.any(u.view(np.int64) != last.view(np.int64), axis=1)
+    u = u[rows]
     resid = resid[rows]
+    stale = np.isin(rows, active)
     if stale.any():
         f = shadow_values(patch, field, u[stale], tols)
         resid[stale] = np.max(np.abs(f), axis=1)
@@ -578,7 +544,8 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 
     dropped = 0
     if k == 1 and patch.n == 1:
-        pts, resid, lines = _extract_1d(patch, field, f, frames.normal[:, :, 0], res, tols)
+        pts, resid, _ = _edge_roots(patch, field, f, frames.normal[:, :, 0], res, tols)
+        lines = ()
     elif k == 1 and patch.n == 2:
         pts, resid, lines = _extract_marching(patch, field, f, frames.normal[:, :, 0], res, tols)
     else:

@@ -125,14 +125,6 @@ class ParamCurve:
             return self.vertices[0]
         return self.chart.eval_values(np.array([[self.t0]]))[0]
 
-    def param_length(self) -> float:
-        if self.vertices is not None:
-            return float(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1).sum())
-        # rough arc length in parameter space, good enough for step sizing
-        t = np.linspace(self.t0, self.t1, 257)[:, None]
-        pts = self.chart.eval_values(t)
-        return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
     def _allocate(self, steps: int):
         lengths = np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
         raw = steps * lengths / lengths.sum()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowgeom import shapes
 from shadowgeom.expr import parse_chart
@@ -53,6 +55,35 @@ def test_box_grids_and_wrap():
 
     d = box.param_distance(np.array([0.1, 0.0]), np.array([TWO_PI - 0.1, 0.0]))
     assert d == pytest.approx(0.2, abs=1e-12)
+
+
+def test_wrap_maps_just_below_lo_to_lo():
+    box = Box((0.0,), (TWO_PI,), (True,))
+    # -1e-17 + 2 pi rounds to 2 pi itself, which lies outside [0, 2 pi)
+    assert box.wrap([[-1e-17]])[0, 0] == 0.0
+
+
+_WRAP_BOXES = (Box((0.0,), (TWO_PI,), (True,)), Box((0.2,), (2.0,), (True,)),
+               Box((-math.pi,), (math.pi,), (True,)))
+
+
+def _near(edge):
+    offset = st.one_of(st.floats(-1e-12, 1e-12), st.floats(-50.0, 50.0),
+                       st.integers(-4, 4).map(lambda n: n * 1e-16))
+    return offset.map(lambda d: edge + d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(range(len(_WRAP_BOXES))), data=st.data())
+def test_wrap_lands_in_box_and_is_idempotent(which, data):
+    box = _WRAP_BOXES[which]
+    lo, hi = box.lo[0], box.hi[0]
+    x = data.draw(st.one_of(_near(lo), _near(hi),
+                            st.sampled_from([np.nextafter(lo, -np.inf),
+                                             np.nextafter(hi, np.inf), lo, hi])))
+    w = box.wrap([[x]])
+    assert lo <= w[0, 0] < hi
+    assert box.wrap(w).tobytes() == w.tobytes()
 
 
 def test_box_rejects_empty_axis():
@@ -173,9 +204,6 @@ def test_cone_apex_rank_failure():
     patch = shapes.cone(r0=0.0)
     with pytest.raises(ChartRankError):
         frame_at(patch, (0.0, 1.0))
-    frames = frames_at(patch, [[0.0, 1.0], [1.0, 1.0]], strict=False)
-    assert frames.valid is not None
-    assert frames.valid.tolist() == [False, True]
 
 
 # -- splitting and derivatives ---------------------------------------------

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from shadowgeom import shadow, shapes
-from shadowgeom.fields import ConstantField
-from shadowgeom.geometry import Box, GeometryError, validate_patch
+from shadowgeom.cli import find_scene
+from shadowgeom.expr import parse_chart
+from shadowgeom.fields import ConstantField, ExprField
+from shadowgeom.geometry import GeometryError, frames_at, validate_patch
+from shadowgeom.scene import load_scene
 from shadowgeom.shadow import (
     extract_shadow_set,
     product_field,
@@ -365,10 +368,10 @@ def _product_spheres():
     return product_patch(sp, sp), product_field(E3, E3, sp), 12
 
 
-def _product_circles():
+def _product_circles(resolution=24):
     c = shapes.circle2()
     y = ConstantField([0.0, 1.0])
-    return product_patch(c, c), product_field(y, y, c), 24
+    return product_patch(c, c), product_field(y, y, c), resolution
 
 
 def _run_newton(make):
@@ -399,33 +402,6 @@ def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
     assert dropped == ref_dropped
 
 
-def test_newton_recomputes_rows_the_final_wrap_moves(monkeypatch):
-    real_wrap = Box.wrap
-
-    def nudging_wrap(self, points):
-        # not idempotent on exact zeros, which only seeds that never moved
-        # still hold when the final wrap sees them
-        w = real_wrap(self, points)
-        return np.where(w == 0.0, np.nextafter(0.0, 1.0), w)
-
-    recomputed = []
-    real_values = shadow.shadow_values
-
-    def values_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
-        recomputed.append(len(points))
-        return real_values(patch, field, points, tols, frames)
-
-    monkeypatch.setattr(Box, "wrap", nudging_wrap)
-    monkeypatch.setattr(shadow, "shadow_values", values_spy)
-    (pts, resid, _, dropped), (ref_pts, ref_resid, _, ref_dropped) = \
-        _run_newton(_product_circles)
-    assert 0 < sum(recomputed) < 24 * 24
-    assert pts.shape[0] > 0
-    assert pts.tobytes() == ref_pts.tobytes()
-    assert resid.tobytes() == ref_resid.tobytes()
-    assert dropped == ref_dropped
-
-
 def test_newton_evaluates_only_moving_rows(monkeypatch):
     rows, order1_rows = [], []
     real_system, real_frames = shadow.shadow_system, shadow.frames_at
@@ -434,10 +410,10 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
         rows.append(len(points))
         return real_system(patch, field, points, tols)
 
-    def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS, strict=True):
+    def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS):
         if order == 1:
             order1_rows.append(len(points))
-        return real_frames(patch, points, order=order, tols=tols, strict=strict)
+        return real_frames(patch, points, order=order, tols=tols)
 
     monkeypatch.setattr(shadow, "shadow_system", system_spy)
     monkeypatch.setattr(shadow, "frames_at", frames_spy)
@@ -448,6 +424,154 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     assert rows == [20736, 20736, 20736, 20160, 12096, 576]
     assert sum(rows) == 95040
     assert order1_rows == []
+
+
+@pytest.mark.parametrize("resolution, rows, calls", [(12, 580, 6), (24, 3140, 9)])
+def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatch):
+    # seeds where the Jacobian is singular get a zero step; once they stop
+    # moving they leave the active set instead of running all 30 iterations
+    batches = []
+    real_system = shadow.shadow_system
+
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
+        batches.append(len(points))
+        return real_system(patch, field, points, tols)
+
+    monkeypatch.setattr(shadow, "shadow_system", system_spy)
+    patch, field, resolution = _product_circles(resolution)
+    res = patch.domain._res_tuple(resolution)
+    pts, _, _, _ = shadow._extract_newton(patch, field, patch.domain.grid(res), res,
+                                          DEFAULT_TOLS)
+    assert pts.shape[0] == 4
+    assert (sum(batches), len(batches)) == (rows, calls)
+
+
+# -- edge roots --------------------------------------------------------------------
+
+
+def _grid_residuals(patch, field, resolution):
+    res = patch.domain._res_tuple(resolution)
+    grid = patch.domain.grid(res)
+    frames = frames_at(patch, grid, order=1, tols=DEFAULT_TOLS)
+    f = shadow_values(patch, field, grid, DEFAULT_TOLS, frames=frames)
+    return f, frames.normal[:, :, 0], res
+
+
+def _merge_roots(box, roots, resids, keys, radius):
+    """Reference: cluster near-coincident roots; points, residuals, key->id."""
+    wrapped = box.wrap(roots)
+    points, point_res, idmap = [], [], {}
+    for key, p, r in zip(keys, wrapped, resids):
+        if points:
+            d = box.param_distance(np.array(points), p)
+            j = int(np.argmin(d))
+            if d[j] < radius:
+                idmap[key] = j
+                point_res[j] = min(point_res[j], float(r))
+                continue
+        idmap[key] = len(points)
+        points.append(p)
+        point_res.append(float(r))
+    return np.array(points).reshape(-1, box.n), np.array(point_res), idmap
+
+
+def _surface_roots_loop(patch, field, f, normals, res, tols):
+    """Reference: edge-by-edge root collection, then distance merging."""
+    r0, r1 = res
+    ff = f[:, 0].reshape(r0, r1)
+    nn = normals.reshape(r0, r1, -1)
+    box = patch.domain
+    g0, g1 = box.axis_grid(0, r0), box.axis_grid(1, r1)
+    h0, h1 = box.cell_sizes(res)
+    bis_keys, bis_a, bis_off, bis_anchor = [], [], [], []
+    roots, resids, keys = [], [], []
+    for axis, h in ((0, h0), (1, h1)):
+        fa, fb, na, nb = shadow._edge_endpoints(ff, nn, axis, box.periodic[axis])
+        strict, vertex, za = shadow._classify_edges(fa, fb, na, nb, tols.extract_tol)
+        off = (h, 0.0) if axis == 0 else (0.0, h)
+        for i, j in zip(*np.nonzero(strict)):
+            bis_keys.append((axis, int(i), int(j)))
+            bis_a.append((g0[i], g1[j]))
+            bis_off.append(off)
+            bis_anchor.append(na[i, j])
+        for i, j in zip(*np.nonzero(vertex)):
+            a = np.array((g0[i], g1[j]))
+            keys.append((axis, int(i), int(j)))
+            roots.append(a if za[i, j] else a + off)
+            resids.append(abs(fa[i, j]) if za[i, j] else abs(fb[i, j]))
+    if bis_keys:
+        a_pts = np.array(bis_a)
+        r, rs = shadow._bisect(patch, field, a_pts, a_pts + np.array(bis_off),
+                               np.array(bis_anchor), tols)
+        roots.extend(r)
+        resids.extend(rs)
+        keys.extend(bis_keys)
+    return _merge_roots(box, np.array(roots), np.array(resids), keys, 1e-6 * min(h0, h1))
+
+
+def _curve_roots_loop(patch, field, f, normals, res, tols):
+    """Reference: bisected crossings first, then node zeros, then merging."""
+    box = patch.domain
+    fa, fb, na, nb = shadow._edge_endpoints(f[:, 0], normals, 0, box.periodic[0])
+    strict, vertex, za = shadow._classify_edges(fa, fb, na, nb, tols.extract_tol)
+    grid = box.axis_grid(0, res[0])[: fa.shape[0]]
+    h = box.cell_sizes(res)[0]
+    keys, roots, resids = [], [], []
+    idx = np.nonzero(strict)[0]
+    if idx.size:
+        a = grid[idx][:, None]
+        r, rs = shadow._bisect(patch, field, a, a + h, na[idx], tols)
+        keys.extend((0, int(i)) for i in idx)
+        roots.extend(r)
+        resids.extend(rs)
+    for i in np.nonzero(vertex)[0]:
+        keys.append((0, int(i)))
+        roots.append(np.array([grid[i] if za[i] else grid[i] + h]))
+        resids.append(abs(fa[i]) if za[i] else abs(fb[i]))
+    return _merge_roots(box, np.array(roots), np.array(resids), keys, 1e-6 * h)
+
+
+def _scene_subject(name):
+    scene = load_scene(find_scene(name))
+    (patch_name, patch), = scene.patches.items()
+    return patch, scene.fields[patch_name]
+
+
+@pytest.mark.parametrize("subject, resolution", [
+    (lambda: _scene_subject("torus_e3"), 256),
+    (lambda: _scene_subject("sphere_e3"), 256),
+    (lambda: (shapes.saddle(), E1), 48),
+    (lambda: (shapes.cylinder(), E1), 64),
+], ids=["torus-256", "sphere-256", "saddle-48", "cylinder-sideways-64"])
+def test_edge_roots_match_merged_edge_loop_on_surfaces(subject, resolution):
+    patch, field = subject()
+    f, normals, res = _grid_residuals(patch, field, resolution)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, normals, res, DEFAULT_TOLS)
+    ref_pts, ref_resid, ref_ids = _surface_roots_loop(patch, field, f, normals, res,
+                                                      DEFAULT_TOLS)
+    assert pts.shape[0] > 0
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert resid.tobytes() == ref_resid.tobytes()
+    assert ids == ref_ids
+
+
+@pytest.mark.parametrize("resolution", [33, 64])
+def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
+    # u = 0 is a grid node, reported by edge 0 and by the last, wrapping edge
+    patch, field = _scene_subject("circle_r2_e2")
+    f, normals, res = _grid_residuals(patch, field, resolution)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, normals, res, DEFAULT_TOLS)
+    ref_pts, ref_resid, ref_ids = _curve_roots_loop(patch, field, f, normals, res,
+                                                    DEFAULT_TOLS)
+    assert ids[(0, 0)] == ids[(0, resolution - 1)] == 0
+    assert ref_ids[(0, 0)] == ref_ids[(0, resolution - 1)]
+
+    def rows(p, r):
+        table = np.column_stack([p, r])
+        return table[np.lexsort(table.T[::-1])]
+
+    assert pts.shape == (2, 1)
+    assert rows(pts, resid).tobytes() == rows(ref_pts, ref_resid).tobytes()
 
 
 # -- marching cells ----------------------------------------------------------------
@@ -528,3 +652,20 @@ def test_march_cells_matches_cell_loop(periodic):
                 self_pairs += len(hit) == 2 and hit[0] == hit[1]
     assert set(hit_counts) == {0, 1, 2, 3, 4}
     assert self_pairs > 0
+
+
+@pytest.mark.parametrize("c", [1e-3, -1e-3])
+def test_saddle_cell_pairs_hyperbola_branches(c):
+    # F = (u - 1/4)(v - 1/4) + c on the plane: the grid-9 cell [0, 1/2]^2 sees
+    # four crossings, and the sign of F at its center (= c) picks the pairing
+    field = ExprField(parse_chart("(0, 0, (u - 0.25)*(v - 0.25) + c)", ("u", "v"),
+                                  {"c": c}))
+    s = extract_shadow_set(shapes.plane(), field, 9)
+    assert len(s.polylines) == 2
+    quadrants = set()
+    for line in s.polylines:
+        signs = np.unique(np.sign(s.params[list(line)] - 0.25), axis=0)
+        assert signs.shape[0] == 1  # each branch stays in one quadrant
+        assert signs[0, 0] * signs[0, 1] == -np.sign(c)
+        quadrants.add(tuple(signs[0]))
+    assert len(quadrants) == 2
