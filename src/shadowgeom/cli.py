@@ -37,6 +37,7 @@ from .helix import (
 from .reporting import (
     VERDICT_CONFIRMED,
     VERDICT_NOT_MET,
+    ToleranceFloorError,
     _atomic_write,
     canonical_json,
     csv_text,
@@ -147,6 +148,13 @@ def _tols_with_flags(scene: Scene, tol_flags) -> Tolerances:
         raise SceneError(str(exc.args[0]), scene.name)
 
 
+def _open_scene(name: str, tol_flags):
+    """(scene, path, tols) for a scene argument and the --tol items."""
+    path = find_scene(name)
+    scene = load_scene(path)
+    return scene, path, _tols_with_flags(scene, tol_flags)
+
+
 def _resolution(scene: Scene, args, fallback):
     if args.grid is not None:
         return args.grid
@@ -205,12 +213,16 @@ def _nested_setup(scene: Scene, tols: Tolerances):
     return parent, spec.chart, spec.domain, field, spec.name
 
 
-def _run_report(scene: Scene, path: str, command: str, results: dict,
+def _run_report(scene: Scene | None, path: str, command: str, results: dict,
                 t0: float) -> dict:
+    """The report envelope; scene None stands for the whole bundled corpus."""
+    stanza = {"name": "corpus", "digest": "", "path": ""}
+    if scene is not None:
+        stanza = {"name": scene.name, "digest": scene.digest,
+                  "path": os.path.basename(path)}
     return {
         "tool": {"name": "shadowgeom", "version": __version__},
-        "scene": {"name": scene.name, "digest": scene.digest,
-                  "path": os.path.basename(path)},
+        "scene": stanza,
         "command": command,
         "results": results,
         "timings": {"total_seconds": time.perf_counter() - t0},
@@ -235,10 +247,7 @@ def _exit_for(verdicts) -> int:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_validate(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_validate(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, field = _root_setup(scene, tols)
     report = validate_patch(patch, field=field,
                             resolution=_resolution(scene, args, 9), tols=tols)
@@ -276,10 +285,7 @@ def _shadow_rows(patch, shadow_set):
     return header, rows
 
 
-def cmd_shadow(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_shadow(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, field = _root_setup(scene, tols)
     field = _require_field(scene, patch, field)
     shadow_set = extract_shadow_set(patch, field,
@@ -302,10 +308,7 @@ def cmd_shadow(args, t0: float) -> int:
     return EXIT_OK
 
 
-def cmd_helix(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, field = _root_setup(scene, tols)
     field = _require_field(scene, patch, field)
     res = _resolution(scene, args, 32)
@@ -330,10 +333,7 @@ def cmd_helix(args, t0: float) -> int:
     return _exit_for(verdicts) if verdicts else EXIT_OK
 
 
-def cmd_transport(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, _ = _root_setup(scene, tols)
     loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=args.seed)
     per = []
@@ -356,10 +356,8 @@ def cmd_transport(args, t0: float) -> int:
     return EXIT_OK
 
 
-def cmd_parallel_field(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_parallel_field(args, scene: Scene, path: str, tols: Tolerances,
+                       t0: float) -> int:
     patch, _ = _root_setup(scene, tols)
     seed_spec = scene.seeds.get(patch.name)
     base = seed_spec.base if seed_spec else None
@@ -411,10 +409,7 @@ def _run_theorem(scene: Scene, theorem: str, res, tols: Tolerances):
     raise SceneError(f"unknown theorem {theorem!r}", scene.name)
 
 
-def cmd_verify(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_verify(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     res = _resolution(scene, args, _THEOREM_RES[args.theorem])
     report = _run_theorem(scene, args.theorem, res, tols)
     results = {"theorem": args.theorem, "report": report.as_dict()}
@@ -425,11 +420,8 @@ def cmd_verify(args, t0: float) -> int:
 
 def cmd_verify_all(args, t0: float) -> int:
     rows = []
-    verdict_by_key = {}
     for scene_name, theorem, expected in VERIFY_PLAN:
-        path = find_scene(scene_name)
-        scene = load_scene(path)
-        tols = _tols_with_flags(scene, args.tol)
+        scene, _, tols = _open_scene(scene_name, args.tol)
         res = _resolution(scene, args, _THEOREM_RES[theorem])
         report = _run_theorem(scene, theorem, res, tols)
         rows.append({
@@ -440,19 +432,10 @@ def cmd_verify_all(args, t0: float) -> int:
             "match": report.verdict == expected,
             "report": report.as_dict(),
         })
-        verdict_by_key[(scene_name, theorem)] = report.verdict
     n_match = sum(1 for r in rows if r["match"])
     results = {"checks": rows, "n_checks": len(rows), "n_match": n_match,
                "all_match": n_match == len(rows)}
-    # use a synthetic scene stanza: verify-all spans the whole corpus
-    report_obj = {
-        "tool": {"name": "shadowgeom", "version": __version__},
-        "scene": {"name": "corpus", "digest": "", "path": ""},
-        "command": "verify-all",
-        "results": results,
-        "timings": {"total_seconds": time.perf_counter() - t0},
-    }
-    _emit(canonical_json(report_obj), args.out)
+    _emit(canonical_json(_run_report(None, "", "verify-all", results, t0)), args.out)
     if n_match == len(rows):
         return EXIT_OK
     mismatched = [r["verdict"] for r in rows if not r["match"]]
@@ -478,10 +461,7 @@ def _patch_block(name: str, chart, box, parent: str | None = None) -> list:
     return lines
 
 
-def cmd_tube(args, t0: float) -> int:
-    path = find_scene(args.scene)
-    scene = load_scene(path)
-    tols = _tols_with_flags(scene, args.tol)
+def cmd_tube(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     if scene.tube is None:
         raise SceneError("scene declares no tube block", scene.name)
     curve = scene.patch(scene.tube.of)
@@ -512,8 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"shadowgeom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False):
-        sp.add_argument("scene", help="scene file path or bundled scene name")
+    def common(sp, seed=False, scene=True):
+        if scene:
+            sp.add_argument("scene", help="scene file path or bundled scene name")
         sp.add_argument("--grid", type=int, default=None, metavar="N",
                         help="override the grid resolution")
         sp.add_argument("--tol", action="append", default=None,
@@ -539,13 +520,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theorem", choices=THEOREM_IDS)
     common(sp)
     common(sub.add_parser("tube", help="materialize the swept scene"))
-    sp = sub.add_parser("verify-all", help="run the bundled theorem suite")
-    sp.add_argument("--grid", type=int, default=None, metavar="N")
-    sp.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE")
-    sp.add_argument("--out", default=None, metavar="PATH")
+    common(sub.add_parser("verify-all", help="run the bundled theorem suite"),
+           scene=False)
     return parser
 
 
+# commands on one scene; `verify-all` runs the bundled corpus instead
 _HANDLERS = {
     "validate": cmd_validate,
     "shadow": cmd_shadow,
@@ -554,7 +534,6 @@ _HANDLERS = {
     "parallel-field": cmd_parallel_field,
     "verify": cmd_verify,
     "tube": cmd_tube,
-    "verify-all": cmd_verify_all,
 }
 
 
@@ -565,10 +544,16 @@ def run(argv=None) -> int:
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return _HANDLERS[args.command](args, t0)
+        if args.command == "verify-all":
+            return cmd_verify_all(args, t0)
+        scene, path, tols = _open_scene(args.scene, args.tol)
+        return _HANDLERS[args.command](args, scene, path, tols, t0)
     except (SceneError, EvalDomainError, GeometryError, ValueError, KeyError,
             OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        note = ""
+        if isinstance(exc, ToleranceFloorError) and args.tol:
+            note = " (--tol in effect: " + ", ".join(args.tol) + ")"
+        print(f"error: {exc}{note}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

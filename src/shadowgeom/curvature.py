@@ -269,15 +269,6 @@ class BangReport:
     mean_argmax: tuple
     n_points: int
 
-    def as_dict(self):
-        return {
-            "ii_residual": self.ii_residual,
-            "ii_argmax": list(self.ii_argmax),
-            "mean_residual": self.mean_residual,
-            "mean_argmax": list(self.mean_argmax),
-            "n_points": self.n_points,
-        }
-
 
 def bang_decomposition_check(parent: SubmanifoldPatch, sub_chart: ChartExpr,
                              sub_domain: Box, points=None, resolution: int = 9,

@@ -31,7 +31,6 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "ChartExpr",
-    "Jet2",
     "Jet2Batch",
     "parse_chart",
     "substitute_params",
@@ -306,23 +305,12 @@ def _split_outputs(tokens):
 
 
 @dataclass(frozen=True)
-class Jet2:
-    """Chart value with first and second parameter derivatives at a point."""
-
-    value: np.ndarray  # (m,)
-    jac: np.ndarray  # (m, n)
-    hess: np.ndarray | None  # (m, n, n)
-
-
-@dataclass(frozen=True)
 class Jet2Batch:
+    """Chart values with first and second parameter derivatives, batched."""
+
     value: np.ndarray  # (B, m)
     jac: np.ndarray  # (B, m, n)
     hess: np.ndarray | None  # (B, m, n, n)
-
-    def at(self, i) -> Jet2:
-        h = None if self.hess is None else self.hess[i]
-        return Jet2(self.value[i], self.jac[i], h)
 
 
 class _Ctx:
@@ -526,9 +514,6 @@ class ChartExpr:
         jac = np.stack(jacs, axis=1)
         hess = np.stack(hesses, axis=1) if order >= 2 else None
         return Jet2Batch(value, jac, hess)
-
-    def eval_jet(self, point, order: int = 2) -> Jet2:
-        return self.eval_jets(np.asarray(point, dtype=float)[None, :], order).at(0)
 
 
 def parse_chart(text: str, params, constants=None) -> ChartExpr:

@@ -20,8 +20,6 @@ __all__ = ["FieldAlongM", "ConstantField", "ExprField", "ScaledField", "BlockFie
 class FieldAlongM:
     """Base interface; subclasses implement `values`."""
 
-    kind = "abstract"
-
     def values(self, points, patch=None, tols=DEFAULT_TOLS):
         raise NotImplementedError
 
@@ -45,13 +43,8 @@ class FieldAlongM:
     def scaled(self, factor: float) -> "FieldAlongM":
         return ScaledField(self, float(factor))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
 
 class ConstantField(FieldAlongM):
-    kind = "constant"
-
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float)
 
@@ -63,14 +56,9 @@ class ConstantField(FieldAlongM):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.zeros((points.shape[0], self.vector.shape[0], points.shape[1]))
 
-    def describe(self):
-        return {"kind": self.kind, "vector": [float(v) for v in self.vector]}
-
 
 class ExprField(FieldAlongM):
     """Closed form in the patch parameters; derivatives are analytic."""
-
-    kind = "closed_form"
 
     def __init__(self, chart: ChartExpr):
         self.chart = chart
@@ -81,13 +69,8 @@ class ExprField(FieldAlongM):
     def param_jacobian(self, points, patch=None, tols=DEFAULT_TOLS):
         return self.chart.eval_jets(points, order=1).jac
 
-    def describe(self):
-        return {"kind": self.kind, "source": self.chart.to_source()}
-
 
 class ScaledField(FieldAlongM):
-    kind = "scaled"
-
     def __init__(self, inner: FieldAlongM, factor: float):
         self.inner = inner
         self.factor = factor
@@ -98,12 +81,6 @@ class ScaledField(FieldAlongM):
     def param_jacobian(self, points, patch=None, tols=DEFAULT_TOLS):
         return self.factor * self.inner.param_jacobian(points, patch=patch, tols=tols)
 
-    def describe(self):
-        d = self.inner.describe()
-        d = dict(d)
-        d["scaled_by"] = self.factor
-        return d
-
 
 class BlockField(FieldAlongM):
     """Field on a product patch, assembled from fields on the factors.
@@ -111,8 +88,6 @@ class BlockField(FieldAlongM):
     Parameter points split as (first n_first columns, rest); ambient
     vectors concatenate the factor vectors.
     """
-
-    kind = "block"
 
     def __init__(self, first: FieldAlongM, second: FieldAlongM, n_first: int, m_first: int):
         self.first = first
@@ -141,10 +116,3 @@ class BlockField(FieldAlongM):
         out[:, : self.m_first, : self.n_first] = ja
         out[:, self.m_first :, self.n_first :] = jb
         return out
-
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "first": self.first.describe(),
-            "second": self.second.describe(),
-        }

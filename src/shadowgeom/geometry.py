@@ -315,9 +315,6 @@ class FrameBatch:
     ambient: np.ndarray  # (B, m, d)
     normal: np.ndarray  # (B, m, k)
 
-    def __len__(self):
-        return self.points.shape[0]
-
     @property
     def k(self) -> int:
         return self.normal.shape[2]

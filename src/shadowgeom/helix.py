@@ -53,7 +53,6 @@ from .transport import geodesic_traces, parallelity_residual, track_defects
 __all__ = [
     "HelixReport",
     "helix_components",
-    "helix_angle",
     "helix_constancy_report",
     "classify_hypersurface_helix",
     "orthogonal_tgs_check",
@@ -96,14 +95,6 @@ def helix_components(patch: SubmanifoldPatch, field, points,
         frames = frames_at(patch, pts, order=1, tols=tols)
     y = field.values(pts, patch=patch, tols=tols)
     return _split_components(frames, y)
-
-
-def helix_angle(patch: SubmanifoldPatch, field, point,
-                tols: Tolerances = DEFAULT_TOLS) -> float:
-    """h = |tan(Y)| at one point; 0 when Y is orthogonal to the patch."""
-    h, _, _ = helix_components(patch, field, np.asarray(point, dtype=float)[None, :],
-                               tols=tols)
-    return float(h[0])
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,15 @@ __all__ = [
     "VERDICT_CONFIRMED",
     "VERDICT_NOT_MET",
     "VERDICT_COUNTEREXAMPLE",
+    "ToleranceFloorError",
     "ResidualEntry",
     "Precondition",
     "TheoremReport",
     "combine_side",
     "build_report",
     "canonical_json",
-    "write_report",
     "csv_text",
-    "write_csv",
     "obj_text",
-    "write_obj",
 ]
 
 STATUS_SMALL = "small"
@@ -53,6 +51,10 @@ STATUS_AMBIGUOUS = "ambiguous"
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_NOT_MET = "hypotheses-not-met"
 VERDICT_COUNTEREXAMPLE = "counterexample-flag"
+
+
+class ToleranceFloorError(ValueError):
+    """A residual's tolerance does not lie below its floor."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class ResidualEntry:
 
     def __post_init__(self):
         if not self.tol < self.floor:
-            raise ValueError(f"tolerance {self.tol} must lie below floor {self.floor}")
+            raise ToleranceFloorError(f"{self.label}: tolerance {self.tol} "
+                                      f"must lie below floor {self.floor}")
 
     @property
     def status(self) -> str:
@@ -218,22 +221,11 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_report(path: str, obj) -> str:
-    """Write canonical JSON atomically; returns the serialized text."""
-    text = canonical_json(obj)
-    _atomic_write(path, text)
-    return text
-
-
 def csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header, rows):
-    _atomic_write(path, csv_text(header, rows))
 
 
 def obj_text(vertices, polylines) -> str:
@@ -253,7 +245,3 @@ def obj_text(vertices, polylines) -> str:
         if idx:
             lines.append("l " + idx)
     return "\n".join(lines) + "\n"
-
-
-def write_obj(path: str, vertices, polylines):
-    _atomic_write(path, obj_text(vertices, polylines))

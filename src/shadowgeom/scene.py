@@ -108,22 +108,6 @@ class Scene:
     def patch(self, name: str | None = None) -> SubmanifoldPatch:
         return self.patches[name or self.root_name]
 
-    def field(self, name: str | None = None) -> FieldAlongM:
-        name = name or self.root_name
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise SceneError(f"no field bound to patch {name!r}", self.name) from None
-
-    def seed(self, name: str | None = None) -> SeedSpec:
-        name = name or self.root_name
-        try:
-            return self.seeds[name]
-        except KeyError:
-            raise SceneError(
-                f"no transport seed bound to patch {name!r}", self.name
-            ) from None
-
     def first_nested(self) -> NestedSpec:
         if not self.nested:
             raise SceneError("scene has no nested patch", self.name)

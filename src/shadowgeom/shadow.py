@@ -18,8 +18,9 @@ normal direction, one edge scan finds the roots: a zero at a grid node
 is keyed by the node, so every edge that reports it gives one point,
 and a strict sign change is bisected and keyed by its edge.  Curves
 yield those isolated points; on surfaces marching squares pairs the
-edge keys inside each cell in one vectorised pass and chains the
-segments into polylines.  Everything else goes through damped
+edge keys inside each cell in one vectorised pass (a four-crossing cell
+by the asymptotic decider on its corner values) and chains the segments
+into polylines.  Everything else goes through damped
 Gauss-Newton from grid seeds.  Newton iterates only the active set:
 a seed is evaluated again only when its coordinates changed in the
 previous iteration and it stayed in the box; every other seed carries
@@ -49,11 +50,9 @@ from .reporting import ResidualEntry, TheoremReport, build_report
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
-    "ShadowResidual",
     "ShadowSet",
     "SmoothnessReport",
     "ProductShadowReport",
-    "shadow_residual",
     "shadow_values",
     "shadow_system",
     "shadow_jacobian_consistency",
@@ -99,36 +98,6 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     dy = field.param_jacobian(points, patch=patch, tols=tols)
     jac += np.einsum("bma,bml->bal", frames.normal, dy)
     return f, jac, frames
-
-
-@dataclass(frozen=True)
-class ShadowResidual:
-    """Residual and Jacobian of the tangency system at one point."""
-
-    point: np.ndarray
-    values: np.ndarray      # (k,)
-    jacobian: np.ndarray    # (k, n)
-    on_set: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "values": list(self.values),
-            "jacobian": [list(r) for r in self.jacobian],
-            "on_set": self.on_set,
-        }
-
-
-def shadow_residual(patch: SubmanifoldPatch, field: FieldAlongM, point,
-                    tols: Tolerances = DEFAULT_TOLS) -> ShadowResidual:
-    point = np.asarray(point, dtype=float)
-    f, jac, _ = shadow_system(patch, field, point[None, :], tols)
-    return ShadowResidual(
-        point=point,
-        values=f[0],
-        jacobian=jac[0],
-        on_set=bool(np.max(np.abs(f[0])) < tols.extract_tol),
-    )
 
 
 def _frame_rotation(normals, anchor):
@@ -335,14 +304,15 @@ def _edge_roots(patch, field, f, normals, res, tols):
     return box.wrap(np.concatenate(pts)), np.concatenate(resid), ids
 
 
-def _march_cells(point_ids, center_sign_fn, res, periodic):
+def _march_cells(point_ids, saddle_fn, res, periodic):
     """Pair edge crossings inside each grid cell into segments.
 
     point_ids maps an edge key (axis, i, j) to its crossing's point id.
     A cell's sides, in order, are the axis-0 edges at columns j and j + 1
     and the axis-1 edges at rows i and i + 1.  Two crossings pair up in
-    side order; four (a saddle) are paired by `center_sign_fn`, which gets
-    the saddle cells in row-major order; other counts give no segment.
+    side order; four (a saddle) are paired by `saddle_fn`, which gets the
+    saddle cells in row-major order and says per cell whether corners
+    (i, j) and (i + 1, j + 1) connect; other counts give no segment.
     """
     r0, r1 = res
     c0 = r0 if periodic[0] else r0 - 1
@@ -359,11 +329,10 @@ def _march_cells(point_ids, center_sign_fn, res, periodic):
     hits = np.count_nonzero(sides >= 0, axis=-1)
     pairs = sides[hits == 2]
     pairs = pairs[pairs >= 0].reshape(-1, 2)
-    # ambiguous cells: the residual sign at the center picks the pairing
     saddle_i, saddle_j = np.nonzero(hits == 4)
     if saddle_i.size:
         cells = list(zip(saddle_i.tolist(), saddle_j.tolist()))
-        through = np.asarray(center_sign_fn(cells), dtype=bool)
+        through = np.asarray(saddle_fn(cells), dtype=bool)
         a0, a1, b0, b1 = sides[saddle_i, saddle_j].T
         # per cell (a0, b1), (b0, a1) when `through`, else (a0, b0), (a1, b1)
         quads = np.stack([a0, np.where(through, b1, b0),
@@ -419,19 +388,27 @@ def _chain(segments, n_points):
 def _extract_marching(patch, field, f, normals, res, tols):
     """Edge roots of a surface patch, paired per cell and chained."""
     pts, resid, ids = _edge_roots(patch, field, f, normals, res, tols)
-    box = patch.domain
+    ff = f[:, 0].reshape(res)
     nn = normals.reshape(res[0], res[1], -1)
-    h0, h1 = box.cell_sizes(res)
-    g0 = box.axis_grid(0, res[0])
-    g1 = box.axis_grid(1, res[1])
 
-    def center_signs(cells):
+    def corners_connect(cells):
+        # asymptotic decider (Nielson & Hamann 1991): corners (i, j) and
+        # (i + 1, j + 1) connect when the bilinear interpolant's saddle value
+        # (f00 f11 - f01 f10) / (f00 + f11 - f01 - f10) has the sign of f00,
+        # taken as the product of the two signs; corner values are aligned
+        # to the normal at (i, j) first
         i, j = np.array(cells).T
-        centers = np.stack([g0[i] + 0.5 * h0, g1[j] + 0.5 * h1], axis=1)
-        fc = _aligned_residual(patch, field, centers, nn[i, j], tols)
-        return _sign(fc) == _sign(f[:, 0].reshape(res)[i, j])
+        i1, j1 = (i + 1) % res[0], (j + 1) % res[1]
+        anchor = nn[i, j]
 
-    segments = _march_cells(ids, center_signs, res, box.periodic)
+        def aligned(a, b):
+            return _sign(np.einsum("bm,bm->b", nn[a, b], anchor)) * ff[a, b]
+
+        f00, f01, f10, f11 = ff[i, j], aligned(i, j1), aligned(i1, j), aligned(i1, j1)
+        saddle = _sign(f00 * f11 - f01 * f10) * _sign(f00 + f11 - f01 - f10)
+        return saddle == _sign(f00)
+
+    segments = _march_cells(ids, corners_connect, res, patch.domain.periodic)
     return pts, resid, _chain(segments, pts.shape[0])
 
 
@@ -677,17 +654,6 @@ class ProductShadowReport:
     direct_degenerate: bool
     factor_degenerate: tuple
     report: TheoremReport
-
-    def as_dict(self) -> dict:
-        return {
-            "hausdorff": self.hausdorff,
-            "cell_diagonal": self.cell_diagonal,
-            "n_direct": self.n_direct,
-            "n_reference": self.n_reference,
-            "direct_degenerate": self.direct_degenerate,
-            "factor_degenerate": list(self.factor_degenerate),
-            "report": self.report.as_dict(),
-        }
 
 
 def _pair_grid(pts_a, pts_b):

@@ -49,8 +49,5 @@ class Tolerances:
                 raise KeyError(f"unknown tolerance {key!r}")
         return replace(self, **{k: float(v) for k, v in overrides.items()})
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 DEFAULT_TOLS = Tolerances()

@@ -70,60 +70,39 @@ OBSTRUCTION_CLEAR_NOTE = "no obstruction found at probe resolution"
 
 
 class ParamCurve:
-    """A curve in patch parameters: a polyline or a closed-form chart.
+    """A polyline in patch parameters.
 
-    Polylines parametrize each segment over unit time, so step counts
-    are split among segments by length and every vertex lands exactly on
-    a step boundary.  Closed-form curves take a one-parameter chart over
-    [t0, t1].
+    Each segment is parametrized over unit time, so step counts are
+    split among segments by length and every vertex lands exactly on a
+    step boundary.
     """
 
-    def __init__(self, *, vertices=None, chart=None, t0=0.0, t1=1.0, label=""):
-        if (vertices is None) == (chart is None):
-            raise ValueError("give either polyline vertices or a curve chart")
+    def __init__(self, vertices, label=""):
         self.label = label
-        self.chart = chart
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.vertices = None
-        if vertices is not None:
-            verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-            keep = [0]
-            for i in range(1, len(verts)):
-                if np.linalg.norm(verts[i] - verts[keep[-1]]) > 0.0:
-                    keep.append(i)
-            verts = verts[keep]
-            if len(verts) < 2:
-                raise ValueError("polyline needs two distinct vertices")
-            self.vertices = verts
-        else:
-            if chart.n_params != 1:
-                raise ValueError("a curve chart takes exactly one parameter")
-            if not self.t1 > self.t0:
-                raise ValueError("curve needs t1 > t0")
+        verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+        keep = [0]
+        for i in range(1, len(verts)):
+            if np.linalg.norm(verts[i] - verts[keep[-1]]) > 0.0:
+                keep.append(i)
+        verts = verts[keep]
+        if len(verts) < 2:
+            raise ValueError("polyline needs two distinct vertices")
+        self.vertices = verts
 
     @classmethod
     def polyline(cls, vertices, closed: bool = False, label: str = "polyline"):
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if closed and np.linalg.norm(verts[0] - verts[-1]) > 0.0:
             verts = np.vstack([verts, verts[:1]])
-        return cls(vertices=verts, label=label)
-
-    @classmethod
-    def from_expr(cls, chart, t0: float = 0.0, t1: float = 1.0, label: str = "curve"):
-        return cls(chart=chart, t0=t0, t1=t1, label=label)
+        return cls(verts, label=label)
 
     @property
     def n(self) -> int:
-        if self.vertices is not None:
-            return self.vertices.shape[1]
-        return self.chart.n_outputs
+        return self.vertices.shape[1]
 
     @property
     def start(self):
-        if self.vertices is not None:
-            return self.vertices[0]
-        return self.chart.eval_values(np.array([[self.t0]]))[0]
+        return self.vertices[0]
 
     def _allocate(self, steps: int):
         lengths = np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)
@@ -145,28 +124,19 @@ class ParamCurve:
         steps = int(steps)
         if steps < 1:
             raise ValueError("need at least one step")
-        if self.vertices is not None:
-            u_parts, du_parts, h_parts = [], [], []
-            alloc = self._allocate(steps)
-            for seg, s_count in enumerate(alloc):
-                a, b = self.vertices[seg], self.vertices[seg + 1]
-                d = b - a
-                tl = (np.arange(s_count)[:, None] + np.array([0.0, 0.5, 1.0])) / s_count
-                u_parts.append(a + tl[:, :, None] * d)
-                du_parts.append(np.broadcast_to(d, (s_count, 3, len(d))))
-                h_parts.append(np.full(s_count, 1.0 / s_count))
-            return (
-                np.concatenate(u_parts),
-                np.concatenate(du_parts).astype(float),
-                np.concatenate(h_parts),
-            )
-        tg = np.linspace(self.t0, self.t1, 2 * steps + 1)[:, None]
-        jets = self.chart.eval_jets(tg, order=1)
-        u, du = jets.value, jets.jac[:, :, 0]
-        u3 = np.stack([u[0:-1:2], u[1::2], u[2::2]], axis=1)
-        du3 = np.stack([du[0:-1:2], du[1::2], du[2::2]], axis=1)
-        h = np.full(steps, (self.t1 - self.t0) / steps)
-        return u3, du3, h
+        u_parts, du_parts, h_parts = [], [], []
+        for seg, s_count in enumerate(self._allocate(steps)):
+            a, b = self.vertices[seg], self.vertices[seg + 1]
+            d = b - a
+            tl = (np.arange(s_count)[:, None] + np.array([0.0, 0.5, 1.0])) / s_count
+            u_parts.append(a + tl[:, :, None] * d)
+            du_parts.append(np.broadcast_to(d, (s_count, 3, len(d))))
+            h_parts.append(np.full(s_count, 1.0 / s_count))
+        return (
+            np.concatenate(u_parts),
+            np.concatenate(du_parts).astype(float),
+            np.concatenate(h_parts),
+        )
 
 
 # -- step matrices --------------------------------------------------------------
@@ -275,16 +245,6 @@ class TransportResult:
     step_error: float  # Richardson estimate from a half-resolution run
     steps: int
 
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "start_vector": [float(v) for v in self.vectors[0]],
-            "end_vector": [float(v) for v in self.vectors[-1]],
-            "norm_drift": float(self.norm_drift),
-            "tangency_drift": float(self.tangency_drift),
-            "step_error": float(self.step_error),
-        }
-
 
 def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector,
                        steps: int = DEFAULT_STEPS,
@@ -331,16 +291,6 @@ class HolonomyResult:
     rotation: float | None  # principal rotation angle when d == 2
     steps: int
     label: str
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "deviation": float(self.deviation),
-            "rotation": None if self.rotation is None else float(self.rotation),
-            "base_point": [float(v) for v in self.base_point],
-            "steps": self.steps,
-        }
 
 
 def holonomy_loop(patch: SubmanifoldPatch, loop: ParamCurve,
@@ -443,8 +393,6 @@ class TransportField(FieldAlongM):
 
     Over a flat ambient the field is the constant seed vector.
     """
-
-    kind = "transport_seed"
 
     def __init__(self, patch: SubmanifoldPatch, base_point, vector,
                  stations_per_span: int = 1024, tols: Tolerances = DEFAULT_TOLS):
@@ -553,13 +501,6 @@ class TransportField(FieldAlongM):
         for axis in range(self.patch.n):
             vecs = self._leg_transport(axis, pts, vecs)
         return vecs
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base_point": [float(v) for v in self.base_point],
-            "vector": [float(v) for v in self.vector],
-        }
 
 
 @dataclass(frozen=True)
@@ -720,17 +661,6 @@ class GeodesicResult:
     ambient_residual: float  # defect as a geodesic of the ambient manifold
     steps: int
     t1: float
-
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "t1": float(self.t1),
-            "start": [float(v) for v in self.params[0]],
-            "end": [float(v) for v in self.params[-1]],
-            "speed_drift": float(self.speed_drift),
-            "tangential_residual": float(self.tangential_residual),
-            "ambient_residual": float(self.ambient_residual),
-        }
 
 
 def track_defects(patch: SubmanifoldPatch, traj, xs, speeds, h: float,

@@ -1,16 +1,18 @@
-"""Built-in chart corpus.
+"""Parameterized chart builders for the tests.
 
 Classical patches written in the expression DSL, each with a sensible
-parameter box.  Domains avoid chart degeneracies (sphere poles, cone
-apex).  All builders return fresh SubmanifoldPatch objects.
+parameter box.  Builders take shape parameters (cone angle, cap
+colatitude, sphere margin) that a scene file cannot express.  Domains
+avoid chart degeneracies (sphere poles, cone apex).  All builders return
+fresh SubmanifoldPatch objects.
 """
 
 from __future__ import annotations
 
 import math
 
-from .expr import parse_chart
-from .geometry import AmbientSpace, Box, SubmanifoldPatch
+from shadowgeom.expr import parse_chart
+from shadowgeom.geometry import AmbientSpace, Box, SubmanifoldPatch
 
 __all__ = [
     "flat_ambient",

@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from shadowgeom import shapes
 from shadowgeom.cli import run
 from shadowgeom.fields import ConstantField
 from shadowgeom.geometry import ambient_tangent_basis
@@ -32,6 +31,8 @@ from shadowgeom.transport import (
     parallel_transport,
     probe_loops,
 )
+
+import shapes
 
 TWO_PI = 2.0 * math.pi
 E2 = ConstantField([0.0, 1.0])

@@ -232,8 +232,17 @@ def test_bad_tol_value_errors(capsys, value):
     assert err.startswith("error:") and "extract_tol" in err
 
 
+def test_tol_above_floor_names_residual_and_override(capsys):
+    code, out, err = invoke(capsys, "verify", "product-shadow", "product_circles",
+                            "--tol", "extract_tol=0.01")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: extraction-residual: tolerance 0.1 must lie below")
+    assert "--tol in effect: extract_tol=0.01" in err
+
+
 def test_memory_error_is_reported(capsys, monkeypatch):
-    def exhausted(args, t0):
+    def exhausted(*args):
         raise MemoryError("cannot allocate the grid")
 
     monkeypatch.setitem(cli._HANDLERS, "shadow", exhausted)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from shadowgeom import shapes
 from shadowgeom.curvature import (
     bang_decomposition_check,
     christoffels,
@@ -24,6 +23,7 @@ from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
 from shadowgeom.geometry import Box, GeometryError, frames_at
 
+import shapes
 from oracles import fd_metric_derivative
 
 TWO_PI = 2.0 * math.pi

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowgeom import shapes
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
 from shadowgeom.geometry import (
@@ -25,6 +24,8 @@ from shadowgeom.geometry import (
     split_tangent_normal,
     validate_patch,
 )
+
+import shapes
 
 TWO_PI = 2.0 * math.pi
 

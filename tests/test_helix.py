@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from shadowgeom import shapes
 from shadowgeom.curvature import gauss_kronecker
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField
@@ -13,7 +12,6 @@ from shadowgeom.geometry import Box, GeometryError, SubmanifoldPatch
 from shadowgeom.helix import (
     classify_hypersurface_helix,
     geodesic_alignment_check,
-    helix_angle,
     helix_components,
     helix_constancy_report,
     minimality_criterion,
@@ -21,7 +19,9 @@ from shadowgeom.helix import (
     tgs_helix_check,
     tube_patch,
 )
-from shadowgeom.shapes import flat_ambient
+
+import shapes
+from shapes import flat_ambient
 
 TWO_PI = 2.0 * math.pi
 E1 = ConstantField([1.0, 0.0, 0.0])
@@ -62,7 +62,8 @@ def test_cone_angle_is_cos_half_angle():
 def test_sphere_angle_is_sin_colatitude_and_not_constant():
     patch = shapes.sphere(margin=0.1)
     theta = math.pi / 3
-    assert abs(helix_angle(patch, E3, [theta, 0.4]) - math.sin(theta)) < 1e-12
+    h, _, _ = helix_components(patch, E3, [[theta, 0.4]])
+    assert abs(h[0] - math.sin(theta)) < 1e-12
     rep = helix_constancy_report(patch, E3)
     assert not rep.is_helix
     assert rep.h_deviation > 0.5

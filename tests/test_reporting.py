@@ -6,12 +6,12 @@ import pytest
 from shadowgeom.reporting import (
     Precondition,
     ResidualEntry,
+    _atomic_write,
     build_report,
     canonical_json,
     combine_side,
-    write_csv,
-    write_obj,
-    write_report,
+    csv_text,
+    obj_text,
 )
 
 
@@ -97,7 +97,8 @@ def test_canonical_json_is_stable_and_exact():
 def test_write_report_atomic(tmp_path):
     path = tmp_path / "out" / "report.json"
     path.parent.mkdir()
-    text = write_report(path, {"x": 1.5})
+    text = canonical_json({"x": 1.5})
+    _atomic_write(path, text)
     assert path.read_text() == text
     assert json.loads(text) == {"x": 1.5}
     leftovers = [p for p in path.parent.iterdir() if p.name != "report.json"]
@@ -106,7 +107,7 @@ def test_write_report_atomic(tmp_path):
 
 def test_write_csv(tmp_path):
     path = tmp_path / "pts.csv"
-    write_csv(path, ["u", "x"], [[0.5, 1.0], [2.0 / 3.0, -1.0]])
+    _atomic_write(path, csv_text(["u", "x"], [[0.5, 1.0], [2.0 / 3.0, -1.0]]))
     lines = path.read_text().splitlines()
     assert lines[0] == "u,x"
     assert lines[1] == "0.5,1.0"
@@ -116,7 +117,7 @@ def test_write_csv(tmp_path):
 def test_write_obj(tmp_path):
     path = tmp_path / "set.obj"
     verts = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-    write_obj(path, verts, [(0, 1, 2, 0)])
+    _atomic_write(path, obj_text(verts, [(0, 1, 2, 0)]))
     lines = path.read_text().splitlines()
     assert lines[0] == "v 0.0 1.0 0.0"  # 2d points padded with z = 0
     assert lines[-1] == "l 1 2 3 1"     # obj indices are 1-based

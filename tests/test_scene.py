@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowgeom.cli import run
 from shadowgeom.fields import ConstantField, ExprField, ScaledField
 from shadowgeom.scene import Scene, SceneError, load_scene, parse_scene
 from shadowgeom.tolerances import DEFAULT_TOLS, Tolerances
@@ -57,7 +58,7 @@ def test_comments_and_quotes_are_stripped():
                            'constant = 0, 0, 1  # vertical')
     text = text.replace("chart = (u, v, 0)", 'chart = "(u, v, 0)"')
     s = parse_scene(text)
-    np.testing.assert_array_equal(s.field().values(np.zeros((1, 2))),
+    np.testing.assert_array_equal(s.fields["plane"].values(np.zeros((1, 2))),
                                   [[0.0, 0.0, 1.0]])
 
 
@@ -181,14 +182,14 @@ def test_first_nested_requires_one():
 
 def test_default_field_binds_to_root():
     s = parse_scene(MINIMAL)
-    assert isinstance(s.field(), ConstantField)
+    assert s.root_name == "plane"
     assert isinstance(s.fields["plane"], ConstantField)
 
 
 def test_scaled_field():
     text = MINIMAL.replace("constant = 0, 0, 1",
                            "constant = 0, 0, 1\n  scale = 2.5")
-    y = parse_scene(text).field().values(np.zeros((1, 2)))
+    y = parse_scene(text).fields["plane"].values(np.zeros((1, 2)))
     np.testing.assert_allclose(y, [[0.0, 0.0, 2.5]])
 
 
@@ -196,7 +197,7 @@ def test_expression_field():
     text = MINIMAL.replace(
         "constant = 0, 0, 1",
         "expression = (-v, u, 0)\n  params = u, v")
-    fld = parse_scene(text).field()
+    fld = parse_scene(text).fields["plane"]
     assert isinstance(fld, ExprField)
     np.testing.assert_allclose(fld.values(np.array([[0.25, 0.5]])),
                                [[-0.5, 0.25, 0.0]])
@@ -208,7 +209,7 @@ def test_transport_seed_field():
         "transport_base = 0.5, 0.5\n  vector = 1, 0, 0")
     s = parse_scene(text)
     assert not s.fields
-    seed = s.seed()
+    seed = s.seeds["plane"]
     np.testing.assert_array_equal(seed.base, [0.5, 0.5])
     np.testing.assert_array_equal(seed.vector, [1.0, 0.0, 0.0])
 
@@ -240,12 +241,15 @@ def test_duplicate_field_rejected():
         parse_scene(text)
 
 
-def test_missing_field_reported_on_access():
+def test_missing_field_reported_on_access(tmp_path, capsys):
+    # a transport seed without a vector binds no field; the CLI says so
     text = MINIMAL.replace("field {", "field for plane {")
-    s = parse_scene(text.replace("constant = 0, 0, 1",
-                                 "transport_base = 0, 0"))
-    with pytest.raises(SceneError, match="no field bound"):
-        s.field()
+    path = tmp_path / "seedless.scene"
+    path.write_text(text.replace("constant = 0, 0, 1", "transport_base = 0, 0"))
+    assert parse_scene(path.read_text()).seeds["plane"].vector is None
+    assert run(["shadow", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no field bound to patch 'plane'" in err
 
 
 # -- multi-patch scenes -------------------------------------------------------------

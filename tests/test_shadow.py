@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shadowgeom import shadow, shapes
+from shadowgeom import shadow
 from shadowgeom.cli import find_scene
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
@@ -15,12 +15,13 @@ from shadowgeom.shadow import (
     product_patch,
     product_shadow_check,
     shadow_jacobian_consistency,
-    shadow_residual,
     shadow_system,
     shadow_values,
     smoothness_certificate,
 )
 from shadowgeom.tolerances import DEFAULT_TOLS
+
+import shapes
 
 E1 = ConstantField([1.0, 0.0, 0.0])
 E2 = ConstantField([0.0, 1.0, 0.0])
@@ -47,13 +48,14 @@ def test_cylinder_axis_field_residual_vanishes():
 
 def test_shadow_residual_bundle():
     pl = shapes.plane()
-    r = shadow_residual(pl, E3, [0.3, -0.4])
-    assert abs(abs(r.values[0]) - 1.0) < 1e-12
-    assert not r.on_set
-    np.testing.assert_allclose(r.jacobian, 0.0, atol=1e-14)
+    f, jac, _ = shadow_system(pl, E3, [[0.3, -0.4]])
+    assert abs(abs(f[0, 0]) - 1.0) < 1e-12
+    assert np.abs(f[0]).max() >= DEFAULT_TOLS.extract_tol
+    np.testing.assert_allclose(jac[0], 0.0, atol=1e-14)
 
     cy = shapes.cylinder()
-    assert shadow_residual(cy, E3, [1.0, 0.3]).on_set
+    f, _, _ = shadow_system(cy, E3, [[1.0, 0.3]])
+    assert np.abs(f[0]).max() < DEFAULT_TOLS.extract_tol
 
 
 def test_sphere_jacobian_closed_form_at_equator():
@@ -577,7 +579,7 @@ def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
 # -- marching cells ----------------------------------------------------------------
 
 
-def _march_cells_loop(point_ids, center_sign_fn, res, periodic):
+def _march_cells_loop(point_ids, saddle_fn, res, periodic):
     """Reference cell-by-cell pairing of edge crossings."""
     r0, r1 = res
     c0 = r0 if periodic[0] else r0 - 1
@@ -595,7 +597,7 @@ def _march_cells_loop(point_ids, center_sign_fn, res, periodic):
             elif len(hit) == 4:
                 saddles.append((i, j))
     if saddles:
-        flags = center_sign_fn(saddles)
+        flags = saddle_fn(saddles)
         for (i, j), through in zip(saddles, flags):
             a0 = point_ids[(0, i, j)]
             a1 = point_ids[(0, i, (j + 1) % r1)]
@@ -654,17 +656,20 @@ def test_march_cells_matches_cell_loop(periodic):
     assert self_pairs > 0
 
 
-@pytest.mark.parametrize("c", [1e-3, -1e-3])
-def test_saddle_cell_pairs_hyperbola_branches(c):
-    # F = (u - 1/4)(v - 1/4) + c on the plane: the grid-9 cell [0, 1/2]^2 sees
-    # four crossings, and the sign of F at its center (= c) picks the pairing
-    field = ExprField(parse_chart("(0, 0, (u - 0.25)*(v - 0.25) + c)", ("u", "v"),
-                                  {"c": c}))
+@pytest.mark.parametrize("c, a", [(1e-3, 0.25), (-1e-3, 0.25), (-1e-3, 0.125)],
+                         ids=["0.001", "-0.001", "off-centre"])
+def test_saddle_cell_pairs_hyperbola_branches(c, a):
+    # F = (u - a)(v - a) + c on the plane: the grid-9 cell [0, 1/2]^2 sees
+    # four crossings; the hyperbola's saddle sits at (a, a), at the cell
+    # center for a = 1/4 and off it for a = 1/8, where F at the center has
+    # the other sign
+    field = ExprField(parse_chart("(0, 0, (u - a)*(v - a) + c)", ("u", "v"),
+                                  {"a": a, "c": c}))
     s = extract_shadow_set(shapes.plane(), field, 9)
     assert len(s.polylines) == 2
     quadrants = set()
     for line in s.polylines:
-        signs = np.unique(np.sign(s.params[list(line)] - 0.25), axis=0)
+        signs = np.unique(np.sign(s.params[list(line)] - a), axis=0)
         assert signs.shape[0] == 1  # each branch stays in one quadrant
         assert signs[0, 0] * signs[0, 1] == -np.sign(c)
         quadrants.add(tuple(signs[0]))

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from shadowgeom import shapes
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ExprField
 from shadowgeom.geometry import (
@@ -29,6 +28,7 @@ from shadowgeom.transport import (
     _step_matrices,
 )
 
+import shapes
 from oracles import cone_development_angle
 
 TWO_PI = 2.0 * math.pi
@@ -64,17 +64,6 @@ def test_polyline_drops_duplicate_vertices():
     assert curve.vertices.shape == (2, 1)
     with pytest.raises(ValueError):
         ParamCurve.polyline([[0.5], [0.5]])
-
-
-def test_expr_curve_stages():
-    chart = parse_chart("(t, 2*t)", ("t",))
-    curve = ParamCurve.from_expr(chart, 0.0, 1.0)
-    u, du, h = curve.stage_points(4)
-    assert u.shape == (4, 3, 2)
-    np.testing.assert_allclose(u[0, 0], [0.0, 0.0])
-    np.testing.assert_allclose(u[-1, 2], [1.0, 2.0])
-    np.testing.assert_allclose(du[2, 1], [1.0, 2.0])
-    np.testing.assert_allclose(h, 0.25)
 
 
 # -- transport -------------------------------------------------------------------
