@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .curvature import second_form_components
-from .expr import EvalDomainError, ParseError
+from .expr import EvalDomainError
 from .fields import ConstantField
-from .geometry import GeometryError, SubmanifoldPatch, frames_at, validate_patch
+from .geometry import GeometryError, frames_at, validate_patch
 from .helix import (
     classify_hypersurface_helix,
     geodesic_alignment_check,

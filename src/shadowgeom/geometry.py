@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ChartExpr, Jet2Batch, compose
+from .expr import ChartExpr, compose
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "GeometryError",
     "ChartRankError",
+    "DomainExitError",
     "OffAmbientError",
     "TangencyError",
     "Box",
@@ -56,6 +57,10 @@ class GeometryError(RuntimeError):
 
 class ChartRankError(GeometryError):
     pass
+
+
+class DomainExitError(GeometryError):
+    """A curve track crossed a non-periodic wall of the chart domain."""
 
 
 class OffAmbientError(GeometryError):

@@ -20,7 +20,9 @@ residuals:
 Nested checks take the inner patch as a chart into the parent
 parameters, so intrinsic quantities (second fundamental form in the
 parent, membership residuals) come from the parent connection rather
-than from a re-embedding.
+than from a re-embedding.  Integral curves of tan(Y) and the geodesic
+fan both come from `transport.rk4_tracks`; a track that leaves the
+domain halves the integration time, at most four times (`_halving_retry`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .curvature import (
 from .expr import parse_chart, to_source
 from .geometry import (
     Box,
+    DomainExitError,
     GeometryError,
     SubmanifoldPatch,
     composed_patch,
@@ -48,7 +51,7 @@ from .geometry import (
 from .reporting import Precondition, ResidualEntry, build_report
 from .shadow import shadow_values
 from .tolerances import DEFAULT_TOLS, Tolerances
-from .transport import geodesic_traces, parallelity_residual, track_defects
+from .transport import geodesic_traces, parallelity_residual, rk4_tracks, track_defects
 
 __all__ = [
     "HelixReport",
@@ -144,9 +147,14 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
 
     Reports the deviation of h from its mean and, alongside, the
     deviation of |nor Y| and the drift of |Y| itself, since for a
-    parallel field all three are constant together.
+    parallel field all three are constant together.  Each axis needs at
+    least 3 samples: a symmetric 2-point axis samples only mirror images,
+    on which a non-helix patch can show a constant h.
     """
     grid = patch.domain.grid(resolution)
+    if np.min(resolution) < 3:
+        raise ValueError("the helix test needs a grid resolution of at least 3, "
+                         f"got {resolution!r}")
     h, nor, ynorm = helix_components(patch, field, grid, tols=tols)
     scale = float(ynorm.mean())
     guard = max(scale, _TINY)
@@ -174,10 +182,6 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
 
 
 # -- integral curves of tan(Y) -------------------------------------------------
-
-
-class _LeftDomain(GeometryError):
-    pass
 
 
 def _seed_grid(box: Box, per_axis=(0.35, 0.5, 0.65)) -> np.ndarray:
@@ -208,17 +212,8 @@ def _auto_t1(box: Box, seeds, vels, frac: float, cap: float = 1.0) -> float:
     return t1
 
 
-def _flow_tracks(patch: SubmanifoldPatch, field, seeds, t1: float, steps: int,
-                 tols: Tolerances):
-    """RK4 tracks of du/dt = tan(Y) in chart coordinates.
-
-    Returns (traj, vels) of shapes (S+1, G, n); raises _LeftDomain when
-    a track crosses a non-periodic wall.
-    """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    g_count, n = seeds.shape
-    lo, hi = np.asarray(patch.domain.lo), np.asarray(patch.domain.hi)
-    hard = [i for i in range(n) if not patch.domain.periodic[i]]
+def _tan_flow(patch: SubmanifoldPatch, field, tols: Tolerances):
+    """Right-hand side of du/dt = tan(Y) in chart coordinates."""
 
     def rhs(u):
         jets = patch.chart.eval_jets(u, order=1)
@@ -227,38 +222,17 @@ def _flow_tracks(patch: SubmanifoldPatch, field, seeds, t1: float, steps: int,
         proj = np.einsum("bmi,bm->bi", jets.jac, y)
         return np.linalg.solve(metric, proj[..., None])[..., 0]
 
-    h = t1 / steps
-    u = seeds.copy()
-    traj = np.empty((steps + 1, g_count, n))
-    vels = np.empty((steps + 1, g_count, n))
-    traj[0] = u
-    for s in range(steps):
-        k1 = rhs(u)
-        vels[s] = k1
-        k2 = rhs(u + 0.5 * h * k1)
-        k3 = rhs(u + 0.5 * h * k2)
-        k4 = rhs(u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        for i in hard:
-            if (u[:, i] < lo[i] + 1e-9).any() or (u[:, i] > hi[i] - 1e-9).any():
-                raise _LeftDomain(
-                    f"integral curve left the chart domain at t={(s + 1) * h:.6f}"
-                )
-        traj[s + 1] = u
-    vels[steps] = rhs(u)
-    return traj, vels
+    return rhs
 
 
-def _flow_with_retry(patch, field, seeds, steps, tols, frac=0.5):
-    vels0 = _flow_tracks(patch, field, seeds, 1e-9, 1, tols)[1][0]
-    t1 = _auto_t1(patch.domain, np.atleast_2d(seeds), vels0, frac)
+def _halving_retry(run, t1: float, what: str):
+    """(run(t1), t1), halving t1 after each domain exit; four tries."""
     for _ in range(4):
         try:
-            traj, vels = _flow_tracks(patch, field, seeds, t1, steps, tols)
-            return traj, vels, t1
-        except _LeftDomain:
+            return run(t1), t1
+        except DomainExitError:
             t1 *= 0.5
-    raise GeometryError("integral curves keep leaving the domain; seeds too close to a wall")
+    raise GeometryError(f"{what} keep leaving the domain; starts too close to a wall")
 
 
 # -- codimension-one classification --------------------------------------------
@@ -321,12 +295,15 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
         case = "transversal"
         witness = rep.points[int(np.argmin(h_rel))]
         seeds = _seed_grid(patch.domain)
-        traj, vels, t1 = _flow_with_retry(patch, field, seeds, steps, tols)
+        flow = _tan_flow(patch, field, tols)
+        traj, t1 = _halving_retry(
+            lambda t: rk4_tracks(flow, seeds, t / steps, steps, patch.domain, pad=-1e-9),
+            _auto_t1(patch.domain, seeds, flow(seeds), frac=0.5), "integral curves")
         flat = traj.reshape(-1, patch.n)
         jets = patch.chart.eval_jets(flat, order=1)
         m = jets.value.shape[1]
         xs = jets.value.reshape(steps + 1, -1, m)
-        vel_amb = np.einsum("bmi,bi->bm", jets.jac, vels.reshape(-1, patch.n))
+        vel_amb = np.einsum("bmi,bi->bm", jets.jac, flow(flat))
         speeds = np.linalg.norm(vel_amb, axis=1).reshape(steps + 1, -1)
         tan_def, amb_def = track_defects(patch, traj, xs, speeds, t1 / steps,
                                          tols=tols)
@@ -376,6 +353,25 @@ def _membership(parent: SubmanifoldPatch, field, parent_points, tols) -> float:
     return float(np.abs(shadow_values(parent, field, parent_points, tols=tols)).max())
 
 
+def _nested_sample(parent: SubmanifoldPatch, sub_chart, sub_domain: Box, field,
+                   resolution, name: str, order: int, tols: Tolerances):
+    """L-side data every nested check starts from.
+
+    Returns (pts, nested, frames, y, h, nor, guard, mem): the grid of L,
+    its second form in the parent, frames of L (to ``order``), Y at the
+    mapped parent points, |tan Y| and |nor Y| against L, the floored mean
+    |Y|, and the parent's membership residual over the mapped points.
+    """
+    sub = composed_patch(parent, sub_chart, sub_domain, name=name)
+    pts = sub_domain.grid(resolution)
+    nested = nested_second_form(parent, sub_chart, pts, tols=tols)
+    frames = frames_at(sub, pts, order=order, tols=tols)
+    y = field.values(nested.parent_points, patch=parent, tols=tols)
+    h, nor, ynorm = _split_components(frames, y)
+    return (pts, nested, frames, y, h, nor, max(float(ynorm.mean()), _TINY),
+            _membership(parent, field, nested.parent_points, tols))
+
+
 def orthogonal_tgs_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
                          field, resolution: int = 24, name: str = "L",
                          tols: Tolerances = DEFAULT_TOLS):
@@ -388,26 +384,20 @@ def orthogonal_tgs_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     residuals: membership max|F| against the second form of L in the
     parent; the verdict accepts them simultaneously small or large.
     """
-    sub = composed_patch(parent, sub_chart, sub_domain, name=name)
-    pts = sub_domain.grid(resolution)
-    nested = nested_second_form(parent, sub_chart, pts, tols=tols)
-    frames_l = frames_at(sub, pts, order=2, tols=tols)
-    y = field.values(nested.parent_points, patch=parent, tols=tols)
-    h, _, ynorm = _split_components(frames_l, y)
-    guard = max(float(ynorm.mean()), _TINY)
+    pts, nested, frames_l, _, h, _, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, 2, tols)
     tan_rel = float(h.max() / guard)
     _, orth = second_form_components(frames_l)
     curve_norms = np.sqrt(np.einsum("bija,bija->b", orth, orth))
     min_curv = float(curve_norms.min())
     par_rel, _ = parallelity_residual(parent, field, resolution=9, tols=tols)
 
-    mem = _membership(parent, field, nested.parent_points, tols)
     ii_norms = _nested_ii_norms(nested)
     ii_max = float(ii_norms.max())
 
     pre = [
-        Precondition("nested-codimension-one", parent.n - sub.n == 1,
-                     float(parent.n - sub.n), 1.0),
+        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
+                     float(parent.n - sub_domain.n), 1.0),
         Precondition("field-parallel-on-parent", par_rel <= tols.tgs_tol,
                      par_rel, tols.tgs_tol),
         Precondition("field-orthogonal-to-nested", tan_rel <= tols.helix_tol,
@@ -439,17 +429,10 @@ def tgs_helix_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     failed hypothesis is not a counterexample to an implication), then
     the conclusion is constancy of h along L.
     """
-    sub = composed_patch(parent, sub_chart, sub_domain, name=name)
-    pts = sub_domain.grid(resolution)
-    nested = nested_second_form(parent, sub_chart, pts, tols=tols)
-    frames_l = frames_at(sub, pts, order=1, tols=tols)
-    y = field.values(nested.parent_points, patch=parent, tols=tols)
-    h, nor, ynorm = _split_components(frames_l, y)
-    guard = max(float(ynorm.mean()), _TINY)
+    pts, nested, _, _, h, nor, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, 1, tols)
     h_mean = float(h.mean())
     h_dev = float(np.abs(h - h_mean).max())
-
-    mem = _membership(parent, field, nested.parent_points, tols)
     ii_max = float(_nested_ii_norms(nested).max())
 
     pre = [
@@ -488,16 +471,9 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     shadow set and Y transverse to L.  The two-stage decomposition of
     the second form is recomputed independently and gates the check.
     """
-    sub = composed_patch(parent, sub_chart, sub_domain, name=name)
-    pts = sub_domain.grid(resolution)
-    nested = nested_second_form(parent, sub_chart, pts, tols=tols)
-    frames_l = frames_at(sub, pts, order=2, tols=tols)
-    y = field.values(nested.parent_points, patch=parent, tols=tols)
-    _, nor, ynorm = _split_components(frames_l, y)
-    guard = max(float(ynorm.mean()), _TINY)
+    pts, nested, frames_l, y, _, nor, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, 2, tols)
     trans_min = float((nor / guard).min())
-
-    mem = _membership(parent, field, nested.parent_points, tols)
     bang = bang_decomposition_check(parent, sub_chart, sub_domain, points=pts,
                                     tols=tols)
     h_vec = mean_curvature_batch(frames_l)
@@ -505,8 +481,8 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     mean_in_parent = np.linalg.norm(nested.mean_in_parent, axis=1)
 
     pre = [
-        Precondition("nested-codimension-one", parent.n - sub.n == 1,
-                     float(parent.n - sub.n), 1.0),
+        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
+                     float(parent.n - sub_domain.n), 1.0),
         Precondition("parent-codimension-one", parent.codim == 1,
                      float(parent.codim), 1.0),
         Precondition("shadow-membership", mem <= tols.extract_tol, mem,
@@ -586,17 +562,9 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
 
     g_count = dirs.shape[0]
     starts = np.repeat(center[None, :], g_count, axis=0)
-    t1 = _auto_t1(patch.domain, starts, dirs, frac=0.4)
-    results = None
-    for _ in range(4):
-        try:
-            results = geodesic_traces(patch, starts, dirs, t1=t1, steps=steps,
-                                      tols=tols)
-            break
-        except GeometryError:
-            t1 *= 0.5
-    if results is None:
-        raise GeometryError("geodesic fan keeps leaving the domain")
+    results, t1 = _halving_retry(
+        lambda t: geodesic_traces(patch, starts, dirs, t1=t, steps=steps, tols=tols),
+        _auto_t1(patch.domain, starts, dirs, frac=0.4), "geodesic fan curves")
 
     xs = np.stack([r.positions for r in results], axis=1)  # (S+1, G, m)
     traj = np.stack([r.params for r in results], axis=1)

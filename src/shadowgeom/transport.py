@@ -18,6 +18,9 @@ each caller only scales the increment and applies the projector.
 Transported fields build the step matrices of every station on a line
 sweep in one batched pass, one line (at most DEFAULT_STEPS segments) per
 builder call, and then fold them.
+Patch geodesics here and the integral curves of tan(Y) in `helix` come
+from one nonlinear RK4 integrator, `rk4_tracks`, which raises
+DomainExitError when a track crosses a wall of the chart domain.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from .curvature import christoffels, tgs_scan
 from .fields import FieldAlongM
 from .geometry import (
+    DomainExitError,
     GeometryError,
     OffAmbientError,
     SubmanifoldPatch,
@@ -59,6 +63,7 @@ __all__ = [
     "GeodesicResult",
     "geodesic_trace",
     "geodesic_traces",
+    "rk4_tracks",
     "track_defects",
 ]
 
@@ -663,6 +668,31 @@ class GeodesicResult:
     t1: float
 
 
+def rk4_tracks(rhs, start, h: float, steps: int, box, pad: float) -> np.ndarray:
+    """States (S+1, G, d) of classical RK4 for y' = rhs(y) from a (G, d) batch.
+
+    The first ``box.n`` state columns are chart parameters; after each step
+    a track outside ``box.contains(..., pad=pad)`` raises DomainExitError.
+    """
+    y = np.array(start, dtype=float)
+    states = np.empty((steps + 1,) + y.shape)
+    states[0] = y
+    for s in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        inside = box.contains(y[:, :box.n], pad=pad)
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            raise DomainExitError(
+                f"track left the chart domain at t={(s + 1) * h:.6f}", y[bad, :box.n]
+            )
+        states[s + 1] = y
+    return states
+
+
 def track_defects(patch: SubmanifoldPatch, traj, xs, speeds, h: float,
                   tols: Tolerances = DEFAULT_TOLS):
     """Geodesic defects of recorded parameter tracks.
@@ -718,36 +748,15 @@ def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
     g_count, n = starts.shape
     h = t1 / steps
-    u = starts.copy()
-    v = velocities.copy()
-    traj = np.empty((steps + 1, g_count, n))
-    vels = np.empty((steps + 1, g_count, n))
-    traj[0], vels[0] = u, v
 
-    def acc(uu, vv):
-        gam = christoffels(patch, uu)
-        return -np.einsum("gkij,gi,gj->gk", gam, vv, vv)
+    def rhs(state):
+        u, v = state[:, :n], state[:, n:]
+        gam = christoffels(patch, u)
+        return np.concatenate([v, -np.einsum("gkij,gi,gj->gk", gam, v, v)], axis=1)
 
-    for s in range(steps):
-        k1u, k1v = v, acc(u, v)
-        u2 = u + 0.5 * h * k1u
-        k2u = v + 0.5 * h * k1v
-        k2v = acc(u2, k2u)
-        u3 = u + 0.5 * h * k2u
-        k3u = v + 0.5 * h * k2v
-        k3v = acc(u3, k3u)
-        u4 = u + h * k3u
-        k4u = v + h * k3v
-        k4v = acc(u4, k4u)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        inside = patch.domain.contains(u, pad=1e-12)
-        if not inside.all():
-            bad = int(np.argmin(inside))
-            raise GeometryError(
-                f"geodesic left the chart domain at t={(s + 1) * h:.6f}", u[bad]
-            )
-        traj[s + 1], vels[s + 1] = u, v
+    states = rk4_tracks(rhs, np.concatenate([starts, velocities], axis=1), h, steps,
+                        patch.domain, pad=1e-12)
+    traj, vels = states[..., :n], states[..., n:]
 
     flat_pts = traj.reshape(-1, n)
     jets = patch.chart.eval_jets(flat_pts, order=1)

@@ -132,6 +132,18 @@ def test_grid_below_two_is_rejected(capsys, argv):
     assert err.startswith("error: --grid must be at least 2")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "hypersurface-helix-classification", "sphere_e3", "--grid", "2"),
+    ("verify-all", "--grid", "2"),
+])
+def test_two_point_grid_cannot_confirm_a_helix_verdict(capsys, argv):
+    # at grid 2 the sphere used to be `confirmed` as a transversal helix
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the helix test needs a grid resolution of at least 3")
+
+
 # -- helix command -----------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowgeom.expr import (
-    ChartExpr,
     EvalDomainError,
     ParseError,
     parse_chart,

@@ -8,8 +8,18 @@ import pytest
 from shadowgeom.curvature import gauss_kronecker
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField
-from shadowgeom.geometry import Box, GeometryError, SubmanifoldPatch
+from shadowgeom.geometry import (
+    Box,
+    ChartRankError,
+    DomainExitError,
+    GeometryError,
+    SubmanifoldPatch,
+)
 from shadowgeom.helix import (
+    _auto_t1,
+    _halving_retry,
+    _seed_grid,
+    _tan_flow,
     classify_hypersurface_helix,
     geodesic_alignment_check,
     helix_components,
@@ -19,6 +29,8 @@ from shadowgeom.helix import (
     tgs_helix_check,
     tube_patch,
 )
+from shadowgeom.tolerances import DEFAULT_TOLS
+from shadowgeom.transport import rk4_tracks
 
 import shapes
 from shapes import flat_ambient
@@ -141,6 +153,85 @@ def test_classify_rejects_codimension_two():
     gate = {p.label: p.ok for p in report.preconditions}
     assert gate["codimension-one"] is False
     assert report.verdict == "hypotheses-not-met"
+
+
+# -- integral curves of tan(Y) ------------------------------------------------
+
+
+def _flow_loop_reference(rhs, box, seeds, t1, steps):
+    """The tan(Y) stepping loop as it was before `rk4_tracks`: (traj, vels)."""
+    g_count, n = seeds.shape
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    hard = [i for i in range(n) if not box.periodic[i]]
+    h = t1 / steps
+    u = seeds.copy()
+    traj = np.empty((steps + 1, g_count, n))
+    vels = np.empty((steps + 1, g_count, n))
+    traj[0] = u
+    for s in range(steps):
+        k1 = rhs(u)
+        vels[s] = k1
+        k2 = rhs(u + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h * k2)
+        k4 = rhs(u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in hard:
+            assert not (u[:, i] < lo[i] + 1e-9).any()
+            assert not (u[:, i] > hi[i] - 1e-9).any()
+        traj[s + 1] = u
+    vels[steps] = rhs(u)
+    return traj, vels
+
+
+def test_tan_flow_matches_the_reference_loop_bit_for_bit():
+    cone = shapes.cone()
+    flow = _tan_flow(cone, E3, DEFAULT_TOLS)
+    seeds = _seed_grid(cone.domain)
+    t1 = _auto_t1(cone.domain, seeds, flow(seeds), frac=0.5)
+    ref_traj, ref_vels = _flow_loop_reference(flow, cone.domain, seeds, t1, 512)
+    traj = rk4_tracks(flow, seeds, t1 / 512, 512, cone.domain, pad=-1e-9)
+    assert np.array_equal(traj, ref_traj)
+    assert np.array_equal(flow(traj.reshape(-1, 2)).reshape(traj.shape), ref_vels)
+
+
+@pytest.mark.parametrize("exits", [0, 1, 3])
+def test_halving_retry_halves_t1_once_per_domain_exit(exits):
+    tried = []
+
+    def run(t1):
+        tried.append(t1)
+        if len(tried) <= exits:
+            raise DomainExitError("track left the chart domain")
+        return "tracks"
+
+    assert _halving_retry(run, 1.0, "curves") == ("tracks", 0.5 ** exits)
+    assert tried == [0.5 ** k for k in range(exits + 1)]
+
+
+def test_halving_retry_gives_up_after_four_exits_and_retries_nothing_else():
+    def exits(t1):
+        raise DomainExitError("track left the chart domain")
+
+    with pytest.raises(GeometryError, match="curves keep leaving the domain"):
+        _halving_retry(exits, 1.0, "curves")
+
+    tried = []
+
+    def rank_drop(t1):
+        tried.append(t1)
+        raise ChartRankError("rank drop")
+
+    with pytest.raises(ChartRankError):
+        _halving_retry(rank_drop, 1.0, "curves")
+    assert tried == [1.0]
+
+
+@pytest.mark.parametrize("resolution", [2, (3, 2)])
+def test_helix_test_rejects_a_two_point_axis(resolution):
+    # a symmetric 2-point axis samples mirror images only, on which the
+    # sphere reads as a constant-angle surface
+    with pytest.raises(ValueError, match="at least 3"):
+        helix_constancy_report(shapes.sphere(), E3, resolution=resolution)
 
 
 # -- orthogonal field vs totally geodesic ----------------------------------------

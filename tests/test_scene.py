@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowgeom.cli import run
-from shadowgeom.fields import ConstantField, ExprField, ScaledField
-from shadowgeom.scene import Scene, SceneError, load_scene, parse_scene
+from shadowgeom.fields import ConstantField, ExprField
+from shadowgeom.scene import SceneError, load_scene, parse_scene
 from shadowgeom.tolerances import DEFAULT_TOLS, Tolerances
 
 MINIMAL = """

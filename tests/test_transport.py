@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from shadowgeom.cli import find_scene
+from shadowgeom.curvature import christoffels
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ExprField
 from shadowgeom.geometry import (
     Box,
+    DomainExitError,
     GeometryError,
     SubmanifoldPatch,
     TangencyError,
 )
+from shadowgeom.helix import geodesic_alignment_check
+from shadowgeom.scene import load_scene
 from shadowgeom.transport import (
     DEFAULT_STEPS,
     OBSTRUCTION_CLEAR_NOTE,
@@ -20,11 +25,13 @@ from shadowgeom.transport import (
     TransportField,
     construct_parallel_field,
     geodesic_trace,
+    geodesic_traces,
     holonomy_loop,
     parallel_normal_frame_tgs_check,
     parallel_transport,
     parallelity_residual,
     probe_loops,
+    rk4_tracks,
     _step_matrices,
 )
 
@@ -387,3 +394,61 @@ def test_cone_ruling_is_both_patch_and_ambient_geodesic():
 def test_geodesic_domain_exit_raises():
     with pytest.raises(GeometryError):
         geodesic_trace(shapes.plane(), (0.0, 0.0), (1.0, 0.0), t1=3.0, steps=256)
+
+
+def _geodesic_loop_reference(patch, starts, velocities, t1, steps):
+    """The geodesic stepping loop as it was before `rk4_tracks`: u tracks."""
+    g_count, n = starts.shape
+    h = t1 / steps
+    u, v = starts.copy(), velocities.copy()
+    traj = np.empty((steps + 1, g_count, n))
+    traj[0] = u
+
+    def acc(uu, vv):
+        gam = christoffels(patch, uu)
+        return -np.einsum("gkij,gi,gj->gk", gam, vv, vv)
+
+    for s in range(steps):
+        k1u, k1v = v, acc(u, v)
+        u2 = u + 0.5 * h * k1u
+        k2u = v + 0.5 * h * k1v
+        k2v = acc(u2, k2u)
+        u3 = u + 0.5 * h * k2u
+        k3u = v + 0.5 * h * k2v
+        k3v = acc(u3, k3u)
+        u4 = u + h * k3u
+        k4u = v + h * k3v
+        k4v = acc(u4, k4u)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        assert patch.domain.contains(u, pad=1e-12).all()
+        traj[s + 1] = u
+    return traj
+
+
+def test_geodesic_fan_matches_the_reference_loop_bit_for_bit():
+    scene = load_scene(find_scene("cone_axis"))
+    patch, field = scene.patch(), scene.fields[scene.root_name]
+    details = geodesic_alignment_check(patch, field).details
+    dirs = np.array([c["velocity"] for c in details["curves"]])
+    assert dirs.shape == (9, 2)
+    starts = np.repeat(0.5 * (np.array(patch.domain.lo) + patch.domain.hi)[None, :],
+                       len(dirs), axis=0)
+    results = geodesic_traces(patch, starts, dirs, t1=details["t1"], steps=1024)
+    traj = np.stack([r.params for r in results], axis=1)
+    assert np.array_equal(traj, _geodesic_loop_reference(patch, starts, dirs,
+                                                         details["t1"], 1024))
+
+
+def test_track_exit_reports_time_and_point():
+    def east(y):
+        return np.tile([1.0, 0.0], (len(y), 1))
+
+    box = Box((0.0, -1.0), (1.0, 1.0), (False, False))
+    start = np.array([[0.0, 0.0], [0.5, 0.0]])  # the second track exits first
+    with pytest.raises(DomainExitError, match=r"t=0\.750000") as exc:
+        rk4_tracks(east, start, 0.25, 8, box, pad=0.0)
+    assert exc.value.point == pytest.approx((1.25, 0.0))
+    # a periodic axis is never a wall
+    ring = Box((0.0, -1.0), (1.0, 1.0), (True, False))
+    assert rk4_tracks(east, start, 0.25, 8, ring, pad=0.0).shape == (9, 2, 2)
