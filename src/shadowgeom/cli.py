@@ -21,11 +21,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .curvature import second_form_components
+from .curvature import gauss_kronecker
 from .expr import EvalDomainError
 from .fields import ConstantField
 from .geometry import GeometryError, frames_at, validate_patch
 from .helix import (
+    _classify,
     classify_hypersurface_helix,
     geodesic_alignment_check,
     helix_constancy_report,
@@ -317,16 +318,13 @@ def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int
     verdicts = []
     if patch.codim == 1:
         grid = patch.domain.grid(res)
-        frames = frames_at(patch, grid, order=2, tols=tols)
-        _, orth = second_form_components(frames)
-        gk = np.linalg.det(orth[..., 0])
+        gk = gauss_kronecker(frames_at(patch, grid, order=2, tols=tols))
         i = int(np.argmax(np.abs(gk)))
         results["gauss_kronecker"] = {
             "max_abs": float(np.abs(gk[i])),
             "argmax": [float(v) for v in grid[i]],
         }
-        classification = classify_hypersurface_helix(patch, field, resolution=res,
-                                                     tols=tols)
+        classification = _classify(patch, field, constancy, tols)
         results["classification"] = classification.as_dict()
         verdicts.append(classification.verdict)
     _emit(canonical_json(_run_report(scene, path, "helix", results, t0)), args.out)

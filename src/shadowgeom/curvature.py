@@ -21,7 +21,6 @@ from .expr import ChartExpr
 from .geometry import (
     Box,
     FrameBatch,
-    FrameData,
     GeometryError,
     SubmanifoldPatch,
     composed_patch,
@@ -30,42 +29,17 @@ from .geometry import (
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
-    "SecondForm",
     "second_form_coord",
     "second_form_components",
-    "second_fundamental_form",
-    "shape_operator",
-    "principal_curvatures",
     "mean_curvature",
-    "mean_curvature_batch",
     "gauss_kronecker",
-    "totally_geodesic_residual",
     "tgs_scan",
     "christoffels",
     "NestedCurvature",
     "nested_second_form",
-    "normal_connection_derivative",
     "BangReport",
     "bang_decomposition_check",
 ]
-
-
-@dataclass(frozen=True)
-class SecondForm:
-    """Second fundamental form at one point.
-
-    coord[p, q, a] = <II(d_p, d_q), xi_a> over chart coordinate fields;
-    orth[i, j, a] the same over the orthonormal tangent basis.
-    """
-
-    frame: FrameData
-    coord: np.ndarray  # (n, n, k)
-    orth: np.ndarray  # (n, n, k)
-
-    def vector(self, w1, w2) -> np.ndarray:
-        """Ambient II(W1, W2) for parameter-space directions w1, w2."""
-        comps = np.einsum("p,q,pqa->a", w1, w2, self.coord)
-        return self.frame.normal @ comps
 
 
 def second_form_coord(frames: FrameBatch) -> np.ndarray:
@@ -87,30 +61,7 @@ def second_form_components(frames: FrameBatch):
     return coord, orth
 
 
-def second_fundamental_form(patch: SubmanifoldPatch, point,
-                            tols: Tolerances = DEFAULT_TOLS) -> SecondForm:
-    frames = frames_at(patch, np.asarray(point, dtype=float)[None, :], order=2, tols=tols)
-    coord, orth = second_form_components(frames)
-    return SecondForm(frames.at(0), coord[0], orth[0])
-
-
-def shape_operator(patch: SubmanifoldPatch, point, index: int = 0,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Matrix of the shape operator for normal frame vector `index`,
-    in the orthonormal tangent basis (symmetric, n x n)."""
-    form = second_fundamental_form(patch, point, tols)
-    if not 0 <= index < form.orth.shape[2]:
-        raise GeometryError(f"normal index {index} out of range", point)
-    return form.orth[:, :, index]
-
-
-def principal_curvatures(patch: SubmanifoldPatch, point, index: int = 0,
-                         tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Eigenvalues of the shape operator, ascending."""
-    return np.linalg.eigvalsh(shape_operator(patch, point, index, tols))
-
-
-def mean_curvature_batch(frames: FrameBatch) -> np.ndarray:
+def mean_curvature(frames: FrameBatch) -> np.ndarray:
     """Mean curvature vectors H = (1/n) trace II, (B, m)."""
     _, orth = second_form_components(frames)
     n = frames.tangent.shape[2]
@@ -118,33 +69,14 @@ def mean_curvature_batch(frames: FrameBatch) -> np.ndarray:
     return np.einsum("bma,ba->bm", frames.normal, traces)
 
 
-def mean_curvature(patch: SubmanifoldPatch, point,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    frames = frames_at(patch, np.asarray(point, dtype=float)[None, :], order=2, tols=tols)
-    return mean_curvature_batch(frames)[0]
-
-
-def gauss_kronecker(patch: SubmanifoldPatch, point,
-                    tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Determinant of the shape operator; hypersurfaces only."""
-    frames = frames_at(patch, np.asarray(point, dtype=float)[None, :], order=2, tols=tols)
+def gauss_kronecker(frames: FrameBatch) -> np.ndarray:
+    """Determinants of the shape operator, (B,); hypersurfaces only."""
     if frames.k != 1:
         raise GeometryError(
-            f"Gauss-Kronecker needs codimension 1, patch has codimension {frames.k}", point
+            f"Gauss-Kronecker needs codimension 1, patch has codimension {frames.k}"
         )
     _, orth = second_form_components(frames)
-    return float(np.linalg.det(orth[0, :, :, 0]))
-
-
-def totally_geodesic_residual(patch: SubmanifoldPatch, point, direction,
-                              tols: Tolerances = DEFAULT_TOLS) -> float:
-    """|II(W, W)| / |W|^2 for the tangent vector W = Dphi w."""
-    form = second_fundamental_form(patch, point, tols)
-    w = np.asarray(direction, dtype=float)
-    wnorm2 = float(w @ form.frame.metric @ w)
-    if wnorm2 <= 0.0:
-        raise GeometryError("direction must be nonzero", point)
-    return float(np.linalg.norm(form.vector(w, w))) / wnorm2
+    return np.linalg.det(orth[..., 0])
 
 
 def _direction_set(n: int):
@@ -214,7 +146,7 @@ class NestedCurvature:
 
 
 def nested_second_form(parent: SubmanifoldPatch, sub_chart: ChartExpr,
-                       points, tols: Tolerances = DEFAULT_TOLS) -> NestedCurvature:
+                       points) -> NestedCurvature:
     """Second fundamental form of the nested patch within its parent,
     computed from the parent metric and Christoffel symbols only."""
     if sub_chart.n_outputs != parent.n:
@@ -237,23 +169,6 @@ def nested_second_form(parent: SubmanifoldPatch, sub_chart: ChartExpr,
     gl_inv = np.linalg.inv(g_l)
     mean = np.einsum("bmcd,bcd->bm", ii_amb, gl_inv) / l
     return NestedCurvature(pts, u, t, g_l, ii_amb, mean)
-
-
-def normal_connection_derivative(patch: SubmanifoldPatch, field, point, direction,
-                                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Normal-bundle derivative of a normal field along a parameter direction."""
-    point = np.asarray(point, dtype=float)
-    w = np.asarray(direction, dtype=float)
-    frame = frames_at(patch, point[None, :], order=1, tols=tols).at(0)
-    z = field.value(point, patch=patch, tols=tols)
-    tan_part = np.linalg.norm(frame.tangent.T @ z)
-    if tan_part > tols.on_ambient_tol * (1.0 + np.linalg.norm(z)):
-        raise GeometryError(
-            f"field is not normal to the patch (tangential part {tan_part:.3e})", point
-        )
-    dz = field.param_jacobian(point[None, :], patch=patch, tols=tols)[0] @ w
-    amb = frame.ambient @ (frame.ambient.T @ dz)
-    return frame.normal @ (frame.normal.T @ amb)
 
 
 # -- additivity of the second fundamental form --------------------------------
@@ -285,7 +200,7 @@ def bang_decomposition_check(parent: SubmanifoldPatch, sub_chart: ChartExpr,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     l_dim = pts.shape[1]
 
-    nested = nested_second_form(parent, sub_chart, pts, tols)
+    nested = nested_second_form(parent, sub_chart, pts)
 
     composite = composed_patch(parent, sub_chart, sub_domain)
     frames_l = frames_at(composite, pts, order=2, tols=tols)

@@ -1,12 +1,12 @@
-"""Embedded patches, adapted frames, and tangent/normal splitting.
+"""Embedded patches and adapted frames.
 
 The ambient space N is either flat Euclidean space or the zero set of a
 constraint map inside it.  A submanifold patch M is a chart into the
-ambient coordinates over a box of parameters.  Frames are built per
-point: an orthonormal tangent basis from the chart Jacobian, an
-orthonormal basis of the ambient tangent space from the constraint
-kernel, and an orthonormal normal frame spanning the complement of the
-patch tangent inside the ambient tangent.
+ambient coordinates over a box of parameters.  Frames are built over a
+batch of points: at each, an orthonormal tangent basis from the chart
+Jacobian, an orthonormal basis of the ambient tangent space from the
+constraint kernel, and an orthonormal normal frame spanning the
+complement of the patch tangent inside the ambient tangent.
 
 Frame vectors follow one deterministic sign convention: the component of
 largest magnitude (first such index on ties) is made positive.  Two
@@ -33,14 +33,10 @@ __all__ = [
     "AmbientSpace",
     "SubmanifoldPatch",
     "FrameBatch",
-    "FrameData",
     "fix_column_signs",
     "orthonormal_span",
     "ambient_tangent_basis",
     "frames_at",
-    "frame_at",
-    "split_tangent_normal",
-    "covariant_derivative_along",
     "composed_patch",
     "ValidationReport",
     "validate_patch",
@@ -324,30 +320,6 @@ class FrameBatch:
     def k(self) -> int:
         return self.normal.shape[2]
 
-    def at(self, i) -> "FrameData":
-        h = None if self.hess is None else self.hess[i]
-        return FrameData(
-            self.points[i], self.x[i], self.jac[i], h, self.metric[i],
-            self.tangent[i], self.rinv[i], self.ambient[i], self.normal[i],
-        )
-
-
-@dataclass(frozen=True)
-class FrameData:
-    point: np.ndarray
-    x: np.ndarray
-    jac: np.ndarray
-    hess: np.ndarray | None
-    metric: np.ndarray
-    tangent: np.ndarray
-    rinv: np.ndarray
-    ambient: np.ndarray
-    normal: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.normal.shape[1]
-
 
 def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_TOLS):
     """Orthonormal basis of ker Dc(x), (B, m, d); identity columns when flat."""
@@ -417,42 +389,6 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     return FrameBatch(points, x, jets.jac, jets.hess, metric, q, rinv, amb, normal)
 
 
-def frame_at(patch: SubmanifoldPatch, point, order: int = 2,
-             tols: Tolerances = DEFAULT_TOLS) -> FrameData:
-    return frames_at(patch, np.asarray(point, dtype=float)[None, :], order, tols).at(0)
-
-
-def split_tangent_normal(frame: FrameData, vector, tols: Tolerances = DEFAULT_TOLS):
-    """Split an ambient-tangent vector into patch-tangential and normal parts."""
-    v = np.asarray(vector, dtype=float)
-    amb_part = frame.ambient @ (frame.ambient.T @ v)
-    defect = np.linalg.norm(v - amb_part)
-    if defect > tols.on_ambient_tol * (1.0 + np.linalg.norm(v)):
-        raise TangencyError(
-            f"vector is not tangent to the ambient manifold (defect {defect:.3e})",
-            frame.point,
-        )
-    tan = frame.tangent @ (frame.tangent.T @ v)
-    nor = frame.normal @ (frame.normal.T @ v)
-    return tan, nor
-
-
-def covariant_derivative_along(patch: SubmanifoldPatch, field, point, direction,
-                               tols: Tolerances = DEFAULT_TOLS):
-    """Ambient-tangential derivative of a field along a parameter direction.
-
-    direction lives in parameter space; the Euclidean directional
-    derivative of the field is projected onto the ambient tangent space.
-    """
-    point = np.asarray(point, dtype=float)
-    w = np.asarray(direction, dtype=float)
-    dy = field.param_jacobian(point[None, :], patch=patch, tols=tols)[0]  # (m, n)
-    deriv = dy @ w
-    frame = frames_at(patch, point[None, :], order=1, tols=tols)
-    basis = frame.ambient[0]
-    return basis @ (basis.T @ deriv)
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -517,7 +453,7 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
         ok_rows = ~rank_bad
         if ok_rows.any() and max_cons <= tols.on_ambient_tol:
             pts = grid[ok_rows]
-            y = field.values(pts, patch=patch, tols=tols)
+            y = field.values(pts)
             basis = ambient_tangent_basis(patch.ambient, jets.value[ok_rows], tols)
             resid = y - np.einsum("bmd,bd->bm", basis, np.einsum("bmd,bm->bd", basis, y))
             norms = np.linalg.norm(resid, axis=1) / (1.0 + np.linalg.norm(y, axis=1))

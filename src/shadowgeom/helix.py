@@ -34,7 +34,7 @@ import numpy as np
 
 from .curvature import (
     bang_decomposition_check,
-    mean_curvature_batch,
+    mean_curvature,
     nested_second_form,
     second_form_components,
     tgs_scan,
@@ -68,6 +68,8 @@ __all__ = [
 _TINY = 1e-300
 # consistency gate for the two-stage curvature decomposition cross-check
 _DECOMPOSITION_TOL = 1e-6
+# RK4 steps per integral curve of tan(Y) in the transversal case
+_FLOW_STEPS = 512
 
 
 # -- the tan/nor splitting ----------------------------------------------------
@@ -91,13 +93,10 @@ def _split_components(frames, y):
 
 
 def helix_components(patch: SubmanifoldPatch, field, points,
-                     tols: Tolerances = DEFAULT_TOLS, frames=None):
+                     tols: Tolerances = DEFAULT_TOLS):
     """Arrays (h, |nor Y|, |Y|) over a batch of parameter points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if frames is None:
-        frames = frames_at(patch, pts, order=1, tols=tols)
-    y = field.values(pts, patch=patch, tols=tols)
-    return _split_components(frames, y)
+    return _split_components(frames_at(patch, pts, order=1, tols=tols), field.values(pts))
 
 
 @dataclass(frozen=True)
@@ -212,17 +211,16 @@ def _auto_t1(box: Box, seeds, vels, frac: float, cap: float = 1.0) -> float:
     return t1
 
 
-def _tan_flow(patch: SubmanifoldPatch, field, tols: Tolerances):
+def _tan_coords(jets, y):
+    """Chart coordinates of tan(Y), (B, n), from order-1 chart jets and Y."""
+    metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
+    proj = np.einsum("bmi,bm->bi", jets.jac, y)
+    return np.linalg.solve(metric, proj[..., None])[..., 0]
+
+
+def _tan_flow(patch: SubmanifoldPatch, field):
     """Right-hand side of du/dt = tan(Y) in chart coordinates."""
-
-    def rhs(u):
-        jets = patch.chart.eval_jets(u, order=1)
-        metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
-        y = field.values(u, patch=patch, tols=tols)
-        proj = np.einsum("bmi,bm->bi", jets.jac, y)
-        return np.linalg.solve(metric, proj[..., None])[..., 0]
-
-    return rhs
+    return lambda u: _tan_coords(patch.chart.eval_jets(u, order=1), field.values(u))
 
 
 def _halving_retry(run, t1: float, what: str):
@@ -239,7 +237,7 @@ def _halving_retry(run, t1: float, what: str):
 
 
 def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int = 16,
-                                steps: int = 512,
+                                steps: int = _FLOW_STEPS,
                                 tols: Tolerances = DEFAULT_TOLS):
     """Trichotomy for a codimension-one helix patch with parallel Y.
 
@@ -254,8 +252,14 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
                    and, on top, geodesics of the ambient space.
     """
     rep = helix_constancy_report(patch, field, resolution=resolution, tols=tols)
+    return _classify(patch, field, rep, tols, steps)
+
+
+def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances,
+              steps: int = _FLOW_STEPS):
+    """`classify_hypersurface_helix` from a helix report already built."""
     guard = max(rep.scale, _TINY)
-    par_rel, _ = parallelity_residual(patch, field, resolution=min(resolution, 9),
+    par_rel, _ = parallelity_residual(patch, field, resolution=min(rep.resolution, 9),
                                       tols=tols)
     pre = [
         Precondition("codimension-one", patch.codim == 1, float(patch.codim), 1.0),
@@ -281,7 +285,7 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
         case = "tangent"
         witness = rep.points[int(np.argmax(nor_rel))]
         frames = frames_at(patch, rep.points, order=1, tols=tols)
-        dy = field.param_jacobian(rep.points, patch=patch, tols=tols)
+        dy = field.param_jacobian(rep.points)
         coef = np.einsum("bmi,bml->bil", frames.tangent, dy)
         rel = np.linalg.norm(coef, axis=1).max(axis=1) / np.maximum(rep.y_norms, _TINY)
         hyp = [ResidualEntry("normal-part", float(nor_rel.max()),
@@ -295,7 +299,7 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
         case = "transversal"
         witness = rep.points[int(np.argmin(h_rel))]
         seeds = _seed_grid(patch.domain)
-        flow = _tan_flow(patch, field, tols)
+        flow = _tan_flow(patch, field)
         traj, t1 = _halving_retry(
             lambda t: rk4_tracks(flow, seeds, t / steps, steps, patch.domain, pad=-1e-9),
             _auto_t1(patch.domain, seeds, flow(seeds), frac=0.5), "integral curves")
@@ -303,7 +307,7 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
         jets = patch.chart.eval_jets(flat, order=1)
         m = jets.value.shape[1]
         xs = jets.value.reshape(steps + 1, -1, m)
-        vel_amb = np.einsum("bmi,bi->bm", jets.jac, flow(flat))
+        vel_amb = np.einsum("bmi,bi->bm", jets.jac, _tan_coords(jets, field.values(flat)))
         speeds = np.linalg.norm(vel_amb, axis=1).reshape(steps + 1, -1)
         tan_def, amb_def = track_defects(patch, traj, xs, speeds, t1 / steps,
                                          tols=tols)
@@ -364,9 +368,9 @@ def _nested_sample(parent: SubmanifoldPatch, sub_chart, sub_domain: Box, field,
     """
     sub = composed_patch(parent, sub_chart, sub_domain, name=name)
     pts = sub_domain.grid(resolution)
-    nested = nested_second_form(parent, sub_chart, pts, tols=tols)
+    nested = nested_second_form(parent, sub_chart, pts)
     frames = frames_at(sub, pts, order=order, tols=tols)
-    y = field.values(nested.parent_points, patch=parent, tols=tols)
+    y = field.values(nested.parent_points)
     h, nor, ynorm = _split_components(frames, y)
     return (pts, nested, frames, y, h, nor, max(float(ynorm.mean()), _TINY),
             _membership(parent, field, nested.parent_points, tols))
@@ -476,7 +480,7 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     trans_min = float((nor / guard).min())
     bang = bang_decomposition_check(parent, sub_chart, sub_domain, points=pts,
                                     tols=tols)
-    h_vec = mean_curvature_batch(frames_l)
+    h_vec = mean_curvature(frames_l)
     align = np.abs(np.einsum("bm,bm->b", h_vec, y)) / guard
     mean_in_parent = np.linalg.norm(nested.mean_in_parent, axis=1)
 
@@ -512,15 +516,16 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
 # -- geodesics paired with the field -------------------------------------------
 
 
-def _fan_directions(frame, fan: int) -> np.ndarray:
-    """Metric-unit velocity fan at one point, in chart coordinates."""
-    n = frame.rinv.shape[0]
+def _fan_directions(rinv, fan: int) -> np.ndarray:
+    """Metric-unit velocity fan at one point with frame factor rinv (n, n),
+    in chart coordinates."""
+    n = rinv.shape[0]
     if n == 2:
         angles = 2.0 * math.pi * np.arange(fan) / fan
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         dirs = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
-    return dirs @ frame.rinv.T
+    return dirs @ rinv.T
 
 
 def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
@@ -537,7 +542,7 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
     """
     grid = patch.domain.grid(resolution)
     frames_g = frames_at(patch, grid, order=1, tols=tols)
-    y = field.values(grid, patch=patch, tols=tols)
+    y = field.values(grid)
     _, nor, ynorm = _split_components(frames_g, y)
     guard = max(float(ynorm.mean()), _TINY)
     trans_min = float((nor / guard).min())
@@ -552,11 +557,11 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
     ]
 
     center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
-    frame_c = frames_at(patch, center[None, :], order=1, tols=tols).at(0)
-    dirs = _fan_directions(frame_c, fan)
-    yc = np.linalg.solve(frame_c.metric,
-                         frame_c.jac.T @ field.value(center, patch=patch, tols=tols))
-    yc_norm = math.sqrt(float(yc @ frame_c.metric @ yc))
+    frames_c = frames_at(patch, center[None, :], order=1, tols=tols)
+    metric_c = frames_c.metric[0]
+    dirs = _fan_directions(frames_c.rinv[0], fan)
+    yc = np.linalg.solve(metric_c, frames_c.jac[0].T @ field.values(center[None, :])[0])
+    yc_norm = math.sqrt(float(yc @ metric_c @ yc))
     if yc_norm > tols.transversality_floor * guard:
         dirs = np.concatenate([dirs, (yc / yc_norm)[None, :]], axis=0)
 
@@ -576,7 +581,7 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
 
     xdot = (4.0 * first_diff(kk)[kk:-kk] - first_diff(2 * kk)) / 3.0
     mid = traj[2 * kk:-2 * kk]
-    yv = field.values(mid.reshape(-1, patch.n), patch=patch, tols=tols)
+    yv = field.values(mid.reshape(-1, patch.n))
     yv = yv.reshape(xdot.shape[0], g_count, -1)
     pairing = np.einsum("sgm,sgm->sg", yv, xdot)
     speed0 = np.maximum(np.linalg.norm(xdot[0], axis=1), _TINY)

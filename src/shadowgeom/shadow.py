@@ -77,7 +77,7 @@ def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if frames is None:
         frames = frames_at(patch, points, order=1, tols=tols)
-    y = field.values(points, patch=patch, tols=tols)
+    y = field.values(points)
     return np.einsum("bmj,bm->bj", frames.normal, y)
 
 
@@ -89,13 +89,13 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     frames = frames_at(patch, points, order=2, tols=tols)
-    y = field.values(points, patch=patch, tols=tols)
+    y = field.values(points)
     f = np.einsum("bmj,bm->bj", frames.normal, y)
     coord = second_form_coord(frames)                  # (B, n, n, k)
     rhs = np.einsum("bmp,bm->bp", frames.jac, y)
     yc = np.linalg.solve(frames.metric, rhs[..., None])[..., 0]
     jac = -np.einsum("bp,bpla->bal", yc, coord)
-    dy = field.param_jacobian(points, patch=patch, tols=tols)
+    dy = field.param_jacobian(points)
     jac += np.einsum("bma,bml->bal", frames.normal, dy)
     return f, jac, frames
 
@@ -230,7 +230,7 @@ def _aligned_residual(patch, field, pts, anchors, tols):
     fr = frames_at(patch, pts, order=1, tols=tols)
     nm = fr.normal[:, :, 0]
     flip = _sign(np.einsum("bm,bm->b", nm, anchors))
-    y = field.values(pts, patch=patch, tols=tols)
+    y = field.values(pts)
     return flip * np.einsum("bm,bm->b", nm, y)
 
 

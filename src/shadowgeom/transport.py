@@ -40,7 +40,6 @@ from .geometry import (
     SubmanifoldPatch,
     TangencyError,
     ambient_tangent_basis,
-    frame_at,
     frames_at,
 )
 from .reporting import Precondition, ResidualEntry, build_report
@@ -61,7 +60,6 @@ __all__ = [
     "parallelity_residual",
     "parallel_normal_frame_tgs_check",
     "GeodesicResult",
-    "geodesic_trace",
     "geodesic_traces",
     "rk4_tracks",
     "track_defects",
@@ -147,7 +145,7 @@ class ParamCurve:
 # -- step matrices --------------------------------------------------------------
 
 
-def _check_on_ambient(patch, values, params, tols):
+def _check_on_ambient(values, params, tols):
     resid = np.abs(values).max(axis=1)
     scale = 1.0 + np.linalg.norm(params, axis=1)
     bad = resid > tols.on_ambient_tol * scale
@@ -180,7 +178,7 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
         return np.zeros((s_count, m, m)), eye, xr
     xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n))
     cjets = patch.ambient.constraint.eval_jets(x, order=2)
-    _check_on_ambient(patch, cjets.value, flat_u, tols)
+    _check_on_ambient(cjets.value, flat_u, tols)
     dc = cjets.jac
     dcdot = np.einsum("bi,baij->baj", xdot, cjets.hess)
     gram = np.einsum("bai,bci->bac", dc, dc)
@@ -496,7 +494,7 @@ class TransportField(FieldAlongM):
             out[live] = np.einsum("bij,bj->bi", mats, out[live])
         return out
 
-    def values(self, points, patch=None, tols=None):
+    def values(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         b = pts.shape[0]
         m = self.patch.m
@@ -506,6 +504,18 @@ class TransportField(FieldAlongM):
         for axis in range(self.patch.n):
             vecs = self._leg_transport(axis, pts, vecs)
         return vecs
+
+    def param_jacobian(self, points):
+        """dY/du, (B, m, n), by central differences of step tols.field_fd_step."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = points.shape[1]
+        h = self.tols.field_fd_step
+        cols = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            cols.append((self.values(points + e) - self.values(points - e)) / (2.0 * h))
+        return np.stack(cols, axis=2)
 
 
 @dataclass(frozen=True)
@@ -558,7 +568,7 @@ def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=No
     if loops:
         # batch the field values at all loop bases so line caches build once
         bases = np.array([loop.start for loop in loops])
-        y_bases = fld.values(bases, patch=patch, tols=tols)
+        y_bases = fld.values(bases)
         for loop, y0 in zip(loops, y_bases):
             hol = holonomy_loop(patch, loop, steps=probe_steps, tols=tols)
             dev = float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))
@@ -587,8 +597,8 @@ def parallelity_residual(patch: SubmanifoldPatch, field, resolution: int = 9,
                          tols: Tolerances = DEFAULT_TOLS):
     """Max over a grid of |tangential dY/du_i| / |Y|; (value, argmax)."""
     grid = patch.domain.grid(resolution)
-    y = field.values(grid, patch=patch, tols=tols)
-    jac = field.param_jacobian(grid, patch=patch, tols=tols)
+    y = field.values(grid)
+    jac = field.param_jacobian(grid)
     x = patch.chart.eval_values(grid)
     basis = ambient_tangent_basis(patch.ambient, x, tols)
     comp = np.einsum("bmd,bmi->bdi", basis, jac)
@@ -604,7 +614,7 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
     stays normal to the patch exactly when the patch is totally geodesic."""
     box = patch.domain
     base = 0.5 * (np.asarray(box.lo, float) + np.asarray(box.hi, float))
-    fb = frame_at(patch, base, tols=tols)
+    fb = frames_at(patch, base[None, :], tols=tols)
     pre = []
     if fb.k == 0:
         pre.append(Precondition("normal-directions", ok=False, value=0.0, threshold=1.0))
@@ -625,7 +635,7 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
     worst_overlap = 0.0
     worst_point = tuple(base)
     for a in range(fb.k):
-        fld = TransportField(patch, base, fb.normal[:, a], tols=tols)
+        fld = TransportField(patch, base, fb.normal[0, :, a], tols=tols)
         yv = fld.values(grid)
         overlap = np.linalg.norm(
             np.einsum("bmi,bm->bi", frames.tangent, yv), axis=1
@@ -785,9 +795,3 @@ def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0
             )
         )
     return results
-
-
-def geodesic_trace(patch: SubmanifoldPatch, start, velocity, t1: float = 1.0,
-                   steps: int = DEFAULT_STEPS,
-                   tols: Tolerances = DEFAULT_TOLS) -> GeodesicResult:
-    return geodesic_traces(patch, [start], [velocity], t1=t1, steps=steps, tols=tols)[0]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from shadowgeom import cli, shadow
+from shadowgeom import cli, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.scene import SceneError
 
@@ -164,6 +164,22 @@ def test_helix_cone(capsys):
     assert abs(res["constancy"]["h_mean"] - np.cos(0.5)) < 1e-12
     assert res["constancy"]["h_deviation"] < 1e-8
     assert res["classification"]["details"]["case"] == "transversal"
+
+
+def test_helix_runs_the_constancy_test_once(capsys, monkeypatch):
+    calls = []
+    report = helix.helix_constancy_report
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return report(*args, **kwargs)
+
+    # every binding a caller can reach it through
+    monkeypatch.setattr(helix, "helix_constancy_report", spy)
+    monkeypatch.setattr(cli, "helix_constancy_report", spy)
+    code, _, _ = invoke(capsys, "helix", "cone_axis")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_helix_sphere_rejected(capsys):

@@ -15,15 +15,13 @@ from shadowgeom.geometry import (
     ChartRankError,
     OffAmbientError,
     SubmanifoldPatch,
-    TangencyError,
     ambient_tangent_basis,
     composed_patch,
-    covariant_derivative_along,
-    frame_at,
     frames_at,
-    split_tangent_normal,
     validate_patch,
 )
+from shadowgeom.helix import helix_components
+from shadowgeom.transport import parallelity_residual
 
 import shapes
 
@@ -96,33 +94,34 @@ def test_box_rejects_empty_axis():
 
 
 def test_sphere_frame_at_equator():
-    f = frame_at(shapes.sphere(), (math.pi / 2, 0.0))
-    np.testing.assert_allclose(f.x, [1.0, 0.0, 0.0], atol=1e-15)
+    f = frames_at(shapes.sphere(), [(math.pi / 2, 0.0)])
+    np.testing.assert_allclose(f.x[0], [1.0, 0.0, 0.0], atol=1e-15)
     # d_theta = (0,0,-1) flips sign under the largest-component rule
-    np.testing.assert_allclose(f.tangent[:, 0], [0.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(f.tangent[:, 1], [0.0, 1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f.normal[:, 0], [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f.metric, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(f.jac @ f.rinv, f.tangent, atol=1e-14)
+    np.testing.assert_allclose(f.tangent[0, :, 0], [0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(f.tangent[0, :, 1], [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(f.normal[0, :, 0], [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(f.metric[0], np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(f.jac[0] @ f.rinv[0], f.tangent[0], atol=1e-14)
 
 
 def test_circle_in_flat_space_normal_frame_order():
-    f = frame_at(shapes.circle3(), (0.0,))
-    np.testing.assert_allclose(f.tangent[:, 0], [0.0, 1.0, 0.0], atol=1e-15)
-    assert f.normal.shape == (3, 2)
+    f = frames_at(shapes.circle3(), [(0.0,)])
+    np.testing.assert_allclose(f.tangent[0, :, 0], [0.0, 1.0, 0.0], atol=1e-15)
+    assert f.normal.shape == (1, 3, 2)
     # pivoted span ties resolve to the first ambient axis, signs positive
-    np.testing.assert_allclose(f.normal[:, 0], [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(f.normal[:, 1], [0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(f.normal[0, :, 0], [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(f.normal[0, :, 1], [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_equator_inside_sphere_ambient():
     patch = shapes.circle3(shapes.sphere_ambient())
     assert patch.codim == 1
-    f = frame_at(patch, (0.0,))
-    assert f.ambient.shape == (3, 2)
-    np.testing.assert_allclose(f.ambient.T @ f.ambient, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(f.ambient.T @ f.x, 0.0, atol=1e-12)
-    np.testing.assert_allclose(f.normal[:, 0], [0.0, 0.0, 1.0], atol=1e-12)
+    f = frames_at(patch, [(0.0,)])
+    amb = f.ambient[0]
+    assert amb.shape == (3, 2)
+    np.testing.assert_allclose(amb.T @ amb, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(amb.T @ f.x[0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(f.normal[0, :, 0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_frame_gram_identities_on_torus():
@@ -204,54 +203,46 @@ def test_off_ambient_point_rejected():
 def test_cone_apex_rank_failure():
     patch = shapes.cone(r0=0.0)
     with pytest.raises(ChartRankError):
-        frame_at(patch, (0.0, 1.0))
+        frames_at(patch, [(0.0, 1.0)])
 
 
 # -- splitting and derivatives ---------------------------------------------
 
 
 def test_split_tangent_normal_on_sphere():
-    f = frame_at(shapes.sphere(), (math.pi / 2, 0.0))
-    tan, nor = split_tangent_normal(f, [0.0, 0.3, 0.4])
-    np.testing.assert_allclose(tan, [0.0, 0.3, 0.4], atol=1e-14)
-    np.testing.assert_allclose(nor, 0.0, atol=1e-14)
-    tan, nor = split_tangent_normal(f, [0.7, 0.0, 0.0])
-    np.testing.assert_allclose(tan, 0.0, atol=1e-14)
-    np.testing.assert_allclose(nor, [0.7, 0.0, 0.0], atol=1e-14)
+    # |tan| and |nor| of a tangent and of a normal vector at the equator
+    at = [(math.pi / 2, 0.0)]
+    h, nor, ynorm = helix_components(shapes.sphere(), ConstantField([0.0, 0.3, 0.4]), at)
+    np.testing.assert_allclose([h[0], nor[0], ynorm[0]], [0.5, 0.0, 0.5], atol=1e-14)
+    h, nor, ynorm = helix_components(shapes.sphere(), ConstantField([0.7, 0.0, 0.0]), at)
+    np.testing.assert_allclose([h[0], nor[0], ynorm[0]], [0.0, 0.7, 0.7], atol=1e-14)
 
 
 def test_split_recombines_everywhere():
     patch = shapes.torus()
     rng = np.random.default_rng(5)
     for _ in range(6):
-        u = rng.uniform(0.0, TWO_PI, size=2)
+        u = rng.uniform(0.0, TWO_PI, size=(1, 2))
         v = rng.normal(size=3)
-        f = frame_at(patch, u)
-        tan, nor = split_tangent_normal(f, v)
-        np.testing.assert_allclose(tan + nor, v, atol=1e-12)
-        assert abs(tan @ nor) < 1e-12
-
-
-def test_split_rejects_vector_off_ambient_tangent():
-    patch = shapes.circle3(shapes.sphere_ambient())
-    f = frame_at(patch, (0.0,))
-    with pytest.raises(TangencyError):
-        split_tangent_normal(f, [1.0, 0.0, 0.0])  # radial at x=(1,0,0)
+        h, nor, ynorm = helix_components(patch, ConstantField(v), u)
+        np.testing.assert_allclose(h**2 + nor**2, np.dot(v, v), atol=1e-12)
+        np.testing.assert_allclose(ynorm, np.linalg.norm(v), atol=1e-12)
 
 
 def test_covariant_derivative_plane_circle():
+    # |d/du (-sin u, cos u)| = 1 = |Y|, all of it tangent to the flat plane
     patch = shapes.circle2()
     field = ExprField(parse_chart("(-sin(u), cos(u))", ("u",)))
-    got = covariant_derivative_along(patch, field, (0.7,), (1.0,))
-    np.testing.assert_allclose(got, [-math.cos(0.7), -math.sin(0.7)], atol=1e-12)
+    got, _ = parallelity_residual(patch, field)
+    assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equator_tangent_field_is_sphere_parallel():
     # the ambient-tangential derivative of the equator's unit tangent vanishes
     patch = shapes.circle3(shapes.sphere_ambient())
     field = ExprField(parse_chart("(-sin(u), cos(u), 0)", ("u",)))
-    got = covariant_derivative_along(patch, field, (0.9,), (1.0,))
-    np.testing.assert_allclose(got, 0.0, atol=1e-10)
+    got, _ = parallelity_residual(patch, field)
+    assert got < 1e-10
 
 
 # -- composition -------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shadowgeom.curvature import gauss_kronecker
+from shadowgeom.curvature import gauss_kronecker, mean_curvature
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField
 from shadowgeom.geometry import (
@@ -14,6 +14,7 @@ from shadowgeom.geometry import (
     DomainExitError,
     GeometryError,
     SubmanifoldPatch,
+    frames_at,
 )
 from shadowgeom.helix import (
     _auto_t1,
@@ -29,7 +30,6 @@ from shadowgeom.helix import (
     tgs_helix_check,
     tube_patch,
 )
-from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import rk4_tracks
 
 import shapes
@@ -185,7 +185,7 @@ def _flow_loop_reference(rhs, box, seeds, t1, steps):
 
 def test_tan_flow_matches_the_reference_loop_bit_for_bit():
     cone = shapes.cone()
-    flow = _tan_flow(cone, E3, DEFAULT_TOLS)
+    flow = _tan_flow(cone, E3)
     seeds = _seed_grid(cone.domain)
     t1 = _auto_t1(cone.domain, seeds, flow(seeds), frac=0.5)
     ref_traj, ref_vels = _flow_loop_reference(flow, cone.domain, seeds, t1, 512)
@@ -459,15 +459,12 @@ def test_plane_is_minimal_helix_with_zero_gauss_kronecker():
     patch = shapes.plane()
     rep = helix_constancy_report(patch, E3)
     assert rep.is_helix and rep.orthogonal
-    grid = patch.domain.grid(5)
-    from shadowgeom.curvature import mean_curvature
-
-    for p in grid[::6]:
-        assert np.linalg.norm(mean_curvature(patch, p)) < 1e-12
-        assert abs(gauss_kronecker(patch, p)) < 1e-12
+    frames = frames_at(patch, patch.domain.grid(5)[::6])
+    assert np.linalg.norm(mean_curvature(frames), axis=1).max() < 1e-12
+    assert np.abs(gauss_kronecker(frames)).max() < 1e-12
 
 
 def test_cylinder_gauss_kronecker_vanishes():
     patch = shapes.cylinder()
-    for p in patch.domain.grid(7)[::5]:
-        assert abs(gauss_kronecker(patch, p)) < 1e-9
+    frames = frames_at(patch, patch.domain.grid(7)[::5])
+    assert np.abs(gauss_kronecker(frames)).max() < 1e-9

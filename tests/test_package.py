@@ -51,3 +51,47 @@ def _unused_imports(tree) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _is_abstract(body) -> bool:
+    """A body that is a single `raise NotImplementedError`."""
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def _unused_parameters(tree) -> list:
+    """Function and lambda parameters their body never reads.
+
+    `self` and `cls`, abstract bodies, and the `cmd_*` handlers (which
+    share one signature for dispatch) are exempt.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            body, name = [node.body], "lambda"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("cmd_") or _is_abstract(node.body):
+                continue
+            body, name = node.body, node.name
+        else:
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"line {node.lineno}: {name}({p.arg})" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+PACKAGE_SOURCES = sorted(ROOT.glob("src/shadowgeom/*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_parameters(path):
+    assert _unused_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []

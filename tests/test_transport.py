@@ -18,13 +18,13 @@ from shadowgeom.geometry import (
 )
 from shadowgeom.helix import geodesic_alignment_check
 from shadowgeom.scene import load_scene
+from shadowgeom.tolerances import Tolerances
 from shadowgeom.transport import (
     DEFAULT_STEPS,
     OBSTRUCTION_CLEAR_NOTE,
     ParamCurve,
     TransportField,
     construct_parallel_field,
-    geodesic_trace,
     geodesic_traces,
     holonomy_loop,
     parallel_normal_frame_tgs_check,
@@ -327,8 +327,19 @@ def test_transport_field_builder_calls_are_capped(monkeypatch, case):
 def test_transport_field_value_at_base_is_seed():
     seed = 0.7 * np.array([-math.sin(1.3), math.cos(1.3), 0.0])
     fld = TransportField(latitude(), np.array([1.3]), seed)
-    got = fld.value(np.array([1.3]))
+    got = fld.values(np.array([[1.3]]))[0]
     np.testing.assert_allclose(got, seed, atol=1e-15)
+
+
+def test_transport_field_differences_at_its_own_step():
+    # the field's tolerances set the step, not the default field_fd_step
+    step = 1e-3
+    seed = np.array([-math.sin(1.3), math.cos(1.3), 0.0])
+    fld = TransportField(latitude(), np.array([1.3]), seed,
+                         tols=Tolerances(field_fd_step=step))
+    pts = np.array([[0.9], [1.7]])
+    central = (fld.values(pts + step) - fld.values(pts - step)) / (2.0 * step)
+    assert np.array_equal(fld.param_jacobian(pts), central[:, :, None])
 
 
 # -- frame transport theorem ---------------------------------------------------------
@@ -370,7 +381,8 @@ def test_parallel_frame_check_needs_normal_directions():
 
 
 def test_great_circle_is_patch_geodesic_not_ambient_geodesic():
-    g = geodesic_trace(shapes.sphere(), (math.pi / 2, 0.0), (0.0, 1.0), t1=5.0, steps=2048)
+    g, = geodesic_traces(shapes.sphere(), [(math.pi / 2, 0.0)], [(0.0, 1.0)], t1=5.0,
+                         steps=2048)
     assert np.abs(g.params[:, 0] - math.pi / 2).max() < 1e-12
     assert g.speed_drift < 1e-12
     assert g.tangential_residual < 1e-9
@@ -378,14 +390,14 @@ def test_great_circle_is_patch_geodesic_not_ambient_geodesic():
 
 
 def test_plane_geodesic_is_straight():
-    g = geodesic_trace(shapes.plane(), (0.0, 0.0), (0.3, 0.2), t1=2.0, steps=512)
+    g, = geodesic_traces(shapes.plane(), [(0.0, 0.0)], [(0.3, 0.2)], t1=2.0, steps=512)
     np.testing.assert_allclose(g.params[-1], [0.6, 0.4], atol=1e-12)
     assert g.tangential_residual < 1e-10
     assert g.ambient_residual < 1e-10
 
 
 def test_cone_ruling_is_both_patch_and_ambient_geodesic():
-    g = geodesic_trace(shapes.cone(), (0.5, 1.0), (1.0, 0.0), t1=1.0, steps=1024)
+    g, = geodesic_traces(shapes.cone(), [(0.5, 1.0)], [(1.0, 0.0)], t1=1.0, steps=1024)
     assert g.tangential_residual < 1e-8
     assert g.ambient_residual < 1e-8
     np.testing.assert_allclose(g.params[-1], [1.5, 1.0], atol=1e-10)
@@ -393,7 +405,7 @@ def test_cone_ruling_is_both_patch_and_ambient_geodesic():
 
 def test_geodesic_domain_exit_raises():
     with pytest.raises(GeometryError):
-        geodesic_trace(shapes.plane(), (0.0, 0.0), (1.0, 0.0), t1=3.0, steps=256)
+        geodesic_traces(shapes.plane(), [(0.0, 0.0)], [(1.0, 0.0)], t1=3.0, steps=256)
 
 
 def _geodesic_loop_reference(patch, starts, velocities, t1, steps):
