@@ -1,228 +1,215 @@
-"""Second-order forward-mode arithmetic.
+"""Second-order forward-mode kernels on planar jets.
 
-A :class:`Dual2` carries a batch of scalar values together with gradients
-and (optionally) Hessians with respect to a fixed set of input variables.
-Plain floats and ndarrays mix freely with duals and are treated as
-constants.  All operations allocate fresh arrays; operands are never
-mutated, so zero arrays may be shared between duals.
+A jet holds a batch of B scalars with their gradients and, at second
+order, their Hessians with respect to n input variables, in one float
+array of shape (W, B) with one row per component: row 0 holds the values,
+rows 1 .. n the gradient, and at second order the n*n rows after them
+the Hessian, row-major.  So W = 1 + n at first order and 1 + n + n*n at
+second.  One array per jet lets a sum, a difference, a negation or a
+constant scale act on every row in one numpy call; the kernels below do
+the rest.  A chart's tape (see :mod:`shadowgeom.expr`) picks the kernel
+for each step when the chart is lowered.
 
-Hessians stay bit-exactly symmetric: every second-order update is built
-from symmetric combinations such as ``outer(ga, gb) + outer(gb, ga)``.
+Kernels never write into their operands, because a tape shares one
+register between all the steps that read it.  Each returns a fresh
+array, except ``powc`` with exponent 1, which returns its operand.
+
+Bit identity: each element is computed by the IEEE operations written
+in these kernels, in that order and grouping: the chain rule as
+``fp*g`` and ``fp*H + fpp*(g g^T)``, the product rule as ``a*gb + b*ga``
+and ``(a*Hb + b*Ha) + (ga gb^T + gb ga^T)``, and so on.  A jet's bits
+therefore depend only on its operands' bits, never on whether a step is
+shared or which register holds it; tests/test_chart_digests.py freezes
+the results for every bundled chart.  Hessians stay bit-exactly
+symmetric: every second-order update is built from symmetric
+combinations such as ``outer(ga, gb) + outer(gb, ga)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dual2", "seed", "sin", "cos", "tan", "exp", "log", "sqrt", "atan2"]
+__all__ = ["JetKernels"]
 
 
-def _outer_sym(ga, gb):
-    # ga, gb: (B, n) -> symmetric (B, n, n)
-    return ga[:, :, None] * gb[:, None, :] + gb[:, :, None] * ga[:, None, :]
+class JetKernels:
+    """Jet arithmetic in n variables at order 1 or 2."""
 
+    def __init__(self, n: int, order: int):
+        self.n = n
+        self.second = order >= 2
+        self.width = 1 + n + (n * n if self.second else 0)
+        self.grad = slice(1, 1 + n)
+        self.hess = slice(1 + n, None)
+        # the gradient rows as a column (n, 1, B) and as a row (1, n, B)
+        self._gcol = (slice(1, 1 + n), None)
+        self._grow = (None, slice(1, 1 + n))
+        self._unit = np.eye(n)[:, :, None]  # seed gradients, broadcast over B
 
-def _outer(g):
-    return g[:, :, None] * g[:, None, :]
+    def seeds(self, points):
+        """The jets of the n input variables at points (B, n): (n, W, B)."""
+        s = np.zeros((self.n, self.width, points.shape[0]))
+        s[:, 0] = points.T
+        s[:, self.grad] = self._unit
+        return s
 
+    def _outer(self, x):
+        """Rows g_i * g_j of x's gradient g, (n*n, B) in row-major (i, j)."""
+        return (x[self._gcol] * x[self._grow]).reshape(self.n * self.n, x.shape[1])
 
-class Dual2:
-    """Batched scalar with gradient and optional Hessian.
+    def _outer_sym(self, a, b):
+        """Rows ga_i * gb_j + gb_i * ga_j of two jets' gradients."""
+        p = a[self._gcol] * b[self._grow]  # p[j, i] = ga_j * gb_i = gb_i * ga_j
+        return (p + p.swapaxes(0, 1)).reshape(self.n * self.n, a.shape[1])
 
-    val: (B,), grad: (B, n), hess: (B, n, n) or None for first order only.
-    """
+    def chain(self, x, f, fp, fpp):
+        """A smooth scalar function of x given f(v), f'(v), f''(v)."""
+        r = fp * x  # row 0 is overwritten: fp times the value is not used
+        r[0] = f
+        if self.second:
+            h = r[self.hess]
+            h += fpp * self._outer(x)
+        return r
 
-    __slots__ = ("val", "grad", "hess")
+    # -- arithmetic with a constant c --------------------------------------
 
-    def __init__(self, val, grad, hess=None):
-        self.val = val
-        self.grad = grad
-        self.hess = hess
+    @staticmethod
+    def add_const(x, c):
+        r = x.copy()
+        r[0] += c
+        return r
 
-    # -- helpers ----------------------------------------------------------
+    @staticmethod
+    def sub_const(x, c):
+        r = x.copy()
+        r[0] -= c
+        return r
 
-    def _chain(self, f, fp, fpp):
-        """Apply a smooth scalar function given f(v), f'(v), f''(v)."""
-        g = fp[:, None] * self.grad
-        if self.hess is None:
-            return Dual2(f, g)
-        h = fp[:, None, None] * self.hess + fpp[:, None, None] * _outer(self.grad)
-        return Dual2(f, g, h)
+    @staticmethod
+    def const_sub(c, x):
+        r = -x
+        r[0] = c - x[0]
+        return r
 
-    # -- arithmetic -------------------------------------------------------
+    @staticmethod
+    def div_const(x, c):
+        return x * (1.0 / c)
 
-    def __neg__(self):
-        h = None if self.hess is None else -self.hess
-        return Dual2(-self.val, -self.grad, h)
+    def const_div(self, c, x):
+        v = x[0]
+        r = self.chain(x, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        r *= c
+        return r
 
-    def __add__(self, other):
-        if isinstance(other, Dual2):
-            h = None
-            if self.hess is not None:
-                h = self.hess + other.hess
-            return Dual2(self.val + other.val, self.grad + other.grad, h)
-        return Dual2(self.val + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual2):
-            h = None
-            if self.hess is not None:
-                h = self.hess - other.hess
-            return Dual2(self.val - other.val, self.grad - other.grad, h)
-        return Dual2(self.val - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        h = None if self.hess is None else -self.hess
-        return Dual2(other - self.val, -self.grad, h)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual2):
-            val = self.val * other.val
-            g = self.val[:, None] * other.grad + other.val[:, None] * self.grad
-            if self.hess is None:
-                return Dual2(val, g)
-            h = (
-                self.val[:, None, None] * other.hess
-                + other.val[:, None, None] * self.hess
-                + _outer_sym(self.grad, other.grad)
-            )
-            return Dual2(val, g, h)
-        other = np.asarray(other, dtype=float)
-        scale = other if other.ndim else float(other)
-        if isinstance(scale, np.ndarray):
-            g = scale[:, None] * self.grad
-            h = None if self.hess is None else scale[:, None, None] * self.hess
-            return Dual2(self.val * scale, g, h)
-        h = None if self.hess is None else self.hess * scale
-        return Dual2(self.val * scale, self.grad * scale, h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual2):
-            val = self.val / other.val
-            g = (self.grad - val[:, None] * other.grad) / other.val[:, None]
-            if self.hess is None:
-                return Dual2(val, g)
-            h = (
-                self.hess
-                - val[:, None, None] * other.hess
-                - _outer_sym(g, other.grad)
-            ) / other.val[:, None, None]
-            return Dual2(val, g, h)
-        return self * (1.0 / np.asarray(other, dtype=float))
-
-    def __rtruediv__(self, other):
-        # other / self with other constant
-        inv = self._chain(1.0 / self.val, -1.0 / self.val**2, 2.0 / self.val**3)
-        return inv * other
-
-    def powc(self, c: float):
-        """Power with a constant real exponent."""
-        v = self.val
+    def powc(self, x, c):
+        """x to a constant real power."""
         if c == 0.0:
-            z = np.zeros_like(self.grad)
-            h = None if self.hess is None else np.zeros_like(self.hess)
-            return Dual2(np.ones_like(v), z, h)
+            r = np.zeros_like(x)
+            r[0] = 1.0
+            return r
         if c == 1.0:
-            return self
-        f = np.power(v, c)
-        fp = c * np.power(v, c - 1.0)
-        fpp = c * (c - 1.0) * np.power(v, c - 2.0)
-        return self._chain(f, fp, fpp)
+            return x
+        v = x[0]
+        return self.chain(x, np.power(v, c), c * np.power(v, c - 1.0),
+                          c * (c - 1.0) * np.power(v, c - 2.0))
 
+    def const_pow(self, c, x):
+        """c to the power x, as exp(x log c)."""
+        return self.exp(x * float(np.log(c)))
 
-def seed(values, index: int, n_vars: int, order: int = 2):
-    """Make the dual for input variable `index` out of `n_vars`.
+    # -- arithmetic of two jets --------------------------------------------
 
-    values: (B,) array of the variable's values.
-    """
-    values = np.asarray(values, dtype=float)
-    b = values.shape[0]
-    grad = np.zeros((b, n_vars))
-    grad[:, index] = 1.0
-    hess = np.zeros((b, n_vars, n_vars)) if order >= 2 else None
-    return Dual2(values, grad, hess)
+    def mul(self, a, b):
+        r = a[0] * b  # the value a0*b0, then a0 times b's derivatives
+        t = r[1:]
+        t += b[0] * a[1:]
+        if self.second:
+            h = r[self.hess]
+            h += self._outer_sym(a, b)
+        return r
 
+    def div(self, a, b):
+        b0 = b[0]
+        r = np.empty_like(a)
+        val = np.divide(a[0], b0, out=r[0])
+        t = np.multiply(val, b[1:], out=r[1:])
+        np.subtract(a[1:], t, out=t)
+        g = r[self.grad]
+        g /= b0
+        if self.second:
+            h = r[self.hess]
+            h -= self._outer_sym(r, b)
+            h /= b0
+        return r
 
-# -- primitives ------------------------------------------------------------
+    def pow(self, a, b):
+        """a to the power b, as exp(b log a)."""
+        return self.exp(self.mul(b, self.log(a)))
 
+    # -- primitives --------------------------------------------------------
 
-def sin(x):
-    if isinstance(x, Dual2):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._chain(s, c, -s)
-    return np.sin(x)
+    def sin(self, x):
+        s, c = np.sin(x[0]), np.cos(x[0])
+        return self.chain(x, s, c, -s)
 
+    def cos(self, x):
+        s, c = np.sin(x[0]), np.cos(x[0])
+        return self.chain(x, c, -s, -c)
 
-def cos(x):
-    if isinstance(x, Dual2):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._chain(c, -s, -c)
-    return np.cos(x)
-
-
-def tan(x):
-    if isinstance(x, Dual2):
-        t = np.tan(x.val)
+    def tan(self, x):
+        t = np.tan(x[0])
         d = 1.0 + t * t
-        return x._chain(t, d, 2.0 * t * d)
-    return np.tan(x)
+        return self.chain(x, t, d, 2.0 * t * d)
 
+    def exp(self, x):
+        e = np.exp(x[0])
+        return self.chain(x, e, e, e)
 
-def exp(x):
-    if isinstance(x, Dual2):
-        e = np.exp(x.val)
-        return x._chain(e, e, e)
-    return np.exp(x)
+    def log(self, x):
+        v = x[0]
+        return self.chain(x, np.log(v), 1.0 / v, -1.0 / (v * v))
 
+    def sqrt(self, x):
+        v = x[0]
+        r = np.sqrt(v)
+        return self.chain(x, r, 0.5 / r, -0.25 / (r * v))
 
-def log(x):
-    if isinstance(x, Dual2):
-        v = x.val
-        return x._chain(np.log(v), 1.0 / v, -1.0 / (v * v))
-    return np.log(x)
+    def atan2(self, y, x):
+        return self._atan2(y[0], x[0], y, x)
 
+    def atan2_const_y(self, c, x):
+        return self._atan2(c, x[0], None, x)
 
-def sqrt(x):
-    if isinstance(x, Dual2):
-        r = np.sqrt(x.val)
-        return x._chain(r, 0.5 / r, -0.25 / (r * x.val))
-    return np.sqrt(x)
+    def atan2_const_x(self, y, c):
+        return self._atan2(y[0], c, y, None)
 
-
-def atan2(y, x):
-    """Two-argument arctangent; either argument may be dual."""
-    ydual, xdual = isinstance(y, Dual2), isinstance(x, Dual2)
-    if not ydual and not xdual:
-        return np.arctan2(y, x)
-    yv = y.val if ydual else np.asarray(y, dtype=float)
-    xv = x.val if xdual else np.asarray(x, dtype=float)
-    val = np.arctan2(yv, xv)
-    r2 = xv * xv + yv * yv
-    fy = xv / r2
-    fx = -yv / r2
-    gy = y.grad if ydual else None
-    gx = x.grad if xdual else None
-    g = 0.0
-    if gy is not None:
-        g = fy[:, None] * gy
-    if gx is not None:
-        g = g + fx[:, None] * gx
-    want_hess = (ydual and y.hess is not None) or (xdual and x.hess is not None)
-    if not want_hess:
-        return Dual2(val, g)
-    r4 = r2 * r2
-    fyy = -2.0 * xv * yv / r4
-    fyx = (yv * yv - xv * xv) / r4
-    fxx = 2.0 * xv * yv / r4
-    h = 0.0
-    if ydual:
-        h = fy[:, None, None] * y.hess + fyy[:, None, None] * _outer(gy)
-    if xdual:
-        h = h + fx[:, None, None] * x.hess + fxx[:, None, None] * _outer(gx)
-    if ydual and xdual:
-        h = h + fyx[:, None, None] * _outer_sym(gy, gx)
-    return Dual2(val, g, h)
+    def _atan2(self, yv, xv, y, x):
+        """atan2 of values yv, xv; y or x is None where that argument is
+        a constant.  A constant argument's gradient term is 0.0, so
+        ``0.0 + term`` stays as the chain rule writes it."""
+        r = np.empty((self.width, np.shape(y if x is None else x)[1]))
+        r[0] = np.arctan2(yv, xv)
+        r2 = xv * xv + yv * yv
+        fy = xv / r2
+        fx = -yv / r2
+        g = 0.0
+        if y is not None:
+            g = fy * y[self.grad]
+        if x is not None:
+            g = g + fx * x[self.grad]
+        r[self.grad] = g
+        if not self.second:
+            return r
+        r4 = r2 * r2
+        fyy = -2.0 * xv * yv / r4
+        fyx = (yv * yv - xv * xv) / r4
+        fxx = 2.0 * xv * yv / r4
+        h = 0.0
+        if y is not None:
+            h = fy * y[self.hess] + fyy * self._outer(y)
+        if x is not None:
+            h = h + fx * x[self.hess] + fxx * self._outer(x)
+        if y is not None and x is not None:
+            h = h + fyx * self._outer_sym(y, x)
+        r[self.hess] = h
+        return r

@@ -11,21 +11,44 @@ An outer parenthesized, comma-separated list gives several outputs.
 
 Parsing binds each identifier to a parameter, a named constant, or a
 primitive; anything else is a :class:`ParseError` with line/column.
+Printing a parsed expression and re-parsing it reproduces the same
+values exactly.
+
 Evaluation is vectorized over a batch of parameter points and can carry
-first and second derivatives (see :mod:`shadowgeom.dual`).  Printing a
-parsed expression and re-parsing it reproduces the same values exactly.
+first and second derivatives.  The first evaluation of a chart lowers
+its outputs once to a tape, a straight-line program cached on the
+chart (see `_lower`):
+
+- constant folding: a subtree that uses no parameter becomes a
+  constant, computed with the same primitive function as before;
+- sharing: structurally equal subtrees, within one output or across
+  outputs, become one step, evaluated once per call;
+- static dispatch: each step's kernel is chosen for its operand kinds
+  (jet or constant) when the chart is lowered;
+- registers: a step's result is released after its last read, and each
+  output is written straight into preallocated result arrays.
+
+The jet kernels are in :mod:`shadowgeom.dual`.  Lowering changes how
+often a value is computed, never how: every step performs the same
+elementwise IEEE operations in the same order whether or not it is
+shared, so values, Jacobians and Hessians are bit-identical to an
+evaluation of each output on its own.  A domain check on a
+parameter-dependent value runs during evaluation and reports the first
+failing point; a check on a constant runs when the chart is lowered and
+reports no point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import dual
-from .dual import Dual2
+from .dual import JetKernels
 
 __all__ = [
     "ParseError",
@@ -40,16 +63,8 @@ __all__ = [
 
 BUILTIN_CONSTANTS = {"pi": math.pi}
 
-# primitive name -> (implementation, arity)
-_FUNCTIONS = {
-    "sin": (dual.sin, 1),
-    "cos": (dual.cos, 1),
-    "tan": (dual.tan, 1),
-    "exp": (dual.exp, 1),
-    "log": (dual.log, 1),
-    "sqrt": (dual.sqrt, 1),
-    "atan2": (dual.atan2, 2),
-}
+# primitive name -> arity
+_FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "atan2": 2}
 
 
 class ParseError(ValueError):
@@ -67,12 +82,13 @@ class EvalDomainError(ArithmeticError):
     """
 
     def __init__(self, msg, node_source, pos, point=None):
+        point = None if point is None else tuple(float(v) for v in point)
         loc = f" (line {pos[0]}, column {pos[1]})" if pos else ""
-        at = f" at parameters {tuple(point)}" if point is not None else ""
+        at = f" at parameters {point}" if point is not None else ""
         super().__init__(f"{msg} in '{node_source}'{loc}{at}")
         self.node_source = node_source
         self.pos = pos
-        self.point = None if point is None else tuple(point)
+        self.point = point
 
 
 # -- AST -------------------------------------------------------------------
@@ -257,7 +273,7 @@ class _Parser:
             self.next()
             args.append(self.expr())
         self.expect(")")
-        arity = _FUNCTIONS[name][1]
+        arity = _FUNCTIONS[name]
         if len(args) != arity:
             raise ParseError(
                 f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
@@ -313,90 +329,350 @@ class Jet2Batch:
     hess: np.ndarray | None  # (B, m, n, n)
 
 
-class _Ctx:
-    __slots__ = ("points",)
+# -- lowering --------------------------------------------------------------
 
-    def __init__(self, points):
-        self.points = points  # (B, n) or None, for error messages
-
-
-def _first_bad_point(mask, ctx):
-    if ctx.points is None:
-        return None
-    idx = int(np.argmax(mask))
-    return ctx.points[idx]
-
-
-def _check(ok, node, ctx, msg):
-    ok = np.asarray(ok)
-    if not ok.all():
-        bad = ~ok
-        raise EvalDomainError(msg, to_source(node), node.pos, _first_bad_point(bad, ctx))
-
-
-def _value_of(x):
-    return x.val if isinstance(x, Dual2) else x
+# What each tape op computes on values: on floats, the constant folding;
+# on (B,) arrays, eval_values.  "powc" is a power whose exponent is a
+# constant, "pow" one whose exponent depends on the parameters.
+_VALUE_OPS = {
+    "neg": operator.neg,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": np.power,
+    "powc": np.power,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "atan2": np.arctan2,
+}
 
 
-def _eval(node, env, ctx):
-    if type(node) is Const:
-        return node.value
-    if type(node) is Param:
-        return env[node.index]
-    if type(node) is Neg:
-        return -_eval(node.a, env, ctx)
-    if type(node) is Add:
-        return _eval(node.a, env, ctx) + _eval(node.b, env, ctx)
-    if type(node) is Sub:
-        return _eval(node.a, env, ctx) - _eval(node.b, env, ctx)
-    if type(node) is Mul:
-        return _eval(node.a, env, ctx) * _eval(node.b, env, ctx)
-    if type(node) is Div:
-        a = _eval(node.a, env, ctx)
-        b = _eval(node.b, env, ctx)
-        _check(_value_of(b) != 0, node, ctx, "division by zero")
-        return a / b
-    if type(node) is Pow:
-        return _eval_pow(node, env, ctx)
-    if type(node) is Call:
-        return _eval_call(node, env, ctx)
-    raise TypeError(f"unknown node {node!r}")
+def _jet_ops(k: JetKernels) -> dict:
+    """op -> operand kinds -> kernel on jets in k's variables.
+
+    Kinds spell the operands: 'j' a jet, 'c' a constant.  A sum or a
+    product with a constant on the left uses the kernel for a constant on
+    the right; IEEE addition and multiplication commute exactly."""
+    return {
+        "neg": {"j": np.negative},
+        "add": {"jj": np.add, "jc": k.add_const, "cj": lambda c, x: k.add_const(x, c)},
+        "sub": {"jj": np.subtract, "jc": k.sub_const, "cj": k.const_sub},
+        "mul": {"jj": k.mul, "jc": np.multiply, "cj": lambda c, x: np.multiply(x, c)},
+        "div": {"jj": k.div, "jc": k.div_const, "cj": k.const_div},
+        "pow": {"jj": k.pow, "cj": k.const_pow},
+        "powc": {"jc": k.powc},
+        "sin": {"j": k.sin},
+        "cos": {"j": k.cos},
+        "tan": {"j": k.tan},
+        "exp": {"j": k.exp},
+        "log": {"j": k.log},
+        "sqrt": {"j": k.sqrt},
+        "atan2": {"jj": k.atan2, "jc": k.atan2_const_x, "cj": k.atan2_const_y},
+    }
 
 
-def _eval_pow(node, env, ctx):
-    base = _eval(node.a, env, ctx)
-    if type(node.b) is Const:
-        c = node.b.value
-        bv = _value_of(base)
-        if c != round(c):
-            _check(bv > 0, node, ctx, f"fractional power {c} of non-positive base")
-        elif c < 0:
-            _check(bv != 0, node, ctx, f"negative power {c} of zero base")
-        if isinstance(base, Dual2):
-            return base.powc(c)
-        return np.power(base, c)
-    exponent = _eval(node.b, env, ctx)
-    _check(_value_of(base) > 0, node, ctx, "power with non-positive base")
-    if isinstance(base, Dual2) or isinstance(exponent, Dual2):
-        return dual.exp(exponent * dual.log(base))
-    return np.power(base, exponent)
+# domain tests, true where a point is inside the primitive's domain
+_DOMAIN = {
+    "pos": lambda v: v > 0,
+    "nonneg": lambda v: v >= 0,
+    "nonzero": lambda v: v != 0,
+    "atan2": lambda y, x: (y != 0) | (x != 0),
+}
 
 
-def _eval_call(node, env, ctx):
-    fn, _ = _FUNCTIONS[node.fn]
-    args = [_eval(a, env, ctx) for a in node.args]
-    if node.fn == "log":
-        _check(_value_of(args[0]) > 0, node, ctx, "log of non-positive value")
-    elif node.fn == "sqrt":
-        v = _value_of(args[0])
-        if isinstance(args[0], Dual2):
-            _check(v > 0, node, ctx, "sqrt derivative at non-positive value")
+_BINARY = {Add: "add", Sub: "sub", Mul: "mul"}
+
+
+def _sqrt_check(jet: bool):
+    """sqrt's domain: its value needs v >= 0, its derivative v > 0."""
+    if jet:
+        return "pos", "sqrt derivative at non-positive value"
+    return "nonneg", "sqrt of negative value"
+
+
+def _lower(outputs, n_params) -> tuple:
+    """Straight-line code computing `outputs`: (code, number of ops).
+
+    Code is in SSA values: 0 .. n_params-1 are the parameters and each
+    op defines the next value.  An operand is a value (int) or a folded
+    constant (float).  Instructions come in the order the tree walk
+    evaluates them:
+
+        ("op", name, operands, value)
+        ("check", kind, operands, node, message)   before the op it guards
+        ("out", k, (operand,))                     output k
+
+    A subtree that uses no parameter folds to a constant, computed with
+    the same primitive functions so it has the same bits.  Its domain
+    check runs here and raises EvalDomainError without a point, as does
+    a check whose tested operand is a constant.  Nodes are memoised by
+    identity (so compose()d trees lower in linear time) and then by op
+    and operands, so structurally equal subtrees become one op, checked
+    once, where they first occur.
+    """
+    code, by_id, by_key = [], {}, {}
+    n_ops = 0
+
+    def apply(name, node, args, checks=()):
+        nonlocal n_ops
+        if all(type(a) is float for a in args):
+            for kind, operands, msg in checks:
+                if kind == "sqrt":
+                    kind, msg = _sqrt_check(False)
+                if not _DOMAIN[kind](*operands):
+                    raise EvalDomainError(msg, to_source(node), node.pos)
+            return float(_VALUE_OPS[name](*args))
+        # float.hex keeps 0.0 and -0.0 apart
+        key = (name,) + tuple(a if type(a) is int else a.hex() for a in args)
+        if key in by_key:
+            return by_key[key]
+        for kind, operands, msg in checks:
+            if kind == "atan2" and float in map(type, operands):
+                # a nonzero constant argument keeps every point off the
+                # origin; a zero one leaves the other to be nonzero
+                if any(type(a) is float and a != 0 for a in operands):
+                    continue
+                kind, operands = "nonzero", [a for a in operands if type(a) is int]
+            if type(operands[0]) is float:
+                if not _DOMAIN[kind](operands[0]):
+                    raise EvalDomainError(msg, to_source(node), node.pos)
+                continue
+            code.append(("check", kind, tuple(operands), node, msg))
+        value = by_key[key] = n_params + n_ops
+        n_ops += 1
+        code.append(("op", name, tuple(args), value))
+        return value
+
+    def lower(node):
+        if id(node) not in by_id:
+            by_id[id(node)] = lower_node(node)
+        return by_id[id(node)]
+
+    def lower_node(node):
+        t = type(node)
+        if t is Const:
+            return float(node.value)
+        if t is Param:
+            return node.index
+        if t is Neg:
+            return apply("neg", node, [lower(node.a)])
+        if t is Call:
+            args = [lower(a) for a in node.args]
+            checks = {"log": [("pos", args, "log of non-positive value")],
+                      "sqrt": [("sqrt", args, None)],
+                      "atan2": [("atan2", args, "atan2 at origin")]}.get(node.fn, ())
+            return apply(node.fn, node, args, checks)
+        a, b = lower(node.a), lower(node.b)
+        if t is Div:
+            return apply("div", node, [a, b], [("nonzero", [b], "division by zero")])
+        if t is Pow:
+            if type(b) is not float:
+                return apply("pow", node, [a, b],
+                             [("pos", [a], "power with non-positive base")])
+            checks = []
+            if b != round(b):
+                checks = [("pos", [a], f"fractional power {b} of non-positive base")]
+            elif b < 0:
+                checks = [("nonzero", [a], f"negative power {b} of zero base")]
+            return apply("powc", node, [a, b], checks)
+        if t in _BINARY:
+            return apply(_BINARY[t], node, [a, b])
+        raise TypeError(f"unknown node {node!r}")
+
+    for k, out in enumerate(outputs):
+        code.append(("out", k, (lower(out),)))
+    return code, n_ops
+
+
+# register file: slot 0 holds the points (for error messages), slots 1-3
+# the value, Jacobian and flat Hessian outputs; tape values start at 4
+_POINTS, _VALUE, _JAC, _HESS = range(4)
+_FIRST_SLOT = 4
+
+
+def _allocate(code, n_params) -> tuple:
+    """Give each SSA value a register slot.  A value's slot is released
+    after the last instruction that reads it: the op's result takes one
+    released slot, and a ("free", None, slots) instruction clears the
+    others, so the arrays held at once are the values live at once.
+
+    Returns (code in slots, [(parameter, slot)], number of slots)."""
+    last = {}
+    for i, ins in enumerate(code):
+        for v in ins[2]:
+            if type(v) is int:
+                last[v] = i
+    slot, free = {}, []
+    top = _FIRST_SLOT
+
+    def take():
+        nonlocal top
+        if free:
+            return free.pop()
+        top += 1
+        return top - 1
+
+    params = [(p, take()) for p in range(n_params) if p in last]
+    slot.update(params)
+    out = []
+    for i, ins in enumerate(code):
+        operands = tuple(a if type(a) is float else slot[a] for a in ins[2])
+        values = dict.fromkeys(v for v in ins[2] if type(v) is int)
+        dead = [slot[v] for v in values if last[v] == i]
+        free += dead
+        rest = ins[3:]
+        if ins[0] == "op":
+            slot[ins[3]] = take()
+            rest = (slot[ins[3]],)
+        out.append(ins[:2] + (operands,) + rest)
+        dead = tuple(s for s in dead if s in free)
+        if dead and i + 1 < len(code):
+            out.append(("free", None, dead))
+    return out, params, top
+
+
+def _step(fn, dst, args):
+    """r[dst] = fn(operands); an int operand is a slot, a float a constant."""
+    if len(args) == 1:
+        (a,) = args
+
+        def step(r):
+            r[dst] = fn(r[a])
+    else:
+        a, b = args
+        if type(a) is float:
+            def step(r):
+                r[dst] = fn(a, r[b])
+        elif type(b) is float:
+            def step(r):
+                r[dst] = fn(r[a], b)
         else:
-            _check(v >= 0, node, ctx, "sqrt of negative value")
-    elif node.fn == "atan2":
-        y, x = (_value_of(a) for a in args)
-        _check((np.asarray(y) != 0) | (np.asarray(x) != 0), node, ctx, "atan2 at origin")
-    return fn(*args)
+            def step(r):
+                r[dst] = fn(r[a], r[b])
+    return step
+
+
+def _check_step(test, slots, row, node, msg):
+    """Raise EvalDomainError at the first point where `test` fails on the
+    values in `slots` (row `row` of each register: 0 for a jet, `...` for
+    a plain value)."""
+    def step(r):
+        ok = test(*[r[s][row] for s in slots])
+        if not ok.all():
+            point = r[_POINTS][int(np.argmax(~ok))]
+            raise EvalDomainError(msg, to_source(node), node.pos, point)
+    return step
+
+
+def _out_step(k, a, kernels):
+    """Write output k from operand a; kernels is None for values only."""
+    if type(a) is float:
+        def step(r):
+            r[_VALUE][k] = a
+    elif kernels is None:
+        def step(r):
+            r[_VALUE][k] = r[a]
+    elif not kernels.second:
+        g = kernels.grad
+
+        def step(r):
+            x = r[a]
+            r[_VALUE][k] = x[0]
+            r[_JAC][k] = x[g]
+    else:
+        g, h = kernels.grad, kernels.hess
+
+        def step(r):
+            x = r[a]
+            r[_VALUE][k] = x[0]
+            r[_JAC][k] = x[g]
+            r[_HESS][k] = x[h]
+    return step
+
+
+def _free_step(slots):
+    def step(r):
+        for s in slots:
+            r[s] = None
+    return step
+
+
+def _alloc_step(m, kernels):
+    """Allocate the outputs, just before the first is written.  The
+    output slots hold them transposed, with the batch axis last, so an
+    output row of a jet is written in one assignment."""
+    def step(r):
+        b = r[_POINTS].shape[0]
+        r[_VALUE] = np.empty((b, m)).T
+        if kernels is not None:
+            r[_JAC] = np.zeros((b, m, kernels.n)).transpose(1, 2, 0)
+            if kernels.second:
+                r[_HESS] = np.zeros((b, m, kernels.n * kernels.n)).transpose(1, 2, 0)
+    return step
+
+
+def _compile(code, m, kernels) -> list:
+    """Steps for the slot code; kernels is None for values only."""
+    ops = None if kernels is None else _jet_ops(kernels)
+    row = ... if kernels is None else 0
+    steps = []
+    for ins in code:
+        if ins[0] == "op":
+            _, name, args, dst = ins
+            if ops is None:
+                fn = _VALUE_OPS[name]
+            else:
+                fn = ops[name]["".join("c" if type(a) is float else "j" for a in args)]
+            steps.append(_step(fn, dst, args))
+        elif ins[0] == "check":
+            _, kind, slots, node, msg = ins
+            if kind == "sqrt":
+                kind, msg = _sqrt_check(kernels is not None)
+            steps.append(_check_step(_DOMAIN[kind], slots, row, node, msg))
+        elif ins[0] == "free":
+            steps.append(_free_step(ins[2]))
+        else:
+            if ins[1] == 0:
+                steps.append(_alloc_step(m, kernels))
+            steps.append(_out_step(ins[1], ins[2][0], kernels))
+    return steps
+
+
+class _Tape:
+    """A chart lowered once (see `_lower`) to register steps at order 0
+    (values), 1 and 2 (jets)."""
+
+    def __init__(self, outputs, n_params):
+        self.n, self.m = n_params, len(outputs)
+        code, self.n_ops = _lower(outputs, n_params)
+        code, self.param_slots, self.n_slots = _allocate(code, n_params)
+        self.kernels = {1: JetKernels(n_params, 1), 2: JetKernels(n_params, 2)}
+        self.programs = {0: _compile(code, self.m, None)}
+        for order, kernels in self.kernels.items():
+            self.programs[order] = _compile(code, self.m, kernels)
+
+    def run(self, points, order):
+        """(value (B, m), jac (B, m, n) or None, hess (B, m, n, n) or None)."""
+        b, n, m = points.shape[0], self.n, self.m
+        r = [None] * self.n_slots
+        r[_POINTS] = points
+        seeds = points.T if order == 0 else self.kernels[order].seeds(points)
+        for i, s in self.param_slots:
+            r[s] = seeds[i]
+        del seeds
+        for step in self.programs[order]:
+            step(r)
+        value, jac, hess = r[_VALUE].T, r[_JAC], r[_HESS]
+        if jac is not None:
+            jac = jac.transpose(2, 0, 1)
+        if hess is not None:
+            hess = hess.transpose(2, 0, 1).reshape(b, m, n, n)
+        return value, jac, hess
 
 
 # -- printing --------------------------------------------------------------
@@ -468,52 +744,30 @@ class ChartExpr:
     def __str__(self):
         return self.to_source()
 
-    def _env(self, points, order):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    @cached_property
+    def _tape(self) -> _Tape:
+        return _Tape(self.outputs, self.n_params)
+
+    def _points(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim < 2:
+            points = np.atleast_2d(points)
         if points.shape[1] != self.n_params:
             raise ValueError(
                 f"expected points with {self.n_params} parameters, got {points.shape[1]}"
             )
-        n = self.n_params
-        if order == 0:
-            env = [points[:, i] for i in range(n)]
-        else:
-            env = [dual.seed(points[:, i], i, n, order) for i in range(n)]
-        return points, env
+        return points
 
     def eval_values(self, points) -> np.ndarray:
         """Values only, (B, m)."""
-        points, env = self._env(points, 0)
-        b = points.shape[0]
-        ctx = _Ctx(points)
-        cols = []
-        for out in self.outputs:
-            v = _eval(out, env, ctx)
-            cols.append(np.broadcast_to(np.asarray(v, dtype=float), (b,)))
-        return np.stack(cols, axis=1)
+        return self._tape.run(self._points(points), 0)[0]
 
     def eval_jets(self, points, order: int = 2) -> Jet2Batch:
-        """Values with derivatives, batched over points."""
-        points, env = self._env(points, order)
-        b, n = points.shape
-        ctx = _Ctx(points)
-        vals, jacs, hesses = [], [], []
-        for out in self.outputs:
-            r = _eval(out, env, ctx)
-            if isinstance(r, Dual2):
-                vals.append(np.broadcast_to(r.val, (b,)))
-                jacs.append(r.grad)
-                if order >= 2:
-                    hesses.append(r.hess)
-            else:
-                vals.append(np.broadcast_to(np.asarray(r, dtype=float), (b,)))
-                jacs.append(np.zeros((b, n)))
-                if order >= 2:
-                    hesses.append(np.zeros((b, n, n)))
-        value = np.stack(vals, axis=1)
-        jac = np.stack(jacs, axis=1)
-        hess = np.stack(hesses, axis=1) if order >= 2 else None
-        return Jet2Batch(value, jac, hess)
+        """Values with derivatives, batched over points; order 1 or 2."""
+        if order < 1:
+            raise ValueError(f"eval_jets needs order 1 or 2, got {order}; "
+                             "eval_values gives values alone")
+        return Jet2Batch(*self._tape.run(self._points(points), min(order, 2)))
 
 
 def parse_chart(text: str, params, constants=None) -> ChartExpr:

@@ -46,9 +46,10 @@ __all__ = [
 class GeometryError(RuntimeError):
     def __init__(self, msg, point=None):
         if point is not None:
-            msg = f"{msg} at parameters {tuple(np.asarray(point, dtype=float))}"
+            point = tuple(np.asarray(point, dtype=float).tolist())
+            msg = f"{msg} at parameters {point}"
         super().__init__(msg)
-        self.point = None if point is None else tuple(np.asarray(point, dtype=float))
+        self.point = point
 
 
 class ChartRankError(GeometryError):

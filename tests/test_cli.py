@@ -392,6 +392,50 @@ field {
     assert report_of(out)["results"]["validation"]["ok"] is False
 
 
+PATCH_SCENE = """
+scene demo
+ambient {
+  dim = 3
+}
+patch M {
+  chart = CHART
+  params = u, v
+  lo = LO
+  hi = 1, 1
+}
+field {
+  constant = 0, 0, 1
+}
+"""
+
+
+@pytest.mark.parametrize("chart,lo,message", [
+    ("(u, v, sqrt(u))", "-1, 0",
+     "error: sqrt derivative at non-positive value in 'sqrt(u)' (line 1, column 8)"
+     " at parameters (-1.0, 0.0)\n"),
+    ("(u*sin(0.5)*cos(v), u*sin(0.5)*sin(v), u*cos(0.5))", "0, 0",
+     "error: chart Jacobian is rank-deficient (singular value ratio 0.000e+00)"
+     " at parameters (0.0, 0.0)\n"),
+], ids=["eval-domain", "chart-rank"])
+def test_error_points_print_as_plain_floats(capsys, tmp_path, chart, lo, message):
+    p = tmp_path / "demo.scene"
+    p.write_text(PATCH_SCENE.replace("CHART", chart).replace("LO", lo))
+    code, _, err = invoke(capsys, "shadow", str(p))
+    assert code == 1
+    assert err == message
+
+
+def test_folded_constant_domain_error_is_reported(capsys, tmp_path):
+    # log(0 - 1) uses no parameter: it fails when the chart is lowered,
+    # so the error names the subexpression but no parameter point
+    p = tmp_path / "demo.scene"
+    p.write_text(PATCH_SCENE.replace("CHART", "(u, v, u + log(0-1))").replace("LO", "0, 0"))
+    code, _, err = invoke(capsys, "shadow", str(p))
+    assert code == 1
+    assert err == ("error: log of non-positive value in 'log(0.0 - 1.0)'"
+                   " (line 1, column 12)\n")
+
+
 def test_off_ambient_field_exits_2(capsys, tmp_path):
     # field with a radial component is not tangent to the round sphere
     text = """

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowgeom.expr import (
+    Call,
+    Const,
     EvalDomainError,
+    Param,
     ParseError,
+    compose,
     parse_chart,
     product_chart,
 )
@@ -48,6 +52,15 @@ def test_constant_output_broadcasts():
     np.testing.assert_array_equal(jets.value[:, 1], [1.5, 1.5])
     np.testing.assert_array_equal(jets.jac[:, 1, :], 0.0)
     np.testing.assert_array_equal(jets.jac[:, 0, 0], [1.0, 1.0])
+
+
+def test_empty_batch_keeps_shapes():
+    chart = parse_chart("(u*v, sin(u)/v, 2, atan2(u, v))", ("u", "v"))
+    empty = np.zeros((0, 2))
+    assert chart.eval_values(empty).shape == (0, 4)
+    jets = chart.eval_jets(empty)
+    assert (jets.value.shape, jets.jac.shape, jets.hess.shape) == ((0, 4), (0, 4, 2),
+                                                                  (0, 4, 2, 2))
 
 
 @pytest.mark.parametrize("name", sorted(shapes.BUILTIN_PATCHES))
@@ -129,7 +142,7 @@ def test_domain_error_division_by_zero():
     chart = parse_chart("(1/u)", ("u",))
     with pytest.raises(EvalDomainError) as err:
         chart.eval_values(np.array([[0.5], [0.0]]))
-    assert "division by zero" in str(err.value)
+    assert str(err.value).startswith("division by zero in '1.0/u' (line 1, column 3)")
     assert err.value.point == (0.0,)
 
 
@@ -153,6 +166,28 @@ def test_domain_error_fractional_power():
     # integer powers of negative bases are fine
     chart = parse_chart("(u^3)", ("u",))
     assert chart.eval_values(np.array([[-2.0]]))[0, 0] == -8.0
+
+
+def test_negative_literal_exponent_at_negative_base():
+    # the parser reads -1 as a negation; folded, it is a constant exponent
+    chart = parse_chart("(u^-1)", ["u"])
+    assert chart.eval_values([[-2.0]])[0, 0] == -0.5
+    jet = chart.eval_jets([[-2.0]])
+    assert jet.value[0, 0] == -0.5
+    assert jet.jac[0, 0, 0] == -0.25
+    assert jet.hess[0, 0, 0, 0] == -0.25
+    with pytest.raises(EvalDomainError, match="negative power -1.0 of zero base"):
+        chart.eval_values([[0.0]])
+
+
+def test_domain_error_in_folded_constant():
+    chart = parse_chart("(u + log(0-1))", ("u",))
+    for evaluate in (chart.eval_values, chart.eval_jets):
+        with pytest.raises(EvalDomainError) as err:
+            evaluate(np.array([[0.5]]))
+        assert str(err.value) == (
+            "log of non-positive value in 'log(0.0 - 1.0)' (line 1, column 6)")
+        assert err.value.point is None
 
 
 def test_power_precedence_and_unary_minus():
@@ -207,9 +242,91 @@ def test_product_chart_blocks():
 def test_compose_substitution():
     outer = parse_chart("(a + b, a*b)", ("a", "b"))
     inner = parse_chart("(t^2, t + 1)", ("t",))
-    from shadowgeom.expr import compose
-
     comp = compose(outer, inner)
     assert comp.n_params == 1
     val = comp.eval_values(np.array([[2.0]]))
     np.testing.assert_allclose(val[0], [7.0, 12.0])
+
+
+# -- chart tapes: shared subexpressions and linear lowering -----------------
+
+
+def _expressions(names):
+    """Expressions in which every subexpression uses a parameter;
+    constants appear only beside one, so no two distinct subtrees fold
+    to the same constant."""
+    const = st.sampled_from(["0.5", "2", "3"])
+    op = st.sampled_from(["+", "-", "*"])
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, op, st.one_of(sub, const)).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(const, op, sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["sin", "cos"]), sub).map(lambda t: f"{t[0]}({t[1]})"),
+            sub.map(lambda e: f"atan2({e}, 1.5)"),
+            sub.map(lambda e: f"({e})/(2 + sin({e}))"),
+            sub.map(lambda e: f"({e})^2"),
+        )
+
+    return st.recursive(st.sampled_from(names), extend, max_leaves=6)
+
+
+def _distinct_operations(chart) -> int:
+    """Structurally distinct nodes other than parameters and constants."""
+    seen = set()
+
+    def walk(node):
+        if type(node) in (Param, Const) or node in seen:
+            return
+        seen.add(node)
+        for child in node.args if type(node) is Call else (node.a, getattr(node, "b", None)):
+            if child is not None:
+                walk(child)
+
+    for out in chart.outputs:
+        walk(out)
+    return len(seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e1=_expressions(["u", "v"]), e2=_expressions(["u", "v"]))
+def test_shared_outputs_match_separate_charts_bitwise(e1, e2):
+    pieces = [e1, e2, f"({e1})*({e2})"]
+    joint = parse_chart("(" + ", ".join(pieces) + ")", ("u", "v"))
+    alone = [parse_chart(f"({p})", ("u", "v")) for p in pieces]
+    pts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(6, 2))
+    values = joint.eval_values(pts)
+    for k, chart in enumerate(alone):
+        assert values[:, k].tobytes() == chart.eval_values(pts)[:, 0].tobytes()
+    for order in (1, 2):
+        jets = joint.eval_jets(pts, order)
+        for k, chart in enumerate(alone):
+            one = chart.eval_jets(pts, order)
+            assert jets.value[:, k].tobytes() == one.value[:, 0].tobytes()
+            assert jets.jac[:, k].tobytes() == one.jac[:, 0].tobytes()
+            if order == 2:
+                assert jets.hess[:, k].tobytes() == one.hess[:, 0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer=st.lists(_expressions(["a", "b"]), min_size=1, max_size=3),
+       inner=st.lists(_expressions(["u", "v"]), min_size=2, max_size=2))
+def test_composed_chart_lowers_each_distinct_node_once(outer, inner):
+    comp = compose(parse_chart("(" + ", ".join(outer) + ")", ("a", "b")),
+                   parse_chart("(" + ", ".join(inner) + ")", ("u", "v")))
+    assert comp._tape.n_ops == _distinct_operations(comp)
+
+
+def test_deep_composition_lowers_in_linear_time():
+    # 60 levels of x -> x*x - x: the expanded tree has about 2**60 nodes,
+    # the tape one op per level and operation
+    step = parse_chart("(x*x - x)", ("x",))
+    chart = parse_chart("(sin(t))", ("t",))
+    for _ in range(60):
+        chart = compose(step, chart)
+    assert chart._tape.n_ops == 1 + 2 * 60
+    v = float(np.sin(np.array([0.1]))[0])
+    for _ in range(60):
+        v = v * v - v
+    assert chart.eval_values([[0.1]])[0, 0] == v
+    assert np.isfinite(chart.eval_jets([[0.1]]).hess).all()

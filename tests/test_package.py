@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, test builders stay out,
-and no source or test file imports a name it never uses."""
+no source or test file imports a name it never uses, and no private
+function or class in the package is left without a reference."""
 
 import ast
 import importlib
@@ -95,3 +96,23 @@ PACKAGE_SOURCES = sorted(ROOT.glob("src/shadowgeom/*.py"))
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_parameters(path):
     assert _unused_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_definitions(tree) -> dict:
+    """Private (`_name`, not dunder) functions, methods and classes."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE_SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"{path.name}:{line}: {name}" for path, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in read] == []
