@@ -24,7 +24,7 @@ from . import __version__
 from .curvature import gauss_kronecker
 from .expr import EvalDomainError
 from .fields import ConstantField
-from .geometry import GeometryError, frames_at, validate_patch
+from .geometry import GeometryError, validate_patch
 from .helix import (
     _classify,
     classify_hypersurface_helix,
@@ -313,16 +313,18 @@ def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int
     patch, field = _root_setup(scene, tols)
     field = _require_field(scene, patch, field)
     res = _resolution(scene, args, 32)
-    constancy = helix_constancy_report(patch, field, resolution=res, tols=tols)
+    # one frame build on the grid serves the constancy test, the
+    # Gauss-Kronecker curvature and the classification
+    constancy = helix_constancy_report(patch, field, resolution=res, tols=tols,
+                                       order=2 if patch.codim == 1 else 1)
     results = {"patch": patch.name, "constancy": constancy.as_dict()}
     verdicts = []
     if patch.codim == 1:
-        grid = patch.domain.grid(res)
-        gk = gauss_kronecker(frames_at(patch, grid, order=2, tols=tols))
+        gk = gauss_kronecker(constancy.frames)
         i = int(np.argmax(np.abs(gk)))
         results["gauss_kronecker"] = {
             "max_abs": float(np.abs(gk[i])),
-            "argmax": [float(v) for v in grid[i]],
+            "argmax": [float(v) for v in constancy.points[i]],
         }
         classification = _classify(patch, field, constancy, tols)
         results["classification"] = classification.as_dict()

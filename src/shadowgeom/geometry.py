@@ -241,6 +241,10 @@ def composed_patch(parent: SubmanifoldPatch, sub_chart: ChartExpr, sub_domain: B
 
 # -- linear algebra helpers --------------------------------------------------
 
+# rows whose certified rank bound is below this multiple of rank_tol take
+# the exact SVD gate
+_RANK_BOUND_SAFETY = 16.0
+
 
 def column_signs(q):
     """Sign per column from the largest-magnitude component rule.
@@ -348,17 +352,9 @@ def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_T
     return fix_column_signs(kernel)
 
 
-def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
-              tols: Tolerances = DEFAULT_TOLS) -> FrameBatch:
-    """Build adapted frames at a batch of parameter points.
-
-    Raises ChartRankError at the first point where the chart Jacobian is
-    rank-deficient.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = patch.chart.eval_jets(points, order=order)
-    x, jac = jets.value, jets.jac
-    b, m, n = jac.shape
+def _svd_rank_gate(jac, points, tols: Tolerances):
+    """Raise ChartRankError at the first row whose exact singular value
+    ratio sigma_min / sigma_max falls below rank_tol."""
     svals = np.linalg.svd(jac, compute_uv=False)
     good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
     if not good.all():
@@ -368,11 +364,56 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
             f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
             points[i],
         )
+
+
+def _certified_qr(jac, points, tols: Tolerances):
+    """Sign-fixed QR factor q and inverse R factor of a rank-certified
+    batch of chart Jacobians.
+
+    Rank is certified from R: sigma_min / sigma_max >= 1 / (|R|_F |R^-1|_F),
+    since |R|_F >= sigma_max and |R^-1|_F >= 1 / sigma_min (Golub & Van
+    Loan, Matrix Computations, 2.6 and 5.2).  Only rows whose bound falls
+    below _RANK_BOUND_SAFETY * rank_tol take the exact SVD gate.  When
+    some pivot has |r_ii| <= _RANK_BOUND_SAFETY * rank_tol * |R|_F, or is
+    not finite, or R is not square, the whole batch takes it before R is
+    inverted, as every batch did before the bound; sigma_min <= min |r_ii|
+    flags such rows as nearly singular.  Either way a failure raises the
+    SVD gate's error at the same first row.
+    """
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
+    floor = _RANK_BOUND_SAFETY * tols.rank_tol
+    r_norm = np.linalg.norm(r, axis=(1, 2))
+    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    if r.shape[1] != r.shape[2] or not (pivots > floor * r_norm[:, None]).all():
+        _svd_rank_gate(jac, points, tols)
+        return q, np.linalg.inv(r)
     rinv = np.linalg.inv(r)
+    # written so that a NaN or overflowed bound counts as low
+    low = ~(r_norm * np.linalg.norm(rinv, axis=(1, 2)) * floor <= 1.0)
+    if low.any():
+        _svd_rank_gate(jac[low], points[low], tols)
+    return q, rinv
+
+
+def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
+              tols: Tolerances = DEFAULT_TOLS) -> FrameBatch:
+    """Build adapted frames at a batch of parameter points.
+
+    Raises ChartRankError at the first point where the chart Jacobian is
+    rank-deficient, sigma_min / sigma_max < rank_tol.  The ratio is
+    certified from the QR factor by the bound 1 / (|R|_F |R^-1|_F); only
+    rows the bound cannot clear by a safety margin, or the whole batch
+    when a pivot of R is near zero, fall back to the exact SVD
+    (`_certified_qr`).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    jets = patch.chart.eval_jets(points, order=order)
+    x, jac = jets.value, jets.jac
+    b, m, n = jac.shape
+    q, rinv = _certified_qr(jac, points, tols)
     metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
     amb = ambient_tangent_basis(patch.ambient, x, tols)
     d = amb.shape[2]

@@ -43,6 +43,7 @@ from .expr import parse_chart, to_source
 from .geometry import (
     Box,
     DomainExitError,
+    FrameBatch,
     GeometryError,
     SubmanifoldPatch,
     composed_patch,
@@ -122,6 +123,7 @@ class HelixReport:
     orthogonal: bool
     tangent: bool
     resolution: int
+    frames: FrameBatch  # frames at `points`
 
     def as_dict(self) -> dict:
         return {
@@ -141,20 +143,23 @@ class HelixReport:
 
 
 def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
-                           tols: Tolerances = DEFAULT_TOLS) -> HelixReport:
+                           tols: Tolerances = DEFAULT_TOLS, order: int = 1) -> HelixReport:
     """Grid test of the helix property; meaningful for parallel fields.
 
     Reports the deviation of h from its mean and, alongside, the
     deviation of |nor Y| and the drift of |Y| itself, since for a
     parallel field all three are constant together.  Each axis needs at
     least 3 samples: a symmetric 2-point axis samples only mirror images,
-    on which a non-helix patch can show a constant h.
+    on which a non-helix patch can show a constant h.  The report keeps
+    the grid frames, built at jet `order` (2 when the caller also needs
+    the second fundamental form on the grid).
     """
     grid = patch.domain.grid(resolution)
     if np.min(resolution) < 3:
         raise ValueError("the helix test needs a grid resolution of at least 3, "
                          f"got {resolution!r}")
-    h, nor, ynorm = helix_components(patch, field, grid, tols=tols)
+    frames = frames_at(patch, grid, order=order, tols=tols)
+    h, nor, ynorm = _split_components(frames, field.values(grid))
     scale = float(ynorm.mean())
     guard = max(scale, _TINY)
     h_mean = float(h.mean())
@@ -177,6 +182,7 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
         orthogonal=bool(h.max(initial=0.0) <= tols.helix_tol * guard),
         tangent=bool(nor.max(initial=0.0) <= tols.helix_tol * guard),
         resolution=resolution,
+        frames=frames,
     )
 
 
@@ -284,9 +290,8 @@ def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances
     elif nor_rel.max() < floor:
         case = "tangent"
         witness = rep.points[int(np.argmax(nor_rel))]
-        frames = frames_at(patch, rep.points, order=1, tols=tols)
         dy = field.param_jacobian(rep.points)
-        coef = np.einsum("bmi,bml->bil", frames.tangent, dy)
+        coef = np.einsum("bmi,bml->bil", rep.frames.tangent, dy)
         rel = np.linalg.norm(coef, axis=1).max(axis=1) / np.maximum(rep.y_norms, _TINY)
         hyp = [ResidualEntry("normal-part", float(nor_rel.max()),
                              tols.helix_tol, floor)]

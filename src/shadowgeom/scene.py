@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .expr import ParseError, parse_chart
+from .expr import EvalDomainError, ParseError, parse_chart
 from .fields import ConstantField, ExprField, FieldAlongM
 from .geometry import AmbientSpace, Box, SubmanifoldPatch
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -159,7 +159,7 @@ def _number(text: str, source: str, line: int) -> float:
     try:
         chart = parse_chart(f"({text})", ())
         return float(chart.eval_values(np.zeros((1, 0)))[0, 0])
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, EvalDomainError) as exc:
         raise SceneError(f"cannot evaluate number {text!r}: {exc}", source, line)
 
 

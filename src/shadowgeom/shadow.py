@@ -82,13 +82,15 @@ def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
 
 
 def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
-                  tols: Tolerances = DEFAULT_TOLS):
+                  tols: Tolerances = DEFAULT_TOLS, frames=None):
     """Residual, Jacobian and frames in one pass: (F (B,k), J (B,k,n), frames).
 
     J is exact where F vanishes and first-order accurate elsewhere.
+    `frames`, when given, are order-2 frames already built at `points`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    frames = frames_at(patch, points, order=2, tols=tols)
+    if frames is None:
+        frames = frames_at(patch, points, order=2, tols=tols)
     y = field.values(points)
     f = np.einsum("bmj,bm->bj", frames.normal, y)
     coord = second_form_coord(frames)                  # (B, n, n, k)
@@ -433,9 +435,13 @@ def _dedup(box: Box, points, residuals, radius):
     return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
 
 
-def _extract_newton(patch, field, grid, res, tols):
+def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
     """Damped Gauss-Newton from every grid seed; returns (points, residuals,
     polylines, dropped seeds).
+
+    `grid_frames` may hold the order-2 frames of the grid scan, in a list
+    this function empties, so the first `shadow_system` call reuses them
+    and no caller keeps them alive while Newton runs.
 
     Only the active rows, those whose coordinates changed bit for bit in
     the previous iteration and are still inside the padded box, go
@@ -456,8 +462,11 @@ def _extract_newton(patch, field, grid, res, tols):
     alive = np.ones(u.shape[0], dtype=bool)
     resid = np.empty(u.shape[0])
     active = np.arange(u.shape[0])
+    frames = grid_frames.pop() if grid_frames else None
     for _ in range(_NEWTON_ITERS):
-        f, jac, _ = shadow_system(patch, field, u[active], tols)
+        # only F and J are kept: each call's frames are freed before the next
+        f, jac = shadow_system(patch, field, u[active], tols, frames=frames)[:2]
+        frames = None
         bad = np.max(np.abs(f), axis=1)
         resid[active] = bad
         move = bad > tols.extract_tol
@@ -501,11 +510,13 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     """
     res = patch.domain._res_tuple(resolution)
     grid = patch.domain.grid(res)
-    frames = frames_at(patch, grid, order=1, tols=tols)
+    edges = patch.codim == 1 and patch.n in (1, 2)
+    # Newton's first step needs order-2 frames on this same grid; their
+    # normals, hence F, are those of order-1 frames
+    frames = frames_at(patch, grid, order=1 if edges else 2, tols=tols)
     f = shadow_values(patch, field, grid, tols, frames=frames)
     flat_mag = np.max(np.abs(f), axis=1)
     frac = float(np.mean(flat_mag < tols.extract_tol))
-    k = frames.normal.shape[2]
 
     if frac >= DEGENERATE_FRACTION:
         return ShadowSet(
@@ -520,13 +531,16 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
         )
 
     dropped = 0
-    if k == 1 and patch.n == 1:
+    if edges and patch.n == 1:
         pts, resid, _ = _edge_roots(patch, field, f, frames.normal[:, :, 0], res, tols)
         lines = ()
-    elif k == 1 and patch.n == 2:
+    elif edges:
         pts, resid, lines = _extract_marching(patch, field, f, frames.normal[:, :, 0], res, tols)
     else:
-        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols)
+        grid_frames = [frames]
+        del frames
+        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols,
+                                                     grid_frames)
 
     if pts.shape[0]:
         ambient = patch.chart.eval_values(pts)

@@ -9,6 +9,7 @@ import pytest
 from shadowgeom import cli, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.scene import SceneError
+from shadowgeom.tolerances import DEFAULT_TOLS
 
 
 def invoke(capsys, *argv):
@@ -180,6 +181,25 @@ def test_helix_runs_the_constancy_test_once(capsys, monkeypatch):
     code, _, _ = invoke(capsys, "helix", "cone_axis")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scene", ["cylinder_e3", "cone_axis"])
+def test_helix_builds_grid_frames_once(capsys, monkeypatch, scene):
+    # one order-2 frame build on the grid serves the constancy test, the
+    # Gauss-Kronecker curvature and the classification (tangent case on the
+    # cylinder, transversal on the cone)
+    calls = []
+    real_frames = helix.frames_at
+
+    def spy(patch, points, order=2, tols=DEFAULT_TOLS):
+        calls.append((order, len(points)))
+        return real_frames(patch, points, order=order, tols=tols)
+
+    monkeypatch.setattr(helix, "frames_at", spy)
+    code, out, _ = invoke(capsys, "helix", scene)
+    assert code == 0
+    rows = report_of(out)["results"]["constancy"]["n_points"]
+    assert [c for c in calls if c[1] == rows] == [(2, rows)]
 
 
 def test_helix_sphere_rejected(capsys):

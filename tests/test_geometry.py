@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowgeom import geometry
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
 from shadowgeom.geometry import (
@@ -16,11 +17,14 @@ from shadowgeom.geometry import (
     OffAmbientError,
     SubmanifoldPatch,
     ambient_tangent_basis,
+    column_signs,
     composed_patch,
     frames_at,
     validate_patch,
 )
 from shadowgeom.helix import helix_components
+from shadowgeom.shadow import product_patch
+from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import parallelity_residual
 
 import shapes
@@ -204,6 +208,131 @@ def test_cone_apex_rank_failure():
     patch = shapes.cone(r0=0.0)
     with pytest.raises(ChartRankError):
         frames_at(patch, [(0.0, 1.0)])
+
+
+def _svd_gate_reference(jac, points, tols=DEFAULT_TOLS):
+    """The rank gate as an exact SVD of every row, then QR, signs and inverse."""
+    svals = np.linalg.svd(jac, compute_uv=False)
+    good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
+    if not good.all():
+        i = int(np.argmax(~good))
+        raise ChartRankError(
+            f"chart Jacobian is rank-deficient (singular value ratio "
+            f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
+            points[i],
+        )
+    q, r = np.linalg.qr(jac)
+    signs = column_signs(q)
+    return q * signs[:, None, :], np.linalg.inv(r * signs[:, :, None])
+
+
+def _gate_outcome(gate, jac, points):
+    """What a gate does: the error type, message and point, or the bits of q
+    and rinv."""
+    try:
+        q, rinv = gate(jac, points, DEFAULT_TOLS)
+    except (ChartRankError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+    return q.tobytes(), rinv.tobytes()
+
+
+def _assert_gates_agree(jac):
+    points = np.arange(2.0 * jac.shape[0]).reshape(-1, 2)
+    assert (_gate_outcome(geometry._certified_qr, jac, points)
+            == _gate_outcome(_svd_gate_reference, jac, points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), m=st.integers(1, 5),
+       data=st.data())
+def test_rank_gate_matches_exact_svd_gate(seed, b, m, data):
+    # columns scaled so sigma_min / sigma_max spans 1e-6 to 1e-11 around
+    # rank_tol = 1e-8, mixed with healthy rows and any overall magnitude;
+    # a large shear then makes columns nearly parallel with no small pivot
+    # of R, so the QR bound, not the pivot test, has to send the row on
+    n = data.draw(st.integers(1, m))
+
+    def per_row(low, high):
+        return data.draw(st.lists(st.one_of(st.floats(*low), st.floats(*high)),
+                                  min_size=b, max_size=b))
+
+    decades = np.array(per_row((-11.0, -6.0), (-1.0, 0.0)))
+    shears = np.array(per_row((-2.0, 0.0), (2.5, 6.0)))
+    scale = data.draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(seed)
+    steps = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
+    cols = 10.0 ** (decades[:, None] * rng.permutation(steps)[None, :] + scale)
+    upper = np.eye(n) + 10.0 ** shears[:, None, None] * np.triu(np.ones((n, n)), 1)
+    _assert_gates_agree((rng.standard_normal((b, m, n)) * cols[:, None, :]) @ upper)
+
+
+def test_rank_gate_bound_catches_healthy_pivots():
+    # R = [[1, 1e5], [0, 1]]: no pivot is small, but sigma_min / sigma_max
+    # is about 1e-10, so only the exact SVD of the low-bound row rejects it
+    patch = SubmanifoldPatch(parse_chart("(u + 1e5*v, v, 0)", ("u", "v")),
+                             Box((-1.0, -1.0), (1.0, 1.0), (False, False)),
+                             AmbientSpace(3))
+    pts = np.array([[0.5, 0.25], [0.0, 0.0]])
+    jac = patch.chart.eval_jets(pts, order=1).jac
+    r = np.linalg.qr(jac)[1]
+    assert np.abs(np.diagonal(r, axis1=1, axis2=2)).min() == 1.0
+    with pytest.raises(ChartRankError) as caught:
+        frames_at(patch, pts)
+    with pytest.raises(ChartRankError) as expected:
+        _svd_gate_reference(jac, pts)
+    assert str(caught.value) == str(expected.value)
+    assert "singular value ratio 1.000e-10" in str(caught.value)
+    _assert_gates_agree(jac)
+
+
+def test_rank_gate_exactly_singular_column():
+    patch = SubmanifoldPatch(parse_chart("(u, u^2, 0)", ("u", "v")),
+                             Box((-1.0, -1.0), (1.0, 1.0), (False, False)),
+                             AmbientSpace(3))
+    with pytest.raises(ChartRankError, match=r"singular value ratio 0\.000e\+00\) "
+                       r"at parameters \(0\.5, 0\.0\)"):
+        frames_at(patch, [(0.5, 0.0)])
+    jac = np.random.default_rng(5).standard_normal((4, 3, 2))
+    jac[2, :, 1] = 0.0
+    _assert_gates_agree(jac)
+    jac[2, :, 1] = jac[2, :, 0]
+    _assert_gates_agree(jac)
+    jac[2] = 0.0
+    _assert_gates_agree(jac)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (2, 1, 1)])
+def test_rank_gate_non_finite_jacobian(bad, where):
+    jac = np.random.default_rng(7).standard_normal((3, 3, 2))
+    jac[where] = bad
+    _assert_gates_agree(jac)
+    jac[:] = bad
+    _assert_gates_agree(jac)
+
+
+def test_healthy_grid_frames_make_no_svd_call(monkeypatch):
+    # the QR bound certifies every row of the product_spheres Newton grid
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(geometry.np.linalg, "svd", spy)
+    patch = product_patch(shapes.sphere(), shapes.sphere())
+    grid = patch.domain.grid(12)
+    assert grid.shape == (20736, 4)
+    frames_at(patch, grid, order=1)
+    frames_at(patch, grid, order=2)
+    assert calls == []
+    # the spy does see the exact gate when a row needs it
+    jac = np.array([np.eye(3, 2)] * 3)
+    jac[1, 0, 1] = 1e5
+    with pytest.raises(ChartRankError):
+        geometry._certified_qr(jac, np.zeros((3, 2)), DEFAULT_TOLS)
+    assert calls == [(1, 3, 2)]
 
 
 # -- splitting and derivatives ---------------------------------------------

@@ -390,6 +390,17 @@ def test_bad_number_reports_value():
         parse_scene(text)
 
 
+@pytest.mark.parametrize("number", ["log(0)", "sqrt(-1)", "1/0"])
+def test_number_outside_primitive_domain_reports_line(number):
+    # a constant outside a primitive's domain is a scene error at its line,
+    # not a bare evaluation error with no scene file or line
+    text = MINIMAL.replace("lo = -1, -1", f"lo = {number}, -1")
+    line = 1 + text[:text.index(number)].count("\n")
+    with pytest.raises(SceneError) as caught:
+        parse_scene(text)
+    assert str(caught.value).startswith(f"scene:{line}: cannot evaluate number {number!r}")
+
+
 def test_mismatched_box_lengths_rejected():
     text = MINIMAL.replace("lo = -1, -1", "lo = -1")
     with pytest.raises(SceneError, match="lengths disagree"):

@@ -408,9 +408,9 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     rows, order1_rows = [], []
     real_system, real_frames = shadow.shadow_system, shadow.frames_at
 
-    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
         rows.append(len(points))
-        return real_system(patch, field, points, tols)
+        return real_system(patch, field, points, tols, frames=frames)
 
     def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS):
         if order == 1:
@@ -428,6 +428,25 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     assert order1_rows == []
 
 
+def test_newton_route_builds_grid_frames_once(monkeypatch):
+    # the degeneracy scan builds order-2 frames, and Newton's first step
+    # reuses them instead of building its own on the same grid
+    calls = []
+    real_frames = shadow.frames_at
+    patch, field, resolution = _product_spheres()
+    grid = patch.domain.grid(resolution)
+
+    def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS):
+        on_grid = np.shape(points) == grid.shape and np.array_equal(points, grid)
+        calls.append((order, on_grid))
+        return real_frames(patch, points, order=order, tols=tols)
+
+    monkeypatch.setattr(shadow, "frames_at", frames_spy)
+    extract_shadow_set(patch, field, resolution)
+    assert [order for order, on_grid in calls if on_grid] == [2]
+    assert [order for order, _ in calls if order == 1] == []
+
+
 @pytest.mark.parametrize("resolution, rows, calls", [(12, 580, 6), (24, 3140, 9)])
 def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatch):
     # seeds where the Jacobian is singular get a zero step; once they stop
@@ -435,9 +454,9 @@ def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatc
     batches = []
     real_system = shadow.shadow_system
 
-    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
         batches.append(len(points))
-        return real_system(patch, field, points, tols)
+        return real_system(patch, field, points, tols, frames=frames)
 
     monkeypatch.setattr(shadow, "shadow_system", system_spy)
     patch, field, resolution = _product_circles(resolution)
