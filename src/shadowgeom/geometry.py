@@ -8,8 +8,14 @@ Jacobian, an orthonormal basis of the ambient tangent space from the
 constraint kernel, and an orthonormal normal frame spanning the
 complement of the patch tangent inside the ambient tangent.
 
-Frame vectors follow one deterministic sign convention: the component of
-largest magnitude (first such index on ties) is made positive.  Two
+Tangent and ambient columns, and normal columns when there are two or
+more, follow one deterministic sign convention: the component of largest
+magnitude (first such index on ties) is made positive.  A single normal
+(k = 1) is oriented instead: xi is signed so that det[d_1 x ... d_n x |
+xi | grad c_1 ... grad c_kc] > 0, chart Jacobian columns first and
+constraint gradients last (none when the ambient is flat).  Every column
+of that matrix is continuous and the rank gates keep it invertible, so
+xi is continuous over the whole patch, periodic seams included.  Two
 evaluations at the same parameters produce bit-identical frames.
 """
 
@@ -328,10 +334,17 @@ class FrameBatch:
 
 def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_TOLS):
     """Orthonormal basis of ker Dc(x), (B, m, d); identity columns when flat."""
+    return _ambient_kernel(ambient, x, tols)[0]
+
+
+def _ambient_kernel(ambient: AmbientSpace, x, tols: Tolerances):
+    """Orthonormal basis of ker Dc(x), (B, m, d), and the constraint
+    Jacobian Dc(x) it came from, (B, kc, m); identity columns and no
+    constraint rows when flat."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b, m = x.shape
     if ambient.flat:
-        return np.broadcast_to(np.eye(m), (b, m, m)).copy()
+        return np.broadcast_to(np.eye(m), (b, m, m)).copy(), np.zeros((b, 0, m))
     jets = ambient.constraint.eval_jets(x, order=1)
     resid = np.abs(jets.value).max(axis=1)
     scale = 1.0 + np.linalg.norm(x, axis=1)
@@ -349,7 +362,7 @@ def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_T
         i = int(np.argmax(bad))
         raise ChartRankError("constraint Jacobian is rank-deficient", x[i])
     kernel = vh[:, ambient.n_constraints :, :].transpose(0, 2, 1)
-    return fix_column_signs(kernel)
+    return fix_column_signs(kernel), dc
 
 
 def _svd_rank_gate(jac, points, tols: Tolerances):
@@ -408,6 +421,10 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     rows the bound cannot clear by a safety margin, or the whole batch
     when a pivot of R is near zero, fall back to the exact SVD
     (`_certified_qr`).
+
+    A single normal (k = 1) is signed so that det[jac | xi | Dc^T] > 0,
+    which makes it continuous across the patch; two or more normal
+    columns take the largest-component sign convention.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     jets = patch.chart.eval_jets(points, order=order)
@@ -415,7 +432,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     b, m, n = jac.shape
     q, rinv = _certified_qr(jac, points, tols)
     metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
-    amb = ambient_tangent_basis(patch.ambient, x, tols)
+    amb, dc = _ambient_kernel(patch.ambient, x, tols)
     d = amb.shape[2]
     k = d - n
     if k < 0:
@@ -427,7 +444,11 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     else:
         resid = amb - q @ np.einsum("bmn,bmd->bnd", q, amb)
         normal = orthonormal_span(resid, k, orthogonal_to=q, point_hint=points)
-        normal = fix_column_signs(normal)
+        if k == 1:
+            orient = np.concatenate([jac, normal, dc.transpose(0, 2, 1)], axis=2)
+            normal = normal * np.where(np.linalg.slogdet(orient)[0] < 0, -1.0, 1.0)[:, None, None]
+        else:
+            normal = fix_column_signs(normal)
     return FrameBatch(points, x, jets.jac, jets.hess, metric, q, rinv, amb, normal)
 
 

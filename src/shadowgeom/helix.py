@@ -56,7 +56,6 @@ from .transport import geodesic_traces, parallelity_residual, rk4_tracks, track_
 
 __all__ = [
     "HelixReport",
-    "helix_components",
     "helix_constancy_report",
     "classify_hypersurface_helix",
     "orthogonal_tgs_check",
@@ -91,13 +90,6 @@ def _split_components(frames, y):
         np.linalg.norm(nor_c, axis=1),
         np.linalg.norm(amb_c, axis=1),
     )
-
-
-def helix_components(patch: SubmanifoldPatch, field, points,
-                     tols: Tolerances = DEFAULT_TOLS):
-    """Arrays (h, |nor Y|, |Y|) over a batch of parameter points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _split_components(frames_at(patch, pts, order=1, tols=tols), field.values(pts))
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,15 @@ and a strict sign change is bisected and keyed by its edge.  Curves
 yield those isolated points; on surfaces marching squares pairs the
 edge keys inside each cell in one vectorised pass (a four-crossing cell
 by the asymptotic decider on its corner values) and chains the segments
-into polylines.  Everything else goes through damped
+into polylines.  `frames_at` orients a single normal continuously, so
+there F is one continuous function and the scan, the bisection and the
+decider read its raw signs.  Everything else goes through damped
 Gauss-Newton from grid seeds.  Newton iterates only the active set:
 a seed is evaluated again only when its coordinates changed in the
 previous iteration and it stayed in the box; every other seed carries
-the residual of its last evaluation.  Normal frames built pointwise
-carry an arbitrary sign/rotation, so every comparison of F across
-nearby points first aligns the frames (sign for k = 1, polar factor
-for k >= 2).
+the residual of its last evaluation.  Two or more normal columns carry
+an arbitrary rotation from point to point, so the finite-difference
+Jacobian check rotates nearby frames onto the center frame first.
 """
 
 from __future__ import annotations
@@ -195,65 +196,41 @@ def _sign(values):
     return np.where(values < 0.0, -1.0, 1.0)
 
 
-def _edge_endpoints(f, normals, axis, periodic):
-    """Endpoint residuals and normals for all grid edges along `axis`."""
-    if periodic:
-        fa, na = f, normals
-        fb = np.roll(f, -1, axis=axis)
-        nb = np.roll(normals, -1, axis=axis)
-    else:
-        sl_a = [slice(None)] * f.ndim
-        sl_b = [slice(None)] * f.ndim
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        fa, fb = f[tuple(sl_a)], f[tuple(sl_b)]
-        na, nb = normals[tuple(sl_a)], normals[tuple(sl_b)]
-    return fa, fb, na, nb
+def _classify_edges(f, axis, periodic, ztol):
+    """Endpoint residuals (fa, fb) of every grid edge along `axis`, and the
+    edges split into strict sign changes and single-vertex zeros.
 
-
-def _classify_edges(fa, fb, na, nb, ztol):
-    """Split edges into strict sign changes and single-vertex zeros.
-
-    Roots sitting exactly on grid nodes defeat a plain sign test (the
-    frame sign at a node is arbitrary, and sign(0) has to pick a side),
-    so node zeros are classified separately and taken as roots as-is.
+    sign(0) has to pick a side, so a root sitting on a grid node defeats
+    a plain sign test; node zeros are classified separately and taken as
+    roots as-is.  Returns (fa, fb, strict, vertex, za).
     """
-    dots = np.einsum("...m,...m->...", na, nb)
-    flip = np.where(dots < 0.0, -1.0, 1.0)
+    fa, fb = f, np.roll(f, -1, axis=axis)
+    if not periodic:  # the last node along a walled axis starts no edge
+        last = f.shape[axis] - 1
+        fa, fb = np.delete(fa, last, axis=axis), np.delete(fb, last, axis=axis)
     za = np.abs(fa) <= ztol
     zb = np.abs(fb) <= ztol
-    strict = ~za & ~zb & (fa * (flip * fb) < 0.0)
-    vertex = za ^ zb
-    return strict, vertex, za
+    return fa, fb, ~za & ~zb & (fa * fb < 0.0), za ^ zb, za
 
 
-def _aligned_residual(patch, field, pts, anchors, tols):
-    """Scalar F at pts, each normal flipped to agree with its anchor normal."""
-    fr = frames_at(patch, pts, order=1, tols=tols)
-    nm = fr.normal[:, :, 0]
-    flip = _sign(np.einsum("bm,bm->b", nm, anchors))
-    y = field.values(pts)
-    return flip * np.einsum("bm,bm->b", nm, y)
-
-
-def _bisect(patch, field, a_pts, b_pts, anchors, tols):
-    """Roots of the aligned scalar residual on segments [a, b], batched."""
+def _bisect(patch, field, a_pts, b_pts, tols):
+    """Roots of the scalar residual F on segments [a, b], batched."""
     lo = np.array(a_pts, dtype=float)
     hi = np.array(b_pts, dtype=float)
-    s_lo = _sign(_aligned_residual(patch, field, lo, anchors, tols))
+    s_lo = _sign(shadow_values(patch, field, lo, tols)[:, 0])
     for _ in range(64):
         if float(np.max(np.linalg.norm(hi - lo, axis=1))) <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        same = _sign(_aligned_residual(patch, field, mid, anchors, tols)) == s_lo
+        same = _sign(shadow_values(patch, field, mid, tols)[:, 0]) == s_lo
         lo = np.where(same[:, None], mid, lo)
         hi = np.where(same[:, None], hi, mid)
     root = 0.5 * (lo + hi)
-    res = np.abs(_aligned_residual(patch, field, root, anchors, tols))
+    res = np.abs(shadow_values(patch, field, root, tols)[:, 0])
     return root, res
 
 
-def _edge_roots(patch, field, f, normals, res, tols):
+def _edge_roots(patch, field, f, res, tols):
     """Roots of F on every grid edge of a curve or surface patch (k = 1).
 
     Returns (points, residuals, ids); ids maps each edge key (axis, *start)
@@ -267,13 +244,12 @@ def _edge_roots(patch, field, f, normals, res, tols):
     box = patch.domain
     shape = tuple(res)
     ff = f[:, 0].reshape(shape)
-    nn = normals.reshape(shape + (-1,))
     starts = box.grid(res).reshape(shape + (box.n,))
     node_keys, node_of, node_pts, node_res = [], [], [], []
-    bis_keys, bis_a, bis_b, bis_anchor = [], [], [], []
+    bis_keys, bis_a, bis_b = [], [], []
     for axis, h in enumerate(box.cell_sizes(res)):
-        fa, fb, na, nb = _edge_endpoints(ff, nn, axis, box.periodic[axis])
-        strict, vertex, za = _classify_edges(fa, fb, na, nb, tols.extract_tol)
+        fa, fb, strict, vertex, za = _classify_edges(ff, axis, box.periodic[axis],
+                                                     tols.extract_tol)
         off = np.zeros(box.n)
         off[axis] = h
         idx = np.nonzero(vertex)
@@ -288,7 +264,6 @@ def _edge_roots(patch, field, f, normals, res, tols):
         bis_keys += [(axis, *s) for s in np.transpose(idx).tolist()]
         bis_a.append(starts[idx])
         bis_b.append(starts[idx] + off)
-        bis_anchor.append(na[idx])
 
     _, first, inverse = np.unique(np.concatenate(node_of), return_index=True,
                                   return_inverse=True)
@@ -298,8 +273,7 @@ def _edge_roots(patch, field, f, normals, res, tols):
     pts = [np.concatenate(node_pts)[keep]]
     resid = [np.concatenate(node_res)[keep]]
     if bis_keys:
-        r, rs = _bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b),
-                        np.concatenate(bis_anchor), tols)
+        r, rs = _bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b), tols)
         ids.update(zip(bis_keys, range(keep.size, keep.size + len(bis_keys))))
         pts.append(r)
         resid.append(rs)
@@ -387,26 +361,19 @@ def _chain(segments, n_points):
     return tuple(lines)
 
 
-def _extract_marching(patch, field, f, normals, res, tols):
+def _extract_marching(patch, field, f, res, tols):
     """Edge roots of a surface patch, paired per cell and chained."""
-    pts, resid, ids = _edge_roots(patch, field, f, normals, res, tols)
+    pts, resid, ids = _edge_roots(patch, field, f, res, tols)
     ff = f[:, 0].reshape(res)
-    nn = normals.reshape(res[0], res[1], -1)
 
     def corners_connect(cells):
         # asymptotic decider (Nielson & Hamann 1991): corners (i, j) and
         # (i + 1, j + 1) connect when the bilinear interpolant's saddle value
         # (f00 f11 - f01 f10) / (f00 + f11 - f01 - f10) has the sign of f00,
-        # taken as the product of the two signs; corner values are aligned
-        # to the normal at (i, j) first
+        # taken as the product of the two signs
         i, j = np.array(cells).T
         i1, j1 = (i + 1) % res[0], (j + 1) % res[1]
-        anchor = nn[i, j]
-
-        def aligned(a, b):
-            return _sign(np.einsum("bm,bm->b", nn[a, b], anchor)) * ff[a, b]
-
-        f00, f01, f10, f11 = ff[i, j], aligned(i, j1), aligned(i1, j), aligned(i1, j1)
+        f00, f01, f10, f11 = ff[i, j], ff[i, j1], ff[i1, j], ff[i1, j1]
         saddle = _sign(f00 * f11 - f01 * f10) * _sign(f00 + f11 - f01 - f10)
         return saddle == _sign(f00)
 
@@ -532,10 +499,10 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 
     dropped = 0
     if edges and patch.n == 1:
-        pts, resid, _ = _edge_roots(patch, field, f, frames.normal[:, :, 0], res, tols)
+        pts, resid, _ = _edge_roots(patch, field, f, res, tols)
         lines = ()
     elif edges:
-        pts, resid, lines = _extract_marching(patch, field, f, frames.normal[:, :, 0], res, tols)
+        pts, resid, lines = _extract_marching(patch, field, f, res, tols)
     else:
         grid_frames = [frames]
         del frames

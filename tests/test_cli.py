@@ -249,6 +249,17 @@ def test_verify_minimality_torus(capsys):
     assert rep["theorem"] == "minimality"
 
 
+def test_verify_product_shadow_circles_coarse_grid(capsys):
+    # at grid 3 the factor circles' shadow points {0, pi} sit on a node and
+    # inside an edge whose endpoint normals are 120 degrees apart
+    code, out, _ = invoke(capsys, "verify", "product-shadow", "product_circles",
+                          "--grid", "3")
+    assert code == 0
+    rep = report_of(out)["results"]["report"]
+    assert rep["verdict"] == "confirmed"
+    assert rep["details"]["n_reference"] == 4
+
+
 def test_verify_not_met_exits_2(capsys):
     code, out, _ = invoke(capsys, "verify", "orthogonal-tgs", "line_in_plane")
     assert code == 2

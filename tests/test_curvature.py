@@ -52,11 +52,14 @@ def test_sphere_mean_curvature_vector():
 
 
 def test_torus_outer_equator_curvatures():
+    # the oriented normal points inward here, so both curvatures are positive;
+    # the mean curvature vector does not depend on the normal's sign
     frames = _frames(shapes.torus(), (0.0, 0.0))
-    np.testing.assert_allclose(_principal_curvatures(frames)[0], [-1.0, -1.0 / 3.0],
+    np.testing.assert_allclose(frames.normal[0, :, 0], [-1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(_principal_curvatures(frames)[0], [1.0 / 3.0, 1.0],
                                atol=1e-12)
     _, orth = second_form_components(frames)
-    np.testing.assert_allclose(orth[0, :, :, 0], np.diag([-1.0, -1.0 / 3.0]), atol=1e-12)
+    np.testing.assert_allclose(orth[0, :, :, 0], np.diag([1.0, 1.0 / 3.0]), atol=1e-12)
     assert gauss_kronecker(frames)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     np.testing.assert_allclose(mean_curvature(frames)[0], [-2.0 / 3.0, 0.0, 0.0],
                                atol=1e-12)

@@ -22,7 +22,7 @@ from shadowgeom.geometry import (
     frames_at,
     validate_patch,
 )
-from shadowgeom.helix import helix_components
+from shadowgeom.helix import _split_components
 from shadowgeom.shadow import product_patch
 from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import parallelity_residual
@@ -340,10 +340,10 @@ def test_healthy_grid_frames_make_no_svd_call(monkeypatch):
 
 def test_split_tangent_normal_on_sphere():
     # |tan| and |nor| of a tangent and of a normal vector at the equator
-    at = [(math.pi / 2, 0.0)]
-    h, nor, ynorm = helix_components(shapes.sphere(), ConstantField([0.0, 0.3, 0.4]), at)
+    frames = frames_at(shapes.sphere(), np.array([(math.pi / 2, 0.0)]), order=1)
+    h, nor, ynorm = _split_components(frames, np.array([[0.0, 0.3, 0.4]]))
     np.testing.assert_allclose([h[0], nor[0], ynorm[0]], [0.5, 0.0, 0.5], atol=1e-14)
-    h, nor, ynorm = helix_components(shapes.sphere(), ConstantField([0.7, 0.0, 0.0]), at)
+    h, nor, ynorm = _split_components(frames, np.array([[0.7, 0.0, 0.0]]))
     np.testing.assert_allclose([h[0], nor[0], ynorm[0]], [0.0, 0.7, 0.7], atol=1e-14)
 
 
@@ -353,7 +353,7 @@ def test_split_recombines_everywhere():
     for _ in range(6):
         u = rng.uniform(0.0, TWO_PI, size=(1, 2))
         v = rng.normal(size=3)
-        h, nor, ynorm = helix_components(patch, ConstantField(v), u)
+        h, nor, ynorm = _split_components(frames_at(patch, u, order=1), v[None, :])
         np.testing.assert_allclose(h**2 + nor**2, np.dot(v, v), atol=1e-12)
         np.testing.assert_allclose(ynorm, np.linalg.norm(v), atol=1e-12)
 

@@ -20,10 +20,10 @@ from shadowgeom.helix import (
     _auto_t1,
     _halving_retry,
     _seed_grid,
+    _split_components,
     _tan_flow,
     classify_hypersurface_helix,
     geodesic_alignment_check,
-    helix_components,
     helix_constancy_report,
     minimality_criterion,
     orthogonal_tgs_check,
@@ -74,7 +74,8 @@ def test_cone_angle_is_cos_half_angle():
 def test_sphere_angle_is_sin_colatitude_and_not_constant():
     patch = shapes.sphere(margin=0.1)
     theta = math.pi / 3
-    h, _, _ = helix_components(patch, E3, [[theta, 0.4]])
+    at = np.array([[theta, 0.4]])
+    h, _, _ = _split_components(frames_at(patch, at, order=1), E3.values(at))
     assert abs(h[0] - math.sin(theta)) < 1e-12
     rep = helix_constancy_report(patch, E3)
     assert not rep.is_helix
@@ -90,7 +91,7 @@ def test_plane_with_orthogonal_field_is_orthogonal_helix():
 def test_splitting_pythagoras_on_corpus():
     for patch in (shapes.sphere(), shapes.torus(), shapes.cone(), shapes.saddle()):
         grid = patch.domain.grid(11)
-        h, nor, ynorm = helix_components(patch, E3, grid)
+        h, nor, ynorm = _split_components(frames_at(patch, grid, order=1), E3.values(grid))
         np.testing.assert_allclose(h**2 + nor**2, ynorm**2, atol=1e-10)
 
 

@@ -1,10 +1,11 @@
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from shadowgeom import shadow
-from shadowgeom.cli import find_scene
+from shadowgeom.cli import SCENES_DIR, find_scene
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
 from shadowgeom.geometry import GeometryError, frames_at, validate_patch
@@ -496,6 +497,24 @@ def _merge_roots(box, roots, resids, keys, radius):
     return np.array(points).reshape(-1, box.n), np.array(point_res), idmap
 
 
+def _flipped_edges(f, normals, axis, periodic, ztol):
+    """Reference: endpoint residuals and edge classes along `axis`, each
+    edge's far residual flipped when its endpoint normals disagree."""
+    if periodic:
+        fa, fb = f, np.roll(f, -1, axis=axis)
+        na, nb = normals, np.roll(normals, -1, axis=axis)
+    else:
+        n = f.shape[axis]
+        fa, fb = np.take(f, range(n - 1), axis=axis), np.take(f, range(1, n), axis=axis)
+        na = np.take(normals, range(n - 1), axis=axis)
+        nb = np.take(normals, range(1, n), axis=axis)
+    flip = np.where(np.einsum("...m,...m->...", na, nb) < 0.0, -1.0, 1.0)
+    za = np.abs(fa) <= ztol
+    zb = np.abs(fb) <= ztol
+    strict = ~za & ~zb & (fa * (flip * fb) < 0.0)
+    return fa, fb, strict, za ^ zb, za
+
+
 def _surface_roots_loop(patch, field, f, normals, res, tols):
     """Reference: edge-by-edge root collection, then distance merging."""
     r0, r1 = res
@@ -504,17 +523,16 @@ def _surface_roots_loop(patch, field, f, normals, res, tols):
     box = patch.domain
     g0, g1 = box.axis_grid(0, r0), box.axis_grid(1, r1)
     h0, h1 = box.cell_sizes(res)
-    bis_keys, bis_a, bis_off, bis_anchor = [], [], [], []
+    bis_keys, bis_a, bis_off = [], [], []
     roots, resids, keys = [], [], []
     for axis, h in ((0, h0), (1, h1)):
-        fa, fb, na, nb = shadow._edge_endpoints(ff, nn, axis, box.periodic[axis])
-        strict, vertex, za = shadow._classify_edges(fa, fb, na, nb, tols.extract_tol)
+        fa, fb, strict, vertex, za = _flipped_edges(ff, nn, axis, box.periodic[axis],
+                                                    tols.extract_tol)
         off = (h, 0.0) if axis == 0 else (0.0, h)
         for i, j in zip(*np.nonzero(strict)):
             bis_keys.append((axis, int(i), int(j)))
             bis_a.append((g0[i], g1[j]))
             bis_off.append(off)
-            bis_anchor.append(na[i, j])
         for i, j in zip(*np.nonzero(vertex)):
             a = np.array((g0[i], g1[j]))
             keys.append((axis, int(i), int(j)))
@@ -522,8 +540,7 @@ def _surface_roots_loop(patch, field, f, normals, res, tols):
             resids.append(abs(fa[i, j]) if za[i, j] else abs(fb[i, j]))
     if bis_keys:
         a_pts = np.array(bis_a)
-        r, rs = shadow._bisect(patch, field, a_pts, a_pts + np.array(bis_off),
-                               np.array(bis_anchor), tols)
+        r, rs = shadow._bisect(patch, field, a_pts, a_pts + np.array(bis_off), tols)
         roots.extend(r)
         resids.extend(rs)
         keys.extend(bis_keys)
@@ -533,15 +550,15 @@ def _surface_roots_loop(patch, field, f, normals, res, tols):
 def _curve_roots_loop(patch, field, f, normals, res, tols):
     """Reference: bisected crossings first, then node zeros, then merging."""
     box = patch.domain
-    fa, fb, na, nb = shadow._edge_endpoints(f[:, 0], normals, 0, box.periodic[0])
-    strict, vertex, za = shadow._classify_edges(fa, fb, na, nb, tols.extract_tol)
+    fa, fb, strict, vertex, za = _flipped_edges(f[:, 0], normals, 0, box.periodic[0],
+                                                tols.extract_tol)
     grid = box.axis_grid(0, res[0])[: fa.shape[0]]
     h = box.cell_sizes(res)[0]
     keys, roots, resids = [], [], []
     idx = np.nonzero(strict)[0]
     if idx.size:
         a = grid[idx][:, None]
-        r, rs = shadow._bisect(patch, field, a, a + h, na[idx], tols)
+        r, rs = shadow._bisect(patch, field, a, a + h, tols)
         keys.extend((0, int(i)) for i in idx)
         roots.extend(r)
         resids.extend(rs)
@@ -567,7 +584,7 @@ def _scene_subject(name):
 def test_edge_roots_match_merged_edge_loop_on_surfaces(subject, resolution):
     patch, field = subject()
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, normals, res, DEFAULT_TOLS)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, res, DEFAULT_TOLS)
     ref_pts, ref_resid, ref_ids = _surface_roots_loop(patch, field, f, normals, res,
                                                       DEFAULT_TOLS)
     assert pts.shape[0] > 0
@@ -581,7 +598,7 @@ def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
     # u = 0 is a grid node, reported by edge 0 and by the last, wrapping edge
     patch, field = _scene_subject("circle_r2_e2")
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, normals, res, DEFAULT_TOLS)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, res, DEFAULT_TOLS)
     ref_pts, ref_resid, ref_ids = _curve_roots_loop(patch, field, f, normals, res,
                                                     DEFAULT_TOLS)
     assert ids[(0, 0)] == ids[(0, resolution - 1)] == 0
@@ -693,3 +710,57 @@ def test_saddle_cell_pairs_hyperbola_branches(c, a):
         assert signs[0, 0] * signs[0, 1] == -np.sign(c)
         quadrants.add(tuple(signs[0]))
     assert len(quadrants) == 2
+
+
+# -- one continuous normal (k = 1) -------------------------------------------------
+
+
+@pytest.mark.parametrize("name, resolution, values, expected", [
+    ("cone_axis", 2, lambda s: s.params[:, 0], []),
+    ("cone_axis", 3, lambda s: s.params[:, 0], []),
+    ("circle_r2_e2", 3, lambda s: s.params[:, 0], [0.0, np.pi]),
+    ("torus_e3", 3, lambda s: np.hypot(s.ambient[:, 0], s.ambient[:, 1]), [1.0, 3.0]),
+    ("sphere_e3", 2, lambda s: s.ambient[:, 2], [0.0]),
+], ids=["cone-2", "cone-3", "circle-3", "torus-3", "sphere-2"])
+def test_coarse_grid_shadow_sets(name, resolution, values, expected):
+    # an edge whose normal turns by more than 90 degrees still brackets
+    # every sign change of F, and no edge without one reports a root:
+    # the cone's axis field is nowhere tangent, the circle's set is
+    # {0, pi}, the torus has both circles (radii 1 and 3), the sphere's
+    # points lie on the equator
+    patch, field = _scene_subject(name)
+    s = extract_shadow_set(patch, field, resolution)
+    assert not s.degenerate
+    np.testing.assert_allclose(np.unique(np.round(values(s), 6)), expected, atol=1e-6)
+
+
+_SCENES = [load_scene(os.path.join(SCENES_DIR, f)) for f in sorted(os.listdir(SCENES_DIR))]
+CODIM1 = [(s, name) for s in _SCENES for name, p in s.patches.items() if p.codim == 1]
+WITH_FIELD = [(s, name) for s, name in CODIM1 if s.patches[name].n <= 2 and name in s.fields]
+
+
+def _ids(cases):
+    return [f"{s.name}-{name}" for s, name in cases]
+
+
+@pytest.mark.parametrize("scene, name", WITH_FIELD, ids=_ids(WITH_FIELD))
+def test_coarse_grid_shadow_points_are_zeros(scene, name):
+    patch, field, tols = scene.patches[name], scene.fields[name], scene.tols
+    for resolution in range(2, 9):
+        s = extract_shadow_set(patch, field, resolution, tols)
+        if s.n_points:
+            f = shadow_values(patch, field, s.params, tols)
+            assert np.abs(f).max() <= tols.extract_tol, resolution
+
+
+@pytest.mark.parametrize("scene, name", CODIM1, ids=_ids(CODIM1))
+def test_normals_agree_along_every_grid_edge(scene, name):
+    patch, res = scene.patches[name], 64
+    grid = patch.domain.grid(res)
+    normals = frames_at(patch, grid, order=1, tols=scene.tols).normal[:, :, 0]
+    normals = normals.reshape((res,) * patch.n + (patch.m,))
+    for axis, periodic in enumerate(patch.domain.periodic):
+        dots = np.einsum("...m,...m->...", normals, np.roll(normals, -1, axis=axis))
+        if not periodic:  # the last node along a walled axis starts no edge
+            dots = np.delete(dots, -1, axis=axis)
+        assert dots.min() > 0.0, axis
