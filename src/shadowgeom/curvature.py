@@ -117,7 +117,11 @@ def christoffels(patch: SubmanifoldPatch, points) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     jets = patch.chart.eval_jets(pts, order=2)
-    jac, hess = jets.jac, jets.hess
+    return _christoffels(jets.jac, jets.hess)
+
+
+def _christoffels(jac, hess) -> np.ndarray:
+    """`christoffels` from chart Jacobians (B, m, n) and Hessians (B, m, n, n)."""
     metric = np.einsum("bmi,bmj->bij", jac, jac)
     ginv = np.linalg.inv(metric)
     dg = np.einsum("bail,baj->blij", hess, jac) + np.einsum("bai,bajl->blij", jac, hess)
@@ -157,7 +161,7 @@ def nested_second_form(parent: SubmanifoldPatch, sub_chart: ChartExpr,
     t = sub_jets.jac  # (B, n, l)
     parent_jets = parent.chart.eval_jets(u, order=2)
     g = np.einsum("bmi,bmj->bij", parent_jets.jac, parent_jets.jac)
-    gamma = christoffels(parent, u)
+    gamma = _christoffels(parent_jets.jac, parent_jets.hess)
     acc = sub_jets.hess + np.einsum("bkij,bia,bjc->bkac", gamma, t, t)
     # remove the g-orthogonal projection onto span(dpsi)
     g_l = np.einsum("bia,bij,bjc->bac", t, g, t)

@@ -832,10 +832,11 @@ def compose(outer: ChartExpr, inner: ChartExpr) -> ChartExpr:
     return ChartExpr(inner.params, outs, constants)
 
 
-def product_chart(a: ChartExpr, b: ChartExpr, suffixes=("1", "2")) -> ChartExpr:
-    """Block chart of a Cartesian product; parameters renamed apart."""
-    pa = tuple(f"{p}{suffixes[0]}" for p in a.params)
-    pb = tuple(f"{p}{suffixes[1]}" for p in b.params)
+def product_chart(a: ChartExpr, b: ChartExpr) -> ChartExpr:
+    """Block chart of a Cartesian product; parameters renamed apart by the
+    suffixes 1 and 2."""
+    pa = tuple(f"{p}1" for p in a.params)
+    pb = tuple(f"{p}2" for p in b.params)
     params = pa + pb
     outs_a = tuple(
         substitute_params(o, [Param((0, 0), i, params[i]) for i in range(len(pa))])

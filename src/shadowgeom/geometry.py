@@ -8,6 +8,11 @@ Jacobian, an orthonormal basis of the ambient tangent space from the
 constraint kernel, and an orthonormal normal frame spanning the
 complement of the patch tangent inside the ambient tangent.
 
+One rule decides whether a chart point lies on the ambient manifold,
+`check_on_ambient`: its constraint residual is at most on_ambient_tol *
+(1 + |x|), else OffAmbientError names the caller's parameter point.
+Frames, the transport steps and `validate_patch` all use it.
+
 Tangent and ambient columns, and normal columns when there are two or
 more, follow one deterministic sign convention: the component of largest
 magnitude (first such index on ties) is made positive.  A single normal
@@ -41,7 +46,10 @@ __all__ = [
     "FrameBatch",
     "fix_column_signs",
     "orthonormal_span",
+    "check_on_ambient",
     "ambient_tangent_basis",
+    "ambient_kernel",
+    "constraint_kernel",
     "frames_at",
     "composed_patch",
     "ValidationReport",
@@ -197,11 +205,6 @@ class AmbientSpace:
     def tangent_dim(self) -> int:
         return self.dim - self.n_constraints
 
-    def constraint_values(self, x):
-        if self.flat:
-            return np.zeros((np.atleast_2d(x).shape[0], 0))
-        return self.constraint.eval_values(x)
-
 
 @dataclass(frozen=True)
 class SubmanifoldPatch:
@@ -269,18 +272,17 @@ def fix_column_signs(q):
     return q * column_signs(q)[:, None, :]
 
 
-def orthonormal_span(mats, k: int, orthogonal_to=None, point_hint=None):
-    """Orthonormal basis of the leading k-dimensional column span.
+def orthonormal_span(mats, k: int, orthogonal_to, points):
+    """Orthonormal basis of the leading k-dimensional column span of mats,
+    taken orthogonal to the orthonormal columns of orthogonal_to.
 
     Pivoted modified Gram-Schmidt, vectorized over the batch: each round
     takes the column of largest remaining norm, re-orthogonalizes it, and
     deflates.  Ties pick the first column, so the result is deterministic.
-    mats: (B, m, c); returns (B, m, k).
+    mats: (B, m, c) with c >= k, orthogonal_to: (B, m, r); returns
+    (B, m, k).  A rank-deficient row raises at its parameter point.
     """
     work = np.array(mats, dtype=float, copy=True)
-    b, m, c = work.shape
-    if k > c:
-        raise GeometryError(f"need {k} directions, only {c} columns available", point_hint)
     first_norm = None
     cols = []
     for _ in range(k):
@@ -291,11 +293,9 @@ def orthonormal_span(mats, k: int, orthogonal_to=None, point_hint=None):
             first_norm = np.maximum(nv, 1e-300)
         bad = nv <= 1e-12 * first_norm
         if bad.any():
-            hint = None if point_hint is None else point_hint[int(np.argmax(bad))]
-            raise GeometryError("requested span is rank-deficient", hint)
+            raise GeometryError("requested span is rank-deficient", points[int(np.argmax(bad))])
         q = np.take_along_axis(work, p[:, None, None], axis=2)[:, :, 0] / nv[:, None]
-        if orthogonal_to is not None:
-            q = q - np.einsum("bmr,br->bm", orthogonal_to, np.einsum("bmr,bm->br", orthogonal_to, q))
+        q = q - np.einsum("bmr,br->bm", orthogonal_to, np.einsum("bmr,bm->br", orthogonal_to, q))
         for qprev in cols:
             q = q - qprev * np.einsum("bm,bm->b", qprev, q)[:, None]
         q = q / np.linalg.norm(q, axis=1)[:, None]
@@ -332,37 +332,55 @@ class FrameBatch:
         return self.normal.shape[2]
 
 
+def _on_ambient_residual(cvalues, x):
+    """Constraint residuals |c(x)|_inf relative to 1 + |x|, (B,), from
+    constraint values (B, kc) at ambient points x (B, m)."""
+    return np.abs(cvalues).max(axis=1) / (1.0 + np.linalg.norm(x, axis=1))
+
+
+def check_on_ambient(cvalues, x, points, tols: Tolerances):
+    """The one on-ambient rule: a row of x passes when its
+    `_on_ambient_residual` is at most on_ambient_tol, else OffAmbientError
+    is raised at the caller's parameter point for that row."""
+    bad = _on_ambient_residual(cvalues, x) > tols.on_ambient_tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OffAmbientError(
+            f"point is off the ambient manifold (constraint residual "
+            f"{np.abs(cvalues[i]).max():.3e})",
+            points[i],
+        )
+
+
 def ambient_tangent_basis(ambient: AmbientSpace, x, tols: Tolerances = DEFAULT_TOLS):
-    """Orthonormal basis of ker Dc(x), (B, m, d); identity columns when flat."""
-    return _ambient_kernel(ambient, x, tols)[0]
+    """Orthonormal basis of ker Dc(x), (B, m, d); identity columns when
+    flat.  Errors name the row of x, the only point this function is given."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return ambient_kernel(ambient, x, x, tols)[0]
 
 
-def _ambient_kernel(ambient: AmbientSpace, x, tols: Tolerances):
+def ambient_kernel(ambient: AmbientSpace, x, points, tols: Tolerances):
     """Orthonormal basis of ker Dc(x), (B, m, d), and the constraint
     Jacobian Dc(x) it came from, (B, kc, m); identity columns and no
-    constraint rows when flat."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    constraint rows when flat.  Errors name the row's parameter point."""
     b, m = x.shape
     if ambient.flat:
         return np.broadcast_to(np.eye(m), (b, m, m)).copy(), np.zeros((b, 0, m))
     jets = ambient.constraint.eval_jets(x, order=1)
-    resid = np.abs(jets.value).max(axis=1)
-    scale = 1.0 + np.linalg.norm(x, axis=1)
-    bad = resid > tols.on_ambient_tol * scale
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise OffAmbientError(
-            f"point is off the ambient manifold (constraint residual {resid[i]:.3e})",
-            x[i],
-        )
-    dc = jets.jac  # (B, kc, m)
+    check_on_ambient(jets.value, x, points, tols)
+    return constraint_kernel(jets.jac, points, tols), jets.jac
+
+
+def constraint_kernel(dc, points, tols: Tolerances):
+    """Sign-fixed orthonormal basis of ker Dc, (B, m, m - kc), from
+    constraint Jacobians dc (B, kc, m); ChartRankError names the
+    parameter point of a rank-deficient row."""
     _, svals, vh = np.linalg.svd(dc, full_matrices=True)
     bad = svals[:, -1] < tols.rank_tol * svals[:, 0]
     if bad.any():
-        i = int(np.argmax(bad))
-        raise ChartRankError("constraint Jacobian is rank-deficient", x[i])
-    kernel = vh[:, ambient.n_constraints :, :].transpose(0, 2, 1)
-    return fix_column_signs(kernel), dc
+        raise ChartRankError("constraint Jacobian is rank-deficient",
+                             points[int(np.argmax(bad))])
+    return fix_column_signs(vh[:, dc.shape[1]:, :].transpose(0, 2, 1))
 
 
 def _svd_rank_gate(jac, points, tols: Tolerances):
@@ -432,7 +450,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     b, m, n = jac.shape
     q, rinv = _certified_qr(jac, points, tols)
     metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
-    amb, dc = _ambient_kernel(patch.ambient, x, tols)
+    amb, dc = ambient_kernel(patch.ambient, x, points, tols)
     d = amb.shape[2]
     k = d - n
     if k < 0:
@@ -443,7 +461,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
         normal = np.zeros((b, m, 0))
     else:
         resid = amb - q @ np.einsum("bmn,bmd->bnd", q, amb)
-        normal = orthonormal_span(resid, k, orthogonal_to=q, point_hint=points)
+        normal = orthonormal_span(resid, k, q, points)
         if k == 1:
             orient = np.concatenate([jac, normal, dc.transpose(0, 2, 1)], axis=2)
             normal = normal * np.where(np.linalg.slogdet(orient)[0] < 0, -1.0, 1.0)[:, None, None]
@@ -497,10 +515,8 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
             f"chart Jacobian rank-deficient at {int(rank_bad.sum())} of {len(grid)} grid points"
         )
 
-    cons = patch.ambient.constraint_values(jets.value)
-    if cons.shape[1]:
-        scale = 1.0 + np.linalg.norm(jets.value, axis=1)
-        cres = np.abs(cons).max(axis=1) / scale
+    if not patch.ambient.flat:
+        cres = _on_ambient_residual(patch.ambient.constraint.eval_values(jets.value), jets.value)
         i_cons = int(np.argmax(cres))
         max_cons = float(cres[i_cons])
         cons_arg = tuple(grid[i_cons])
@@ -517,7 +533,7 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
         if ok_rows.any() and max_cons <= tols.on_ambient_tol:
             pts = grid[ok_rows]
             y = field.values(pts)
-            basis = ambient_tangent_basis(patch.ambient, jets.value[ok_rows], tols)
+            basis = ambient_kernel(patch.ambient, jets.value[ok_rows], pts, tols)[0]
             resid = y - np.einsum("bmd,bd->bm", basis, np.einsum("bmd,bm->bd", basis, y))
             norms = np.linalg.norm(resid, axis=1) / (1.0 + np.linalg.norm(y, axis=1))
             i_t = int(np.argmax(norms))

@@ -70,6 +70,8 @@ _TINY = 1e-300
 _DECOMPOSITION_TOL = 1e-6
 # RK4 steps per integral curve of tan(Y) in the transversal case
 _FLOW_STEPS = 512
+# RK4 steps per geodesic of the alignment check's fan
+_FAN_STEPS = 1024
 
 
 # -- the tan/nor splitting ----------------------------------------------------
@@ -181,22 +183,22 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
 # -- integral curves of tan(Y) -------------------------------------------------
 
 
-def _seed_grid(box: Box, per_axis=(0.35, 0.5, 0.65)) -> np.ndarray:
-    """Interior seed points at fixed fractions of every axis span."""
-    axes = [np.asarray(box.lo)[i] + np.asarray(per_axis) * box.spans[i]
-            for i in range(box.n)]
+def _seed_grid(box: Box) -> np.ndarray:
+    """Interior seed points at 0.35, 0.5 and 0.65 of every axis span."""
+    fractions = np.array([0.35, 0.5, 0.65])
+    axes = [np.asarray(box.lo)[i] + fractions * box.spans[i] for i in range(box.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _auto_t1(box: Box, seeds, vels, frac: float, cap: float = 1.0) -> float:
-    """Largest safe integration time from per-axis speeds at the seeds.
+def _auto_t1(box: Box, seeds, vels, frac: float) -> float:
+    """Largest safe integration time, at most 1, from per-axis seed speeds.
 
     Periodic axes impose no bound; for the others the displacement at
     the initial speed is kept to ``frac`` of the distance to the nearest
     wall.  Curvature of the flow is handled by the caller's retry.
     """
-    t1 = cap
+    t1 = 1.0
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
     for i in range(box.n):
         if box.periodic[i]:
@@ -234,8 +236,20 @@ def _halving_retry(run, t1: float, what: str):
 # -- codimension-one classification --------------------------------------------
 
 
+def _hypersurface_preconditions(patch: SubmanifoldPatch, field, resolution,
+                                tols: Tolerances):
+    """The codimension-one and field-parallel preconditions shared by the
+    classification and the geodesic alignment check.  Parallelity is
+    sampled on the check's grid, capped at 9 nodes per axis."""
+    par_rel, _ = parallelity_residual(patch, field, resolution=np.minimum(resolution, 9),
+                                      tols=tols)
+    return [
+        Precondition("codimension-one", patch.codim == 1, float(patch.codim), 1.0),
+        Precondition("field-parallel", par_rel <= tols.tgs_tol, par_rel, tols.tgs_tol),
+    ]
+
+
 def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int = 16,
-                                steps: int = _FLOW_STEPS,
                                 tols: Tolerances = DEFAULT_TOLS):
     """Trichotomy for a codimension-one helix patch with parallel Y.
 
@@ -250,21 +264,15 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
                    and, on top, geodesics of the ambient space.
     """
     rep = helix_constancy_report(patch, field, resolution=resolution, tols=tols)
-    return _classify(patch, field, rep, tols, steps)
+    return _classify(patch, field, rep, tols)
 
 
-def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances,
-              steps: int = _FLOW_STEPS):
+def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances):
     """`classify_hypersurface_helix` from a helix report already built."""
     guard = max(rep.scale, _TINY)
-    par_rel, _ = parallelity_residual(patch, field, resolution=min(rep.resolution, 9),
-                                      tols=tols)
-    pre = [
-        Precondition("codimension-one", patch.codim == 1, float(patch.codim), 1.0),
-        Precondition("field-parallel", par_rel <= tols.tgs_tol, par_rel, tols.tgs_tol),
-        Precondition("helix-certified", rep.is_helix, rep.h_deviation / guard,
-                     tols.helix_tol),
-    ]
+    pre = _hypersurface_preconditions(patch, field, rep.resolution, tols)
+    pre.append(Precondition("helix-certified", rep.is_helix, rep.h_deviation / guard,
+                            tols.helix_tol))
     floor = tols.transversality_floor
     h_rel = rep.h / guard
     nor_rel = rep.nor / guard
@@ -298,15 +306,15 @@ def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances
         seeds = _seed_grid(patch.domain)
         flow = _tan_flow(patch, field)
         traj, t1 = _halving_retry(
-            lambda t: rk4_tracks(flow, seeds, t / steps, steps, patch.domain, pad=-1e-9),
+            lambda t: rk4_tracks(flow, seeds, t / _FLOW_STEPS, _FLOW_STEPS, patch.domain, pad=-1e-9),
             _auto_t1(patch.domain, seeds, flow(seeds), frac=0.5), "integral curves")
         flat = traj.reshape(-1, patch.n)
         jets = patch.chart.eval_jets(flat, order=1)
         m = jets.value.shape[1]
-        xs = jets.value.reshape(steps + 1, -1, m)
+        xs = jets.value.reshape(_FLOW_STEPS + 1, -1, m)
         vel_amb = np.einsum("bmi,bi->bm", jets.jac, _tan_coords(jets, field.values(flat)))
-        speeds = np.linalg.norm(vel_amb, axis=1).reshape(steps + 1, -1)
-        tan_def, amb_def = track_defects(patch, traj, xs, speeds, t1 / steps,
+        speeds = np.linalg.norm(vel_amb, axis=1).reshape(_FLOW_STEPS + 1, -1)
+        tan_def, amb_def = track_defects(patch, traj, xs, speeds, t1 / _FLOW_STEPS,
                                          tols=tols)
         hyp = [ResidualEntry("integral-curve-patch-geodesic", float(tan_def.max()),
                              tols.tgs_tol, tols.ntgs_floor)]
@@ -513,20 +521,19 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
 # -- geodesics paired with the field -------------------------------------------
 
 
-def _fan_directions(rinv, fan: int) -> np.ndarray:
+def _fan_directions(rinv) -> np.ndarray:
     """Metric-unit velocity fan at one point with frame factor rinv (n, n),
-    in chart coordinates."""
+    in chart coordinates: eight directions when n = 2, else +-e_i."""
     n = rinv.shape[0]
     if n == 2:
-        angles = 2.0 * math.pi * np.arange(fan) / fan
+        angles = 2.0 * math.pi * np.arange(8) / 8
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
         dirs = np.concatenate([np.eye(n), -np.eye(n)], axis=0)
     return dirs @ rinv.T
 
 
-def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
-                             resolution: int = 9, steps: int = 1024,
+def geodesic_alignment_check(patch: SubmanifoldPatch, field, resolution: int = 9,
                              tols: Tolerances = DEFAULT_TOLS):
     """Along geodesics of a codimension-one patch with transverse
     parallel Y: when g(Y, gamma') stays constant, the curve is a
@@ -543,20 +550,14 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
     _, nor, ynorm = _split_components(frames_g, y)
     guard = max(float(ynorm.mean()), _TINY)
     trans_min = float((nor / guard).min())
-    par_rel, _ = parallelity_residual(patch, field, resolution=min(resolution, 9),
-                                      tols=tols)
-    pre = [
-        Precondition("codimension-one", patch.codim == 1, float(patch.codim), 1.0),
-        Precondition("field-parallel", par_rel <= tols.tgs_tol, par_rel,
-                     tols.tgs_tol),
-        Precondition("field-transverse", trans_min >= tols.transversality_floor,
-                     trans_min, tols.transversality_floor),
-    ]
+    pre = _hypersurface_preconditions(patch, field, resolution, tols)
+    pre.append(Precondition("field-transverse", trans_min >= tols.transversality_floor,
+                            trans_min, tols.transversality_floor))
 
     center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
     frames_c = frames_at(patch, center[None, :], order=1, tols=tols)
     metric_c = frames_c.metric[0]
-    dirs = _fan_directions(frames_c.rinv[0], fan)
+    dirs = _fan_directions(frames_c.rinv[0])
     yc = np.linalg.solve(metric_c, frames_c.jac[0].T @ field.values(center[None, :])[0])
     yc_norm = math.sqrt(float(yc @ metric_c @ yc))
     if yc_norm > tols.transversality_floor * guard:
@@ -565,12 +566,12 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
     g_count = dirs.shape[0]
     starts = np.repeat(center[None, :], g_count, axis=0)
     results, t1 = _halving_retry(
-        lambda t: geodesic_traces(patch, starts, dirs, t1=t, steps=steps, tols=tols),
+        lambda t: geodesic_traces(patch, starts, dirs, t1=t, steps=_FAN_STEPS, tols=tols),
         _auto_t1(patch.domain, starts, dirs, frac=0.4), "geodesic fan curves")
 
     xs = np.stack([r.positions for r in results], axis=1)  # (S+1, G, m)
     traj = np.stack([r.params for r in results], axis=1)
-    h = t1 / steps
+    h = t1 / _FAN_STEPS
     kk = 8
 
     def first_diff(lag):
@@ -620,7 +621,7 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, fan: int = 8,
 
 
 def tube_patch(curve: SubmanifoldPatch, direction, eps: float = 0.25,
-               resolution: int = 64, tols: Tolerances = DEFAULT_TOLS):
+               tols: Tolerances = DEFAULT_TOLS):
     """Sweep a flat-ambient patch along a constant direction.
 
     Returns the swept patch with chart (u, lam) -> x(u) + lam*v over
@@ -628,7 +629,7 @@ def tube_patch(curve: SubmanifoldPatch, direction, eps: float = 0.25,
     lam = 0.  Every normal of the sweep is orthogonal to v, so the
     shadow set for Y = v is the whole patch; pairing the result with the
     minimality check needs v transverse to the original patch, which is
-    enforced on a grid.
+    enforced on a grid of 64 nodes per axis.
     """
     if curve.ambient.constraint is not None:
         raise GeometryError("sweep construction needs a flat ambient space")
@@ -641,7 +642,7 @@ def tube_patch(curve: SubmanifoldPatch, direction, eps: float = 0.25,
     if not eps > 0.0:
         raise GeometryError("thickness must be positive")
 
-    grid = curve.domain.grid(resolution)
+    grid = curve.domain.grid(64)
     frames = frames_at(curve, grid, order=1, tols=tols)
     vb = np.broadcast_to(v, (grid.shape[0], curve.m))
     tan_c = np.einsum("bmi,bm->bi", frames.tangent, vb)

@@ -14,10 +14,12 @@ fourth-order Runge-Kutta on per-step matrices, with the projection onto
 the tangent space of N folded into every step; all stage data is built
 in batch before the sequential fold.  One builder, `_rk4_increments`,
 does the stage math for curves, holonomy loops and transported fields;
-each caller only scales the increment and applies the projector.
-Transported fields build the step matrices of every station on a line
-sweep in one batched pass, one line (at most DEFAULT_STEPS segments) per
-builder call, and then fold them.
+each caller only scales the increment and applies the projector.  It
+evaluates the constraint once: stage points pass the one on-ambient rule,
+`geometry.check_on_ambient`, and the step-end Jacobian rows give the
+projectors.  One fold, `_fold`, turns step matrices into the running
+products that curves, holonomy loops and transported fields read;
+transported fields build a line's station matrices in one builder call.
 Patch geodesics here and the integral curves of tan(Y) in `helix` come
 from one nonlinear RK4 integrator, `rk4_tracks`, which raises
 DomainExitError when a track crosses a wall of the chart domain.
@@ -36,10 +38,12 @@ from .fields import FieldAlongM
 from .geometry import (
     DomainExitError,
     GeometryError,
-    OffAmbientError,
     SubmanifoldPatch,
     TangencyError,
+    ambient_kernel,
     ambient_tangent_basis,
+    check_on_ambient,
+    constraint_kernel,
     frames_at,
 )
 from .reporting import Precondition, ResidualEntry, build_report
@@ -66,6 +70,10 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 4096
+# transported-field stations per domain span; a cached line sweep reaches
+# two stations past either end
+_STATIONS = 1024
+_REACH = _STATIONS + 2
 OBSTRUCTION_CLEAR_NOTE = "no obstruction found at probe resolution"
 
 
@@ -145,18 +153,6 @@ class ParamCurve:
 # -- step matrices --------------------------------------------------------------
 
 
-def _check_on_ambient(values, params, tols):
-    resid = np.abs(values).max(axis=1)
-    scale = 1.0 + np.linalg.norm(params, axis=1)
-    bad = resid > tols.on_ambient_tol * scale
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise OffAmbientError(
-            f"curve leaves the ambient manifold (constraint residual {resid[i]:.3e})",
-            params[i],
-        )
-
-
 def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     """Shared RK4 stage math for a batch of transport steps.
 
@@ -165,7 +161,8 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     increment k1 + 2 k2 + 2 k3 + k4 (S, m, m), the projector onto the
     ambient tangent space at each step end (S, m, m) and the stage
     positions (S, 3, m).  Over a flat ambient the increment is zero and
-    the projectors are the identity.
+    the projectors are the identity.  The projectors come from the
+    step-end rows of the one order-2 constraint evaluation.
     """
     s_count, n = u3.shape[0], u3.shape[2]
     flat_u = u3.reshape(-1, n)
@@ -178,7 +175,7 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
         return np.zeros((s_count, m, m)), eye, xr
     xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n))
     cjets = patch.ambient.constraint.eval_jets(x, order=2)
-    _check_on_ambient(cjets.value, flat_u, tols)
+    check_on_ambient(cjets.value, x, flat_u, tols)
     dc = cjets.jac
     dcdot = np.einsum("bi,baij->baj", xdot, cjets.hess)
     gram = np.einsum("bai,bci->bac", dc, dc)
@@ -190,7 +187,7 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     k2 = lm + half * (lm @ k1)
     k3 = lm + half * (lm @ k2)
     k4 = le + h[:, None, None] * (le @ k3)
-    basis = ambient_tangent_basis(patch.ambient, xr[:, 2, :], tols)
+    basis = constraint_kernel(dc.reshape(s_count, 3, -1, m)[:, 2], u3[:, 2], tols)
     proj = np.einsum("bmd,bjd->bmj", basis, basis)
     return k1 + 2 * k2 + 2 * k3 + k4, proj, xr
 
@@ -206,21 +203,16 @@ def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
     return proj @ mats, end_u, end_x
 
 
-def _fold_vectors(mats, v0):
-    out = np.empty((mats.shape[0] + 1, v0.shape[0]))
-    out[0] = v0
-    v = v0
-    for i in range(mats.shape[0]):
-        v = mats[i] @ v
-        out[i + 1] = v
-    return out
-
-
-def _fold_matrices(mats):
-    total = np.eye(mats.shape[1])
-    for i in range(mats.shape[0]):
-        total = mats[i] @ total
-    return total
+def _fold(mats):
+    """Running products of step matrices (..., S, m, m): (..., S+1, m, m)
+    with P_0 = I and P_s = M_{s-1} ... M_0, one sequential matmul a step."""
+    steps = np.moveaxis(mats, -3, 0)
+    out = np.empty((steps.shape[0] + 1,) + steps.shape[1:])
+    out[0] = np.eye(mats.shape[-1])
+    matmul = np.matmul  # per-step call overhead, not the small product, sets the cost
+    for step, prev, nxt in zip(steps, out, out[1:]):
+        matmul(step, prev, nxt)  # writes out[s + 1]
+    return np.moveaxis(out, 0, -3)
 
 
 def _check_seed_tangent(patch, x0, v, tols, point):
@@ -256,9 +248,9 @@ def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector,
     v0 = np.asarray(vector, dtype=float)
     mats, end_u, end_x = _step_matrices(patch, curve, steps, tols)
     _check_seed_tangent(patch, end_x[0], v0, tols, end_u[0])
-    vecs = _fold_vectors(mats, v0)
+    vecs = _fold(mats) @ v0
     coarse_mats, _, _ = _step_matrices(patch, curve, max(steps // 2, 1), tols)
-    v_coarse = _fold_vectors(coarse_mats, v0)[-1]
+    v_coarse = _fold(coarse_mats)[-1] @ v0
     step_error = float(np.linalg.norm(vecs[-1] - v_coarse) / 15.0)
     norms = np.linalg.norm(vecs, axis=1)
     norm_drift = float(np.abs(norms - norms[0]).max())
@@ -310,7 +302,7 @@ def holonomy_loop(patch: SubmanifoldPatch, loop: ParamCurve,
         raise GeometryError(
             f"loop does not close in the ambient space (gap {gap:.3e})", end_u[0]
         )
-    total = _fold_matrices(mats)
+    total = _fold(mats)[-1]
     basis0 = ambient_tangent_basis(patch.ambient, end_x[:1], tols)[0]
     hol = basis0.T @ total @ basis0
     d = hol.shape[0]
@@ -387,9 +379,9 @@ class TransportField(FieldAlongM):
     from the base to u[0], then axis 1, and so on.  Cumulative station
     transports along each visited line are cached, so structured grids
     and repeated nearby queries cost one extra integrator step each.
-    The step matrices of all stations on newly visited lines are built in
-    one batched pass, one line (at most DEFAULT_STEPS segments) per
-    builder call, before the sequential fold.  Each segment is one
+    Stations are 1/1024 of the domain span apart on each axis.  The step
+    matrices of all stations on newly visited lines are built one line
+    per builder call, then folded by `_fold`.  Each segment is one
     unit-time RK4 step built by `_rk4_increments`, the builder curve
     transport uses; only the final scaling differs, S/6 against (h/6)*S,
     because the two round differently.
@@ -398,15 +390,13 @@ class TransportField(FieldAlongM):
     """
 
     def __init__(self, patch: SubmanifoldPatch, base_point, vector,
-                 stations_per_span: int = 1024, tols: Tolerances = DEFAULT_TOLS):
+                 tols: Tolerances = DEFAULT_TOLS):
         self.patch = patch
         self.base_point = np.asarray(base_point, dtype=float)
         self.vector = np.asarray(vector, dtype=float)
         self.tols = tols
-        self.stations = int(stations_per_span)
         box = patch.domain
-        self._h = np.array([(b - a) / self.stations for a, b in zip(box.lo, box.hi)])
-        self._margin = 2
+        self._h = np.array([(b - a) / _STATIONS for a, b in zip(box.lo, box.hi)])
         self._lines: dict = {}
         if not patch.ambient.flat:
             x0 = patch.chart.eval_values(self.base_point[None, :])[0]
@@ -430,39 +420,28 @@ class TransportField(FieldAlongM):
         missing = [k for k in dict.fromkeys(keys) if (axis, k) not in self._lines]
         if not missing:
             return
-        m, n = self.patch.m, self.patch.n
-        reach = self.stations + self._margin
+        m = self.patch.m
         h = self._h[axis]
         q = len(missing)
         # line start: walked coordinates from the key, the rest at the base
         starts = np.tile(self.base_point, (q, 1))
         for col in range(axis):
             starts[:, col] = [k[col] for k in missing]
-        cum = np.empty((q, 2 * reach + 1, m, m))
-        cum[:, reach] = np.eye(m)
-        # larger builder calls run no faster but raise peak memory, by
-        # about 9 MiB at 4,096 segments on a region of the 2-sphere
-        chunk = min(reach, DEFAULT_STEPS)
-        for sign in (1.0, -1.0):
+        cum = np.empty((q, 2 * _REACH + 1, m, m))
+        for sign in (1, -1):
             # station starts by the walk's own repeated addition, which
             # keeps them bit-identical to stepping one station at a time
-            coord = np.full((q, reach), sign * h)
+            coord = np.full((q, _REACH), sign * h)
             coord[:, 0] = starts[:, axis]
-            seg = np.repeat(starts[:, None, :], reach, axis=1)
+            seg = np.repeat(starts[:, None, :], _REACH, axis=1)
             seg[:, :, axis] = np.add.accumulate(coord, axis=1)
-            seg = seg.reshape(-1, n)
-            lengths = np.full(chunk, sign * h)
-            mats = np.empty((q * reach, m, m))
-            for lo in range(0, len(seg), chunk):
-                part = seg[lo:lo + chunk]
-                mats[lo:lo + len(part)] = self._segment_matrices(
-                    part, axis, lengths[:len(part)]
-                )
-            mats = mats.reshape(q, reach, m, m)
-            run = np.repeat(np.eye(m)[None], q, axis=0)
-            for s in range(1, reach + 1):
-                run = mats[:, s - 1] @ run
-                cum[:, reach + int(sign) * s] = run
+            lengths = np.full(_REACH, sign * h)
+            # larger builder calls run no faster but raise peak memory, by
+            # about 9 MiB at 4,096 segments on a region of the 2-sphere
+            mats = np.empty((q, _REACH, m, m))
+            for i in range(q):
+                mats[i] = self._segment_matrices(seg[i], axis, lengths)
+            cum[:, _REACH::sign] = _fold(mats)
         for k, idx in zip(missing, range(q)):
             self._lines[(axis, k)] = cum[idx]
 
@@ -470,10 +449,9 @@ class TransportField(FieldAlongM):
         """Advance vectors along one staircase leg, batched over queries."""
         base = self.base_point[axis]
         h = self._h[axis]
-        reach = self.stations + self._margin
         delta = pts[:, axis] - base
         s = np.trunc(delta / h).astype(int)
-        if np.abs(s).max() > reach:
+        if np.abs(s).max() > _REACH:
             i = int(np.argmax(np.abs(s)))
             raise GeometryError(
                 "transport query is outside the covered parameter band", pts[i]
@@ -481,7 +459,7 @@ class TransportField(FieldAlongM):
         rem = delta - s * h
         keys = [tuple(row) for row in pts[:, :axis]]
         self._build_lines(axis, keys)
-        cums = np.stack([self._lines[(axis, k)][reach + si] for k, si in zip(keys, s)])
+        cums = np.stack([self._lines[(axis, k)][_REACH + si] for k, si in zip(keys, s)])
         out = np.einsum("bij,bj->bi", cums, vecs)
         # one extra step covers the off-station remainder
         starts = pts.copy()
@@ -498,11 +476,10 @@ class TransportField(FieldAlongM):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         b = pts.shape[0]
         m = self.patch.m
-        if self.patch.ambient.flat:
-            return np.broadcast_to(self.vector, (b, m)).copy()
         vecs = np.broadcast_to(self.vector, (b, m)).copy()
-        for axis in range(self.patch.n):
-            vecs = self._leg_transport(axis, pts, vecs)
+        if not self.patch.ambient.flat:
+            for axis in range(self.patch.n):
+                vecs = self._leg_transport(axis, pts, vecs)
         return vecs
 
     def param_jacobian(self, points):
@@ -543,41 +520,34 @@ class ObstructionReport:
 
 
 def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=None,
-                             *, probe_steps: int = 1024, levels=(1, 2, 3),
-                             n_random: int = 20, seed: int = 0,
-                             tols: Tolerances = DEFAULT_TOLS):
+                             *, seed: int = 0, tols: Tolerances = DEFAULT_TOLS):
     """Best-effort parallel extension of a seed vector over the patch.
 
     Returns the transported field together with an obstruction report:
-    each probe loop transports the field's value at the loop base all
-    the way around, and the deviation from returning unchanged is
-    recorded.  A clean report certifies flatness of the connection only
-    at the probe resolution, which the note says verbatim.
+    each probe loop (dyadic cells at levels 1-3, 20 seeded random
+    polygons, the periodic wraps) transports the field's value at the
+    loop base all the way around in 1024 steps, and the deviation from
+    returning unchanged is recorded.  A clean report certifies flatness
+    of the connection only at the probe resolution, which the note says
+    verbatim.
     """
     box = patch.domain
     if base_point is None:
         base_point = 0.5 * (np.asarray(box.lo, float) + np.asarray(box.hi, float))
     base_point = np.asarray(base_point, dtype=float)
     if vector is None:
-        x0 = patch.chart.eval_values(base_point[None, :])[0]
-        vector = ambient_tangent_basis(patch.ambient, x0[None, :], tols)[0][:, 0]
+        x0 = patch.chart.eval_values(base_point[None, :])
+        vector = ambient_kernel(patch.ambient, x0, base_point[None, :], tols)[0][0, :, 0]
     vector = np.asarray(vector, dtype=float)
     fld = TransportField(patch, base_point, vector, tols=tols)
-    loops = probe_loops(patch, levels=levels, n_random=n_random, seed=seed)
+    loops = probe_loops(patch, levels=(1, 2, 3), n_random=20, seed=seed)
     per = []
-    if loops:
-        # batch the field values at all loop bases so line caches build once
-        bases = np.array([loop.start for loop in loops])
-        y_bases = fld.values(bases)
-        for loop, y0 in zip(loops, y_bases):
-            hol = holonomy_loop(patch, loop, steps=probe_steps, tols=tols)
-            dev = float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))
-            per.append((loop.label, dev))
-    if per:
-        worst = max(range(len(per)), key=lambda i: per[i][1])
-        max_dev, worst_label = per[worst][1], per[worst][0]
-    else:
-        max_dev, worst_label = 0.0, ""
+    # batch the field values at all loop bases so line caches build once
+    y_bases = fld.values(np.array([loop.start for loop in loops]))
+    for loop, y0 in zip(loops, y_bases):
+        hol = holonomy_loop(patch, loop, steps=1024, tols=tols)
+        per.append((loop.label, float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))))
+    worst_label, max_dev = max(per, key=lambda item: item[1])
     ok = max_dev <= tols.holonomy_tol
     note = OBSTRUCTION_CLEAR_NOTE if ok else (
         f"holonomy moves the field by {max_dev:.3e} around loop {worst_label}"
@@ -600,7 +570,7 @@ def parallelity_residual(patch: SubmanifoldPatch, field, resolution: int = 9,
     y = field.values(grid)
     jac = field.param_jacobian(grid)
     x = patch.chart.eval_values(grid)
-    basis = ambient_tangent_basis(patch.ambient, x, tols)
+    basis = ambient_kernel(patch.ambient, x, grid, tols)[0]
     comp = np.einsum("bmd,bmi->bdi", basis, jac)
     per_axis = np.linalg.norm(comp, axis=1)  # (B, n)
     rel = per_axis.max(axis=1) / np.maximum(np.linalg.norm(y, axis=1), 1e-300)

@@ -492,3 +492,48 @@ field {
     code, out, _ = invoke(capsys, "validate", str(p))
     assert code == 2
     assert report_of(out)["results"]["validation"]["ok"] is False
+
+
+@pytest.mark.parametrize("command,scene,chart,point", [
+    ("shadow", "sphere_e3", "(sin(th)*cos(ph), sin(th)*sin(ph), cos(th))", "(0.1, 0.0)"),
+    ("parallel-field", "latitude_p3", "(sin(t0)*cos(s), sin(t0)*sin(s), cos(t0))",
+     "(3.141592653589793,)"),
+], ids=["shadow", "parallel-field"])
+def test_off_ambient_chart_error_names_its_parameters(capsys, tmp_path, command, scene,
+                                                      chart, point):
+    # the chart scaled by 1.2 inside the unit sphere ambient
+    with open(find_scene(scene), encoding="utf-8") as fh:
+        text = fh.read()
+    assert chart in text
+    big = "(" + ", ".join("1.2*" + c.strip() for c in chart[1:-1].split(", ")) + ")"
+    text = text.replace(chart, big)
+    if "constraint" not in text:
+        text = text.replace("  dim = 3\n", "  dim = 3\n  coords = x1, x2, x3\n"
+                            "  constraint = (x1^2 + x2^2 + x3^2 - 1)\n")
+    p = tmp_path / f"{scene}.scene"
+    p.write_text(text)
+    code, _, err = invoke(capsys, command, str(p))
+    assert code == 1
+    assert err == ("error: point is off the ambient manifold (constraint residual "
+                   f"4.400e-01) at parameters {point}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("helix",),
+    ("verify", "hypersurface-helix-classification"),
+    ("verify", "geodesic-alignment"),
+], ids=" ".join)
+def test_per_axis_scene_grid_matches_scalar_grid(capsys, tmp_path, argv):
+    with open(find_scene("cone_axis"), encoding="utf-8") as fh:
+        text = fh.read()
+    p = tmp_path / "cone_axis.scene"
+    p.write_text(text.replace("resolution = 16", "resolution = 16, 16"))
+    code, out, err = invoke(capsys, *argv, str(p))
+    assert (code, err) == (0, "")
+    ref_code, ref_out, _ = invoke(capsys, *argv, "cone_axis")
+    assert ref_code == 0
+    got, want = report_of(out)["results"], report_of(ref_out)["results"]
+    if argv == ("helix",):
+        assert got["constancy"].pop("resolution") == [16, 16]
+        assert want["constancy"].pop("resolution") == 16
+    assert got == want

@@ -14,7 +14,7 @@ from shadowgeom.curvature import (
     second_form_components,
     tgs_scan,
 )
-from shadowgeom.expr import parse_chart
+from shadowgeom.expr import ChartExpr, parse_chart
 from shadowgeom.geometry import Box, GeometryError, frames_at
 
 import shapes
@@ -182,6 +182,22 @@ def test_equator_nested_in_sphere_is_geodesic():
     nested = nested_second_form(shapes.sphere(), sub, s)
     assert np.abs(nested.ii_in_parent).max() < 1e-10
     assert np.abs(nested.mean_in_parent).max() < 1e-10
+
+
+def test_nested_second_form_evaluates_parent_jets_once(monkeypatch):
+    parent = shapes.sphere()
+    calls = []
+    eval_jets = ChartExpr.eval_jets
+
+    def spy(self, points, order=2):
+        if self is parent.chart:
+            calls.append(order)
+        return eval_jets(self, points, order)
+
+    monkeypatch.setattr(ChartExpr, "eval_jets", spy)
+    sub = parse_chart("(pi/3, s)", ("s",))
+    nested_second_form(parent, sub, np.linspace(0.0, 6.0, 7)[:, None])
+    assert calls == [2]
 
 
 def test_latitude_nested_mean_is_geodesic_curvature():

@@ -7,20 +7,22 @@ import pytest
 
 from shadowgeom.cli import find_scene
 from shadowgeom.curvature import christoffels
-from shadowgeom.expr import parse_chart
+from shadowgeom.expr import ChartExpr, parse_chart
 from shadowgeom.fields import ExprField
 from shadowgeom.geometry import (
     Box,
     DomainExitError,
     GeometryError,
+    OffAmbientError,
     SubmanifoldPatch,
     TangencyError,
+    ambient_tangent_basis,
 )
 from shadowgeom.helix import geodesic_alignment_check
 from shadowgeom.scene import load_scene
 from shadowgeom.tolerances import Tolerances
 from shadowgeom.transport import (
-    DEFAULT_STEPS,
+    _REACH,
     OBSTRUCTION_CLEAR_NOTE,
     ParamCurve,
     TransportField,
@@ -32,6 +34,7 @@ from shadowgeom.transport import (
     parallelity_residual,
     probe_loops,
     rk4_tracks,
+    _rk4_increments,
     _step_matrices,
 )
 
@@ -105,6 +108,38 @@ def test_seed_vector_must_be_ambient_tangent():
     x0 = latitude().chart.eval_values(np.zeros((1, 1)))[0]
     with pytest.raises(TangencyError):
         parallel_transport(latitude(), wrap_loop(), x0, steps=64)  # radial seed
+
+
+def test_off_ambient_curve_is_named_by_its_parameter():
+    # 0.44 off the unit sphere; a tolerance scaled by |u| ~ 1e8 lets it pass
+    chart = parse_chart("(1.2*cos(u), 1.2*sin(u), 0)", ("u",))
+    patch = SubmanifoldPatch(chart, Box((1e8,), (1e8 + 1.0,), (False,)),
+                             shapes.sphere_ambient())
+    curve = ParamCurve.polyline([[1e8], [1e8 + 1.0]])
+    with pytest.raises(OffAmbientError, match="constraint residual 4.400e-01") as err:
+        parallel_transport(patch, curve, [0.0, 0.0, 1.0], steps=8)
+    assert err.value.point == (1e8,)
+
+
+def test_step_builder_evaluates_the_constraint_once(monkeypatch):
+    patch = latitude()
+    constraint = patch.ambient.constraint
+    u3, du3, h = ParamCurve.polyline([[0.2], [2.5]]).stage_points(16)
+    calls = []
+    eval_jets = ChartExpr.eval_jets
+
+    def spy(self, points, order=2):
+        if self is constraint:
+            calls.append(order)
+        return eval_jets(self, points, order)
+
+    monkeypatch.setattr(ChartExpr, "eval_jets", spy)
+    _, proj, xr = _rk4_increments(patch, u3, du3, h, Tolerances())
+    assert calls == [2]
+    # the step-end projectors are the ones the order-1 ambient basis gives
+    monkeypatch.setattr(ChartExpr, "eval_jets", eval_jets)
+    basis = ambient_tangent_basis(patch.ambient, xr[:, 2])
+    assert np.array_equal(proj, np.einsum("bmd,bjd->bmj", basis, basis))
 
 
 # -- holonomy ---------------------------------------------------------------------
@@ -246,7 +281,7 @@ def test_transport_field_batch_independent():
 def walked_lines(fld, axis, keys):
     """Reference line caches: one _segment_matrices call per station."""
     m = fld.patch.m
-    reach = fld.stations + fld._margin
+    reach = _REACH
     h = fld._h[axis]
     starts = np.tile(fld.base_point, (len(keys), 1))
     for col in range(axis):
@@ -270,21 +305,18 @@ def region_field():
     return TransportField(sphere_region(), base, seed)
 
 
-def latitude_field(stations=1024):
+def latitude_field():
     seed = np.array([-math.sin(1.3), math.cos(1.3), 0.0])
-    return TransportField(latitude(), np.array([1.3]), seed, stations_per_span=stations)
+    return TransportField(latitude(), np.array([1.3]), seed)
 
 
-@pytest.mark.parametrize("case", ["latitude", "region", "long-line"])
+@pytest.mark.parametrize("case", ["latitude", "region"])
 def test_transport_field_lines_match_station_walk(case):
     if case == "latitude":
         fld, axis, keys = latitude_field(), 0, [()]
-    elif case == "region":
+    else:
         fld, axis = region_field(), 1
         keys = [(0.6,), (0.75,), (1.0,), (1.2,), (1.4,)]
-    else:
-        # a line longer than one builder call is split across two
-        fld, axis, keys = latitude_field(DEFAULT_STEPS + 100), 0, [()]
     fld._build_lines(axis, keys)
     ref = walked_lines(fld, axis, keys)
     for k, want in zip(keys, ref):
@@ -302,13 +334,14 @@ def test_segment_step_matches_curve_step():
     np.testing.assert_allclose(seg[0], mats[0], rtol=1e-14)
 
 
-@pytest.mark.parametrize("case", ["region", "long-line"])
+@pytest.mark.parametrize("case", ["region", "latitude"])
 def test_transport_field_builder_calls_are_capped(monkeypatch, case):
+    # each builder call holds one line
     if case == "region":
         fld, axis = region_field(), 1
         keys = [(0.6 + 0.8 * i / 27,) for i in range(28)]
     else:
-        fld, axis, keys = latitude_field(2 * DEFAULT_STEPS), 0, [()]
+        fld, axis, keys = latitude_field(), 0, [()]
     sizes = []
     build = fld._segment_matrices
 
@@ -318,10 +351,7 @@ def test_transport_field_builder_calls_are_capped(monkeypatch, case):
 
     monkeypatch.setattr(fld, "_segment_matrices", spy)
     fld._build_lines(axis, keys)
-    reach = fld.stations + fld._margin
-    assert max(sizes) <= DEFAULT_STEPS
-    assert sum(sizes) == 2 * len(keys) * reach
-    assert len(sizes) == 2 * len(keys) * math.ceil(reach / DEFAULT_STEPS)
+    assert sizes == [_REACH] * (2 * len(keys))
 
 
 def test_transport_field_value_at_base_is_seed():
