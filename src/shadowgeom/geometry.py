@@ -26,6 +26,7 @@ evaluations at the same parameters produce bit-identical frames.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -84,6 +85,9 @@ class TangencyError(GeometryError):
 
 # -- parameter domain -------------------------------------------------------
 
+# largest grid `Box.grid` builds: 32 MiB of float64 coordinates per axis
+MAX_GRID_ROWS = 2**22
+
 
 @dataclass(frozen=True)
 class Box:
@@ -138,8 +142,15 @@ class Box:
         return np.linspace(self.lo[i], self.hi[i], res)
 
     def grid(self, res):
-        """Lexicographic (C-order) grid of parameter points, (prod(res), n)."""
+        """Lexicographic (C-order) grid of parameter points, (prod(res), n).
+
+        A grid of more than MAX_GRID_ROWS rows is refused before any of it
+        is allocated.
+        """
         res = self._res_tuple(res)
+        rows = math.prod(res)
+        if rows > MAX_GRID_ROWS:
+            raise ValueError(f"grid of {rows} rows exceeds the cap of {MAX_GRID_ROWS} rows")
         axes = [self.axis_grid(i, r) for i, r in enumerate(res)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)

@@ -29,6 +29,15 @@ previous iteration and it stayed in the box; every other seed carries
 the residual of its last evaluation.  Two or more normal columns carry
 an arbitrary rotation from point to point, so the finite-difference
 Jacobian check rotates nearby frames onto the center frame first.
+
+Every evaluation over the whole grid, and every Newton iteration, streams
+its points through `_stream_rows` in fixed slices of `_CHUNK_ROWS` rows
+and keeps only the per-row results: F (B, k), J (B, k, n) and, for the
+grid scan, the chart points x (B, m).  A slice's frames are freed before
+the next slice is built, so memory follows the grid's point count and
+not the size of its frames.  Every numpy kernel on this path works row
+by row, so the slicing changes no bit of any result; when rows in two
+slices are faulty, the fault of the earlier slice is raised.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ __all__ = [
 DEGENERATE_FRACTION = 0.95
 _BISECT_TOL = 1e-10
 _NEWTON_ITERS = 30
+_CHUNK_ROWS = 2048
 
 
 # -- residual and Jacobian ---------------------------------------------------
@@ -83,15 +93,13 @@ def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
 
 
 def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
-                  tols: Tolerances = DEFAULT_TOLS, frames=None):
+                  tols: Tolerances = DEFAULT_TOLS):
     """Residual, Jacobian and frames in one pass: (F (B,k), J (B,k,n), frames).
 
     J is exact where F vanishes and first-order accurate elsewhere.
-    `frames`, when given, are order-2 frames already built at `points`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if frames is None:
-        frames = frames_at(patch, points, order=2, tols=tols)
+    frames = frames_at(patch, points, order=2, tols=tols)
     y = field.values(points)
     f = np.einsum("bmj,bm->bj", frames.normal, y)
     coord = second_form_coord(frames)                  # (B, n, n, k)
@@ -101,6 +109,32 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     dy = field.param_jacobian(points)
     jac += np.einsum("bma,bml->bal", frames.normal, dy)
     return f, jac, frames
+
+
+def _stream_rows(patch, field, points, tols, order, ambient=False):
+    """F (B, k), with J (B, k, n) at order 2 and the chart points x (B, m)
+    when `ambient`, evaluated `_CHUNK_ROWS` rows at a time.
+
+    Order 1 goes through `frames_at` and `shadow_values`, order 2 through
+    `shadow_system`.
+    """
+    out = None
+    for start in range(0, points.shape[0], _CHUNK_ROWS):
+        rows = points[start:start + _CHUNK_ROWS]
+        if order == 2:
+            f, jac, frames = shadow_system(patch, field, rows, tols)
+            parts = (f, jac)
+        else:
+            frames = frames_at(patch, rows, order=1, tols=tols)
+            parts = (shadow_values(patch, field, rows, tols, frames=frames),)
+        if ambient:
+            parts += (frames.x,)
+        del frames  # freed before the next slice builds its own
+        if out is None:
+            out = tuple(np.empty((points.shape[0],) + p.shape[1:]) for p in parts)
+        for o, p in zip(out, parts):
+            o[start:start + rows.shape[0]] = p
+    return out
 
 
 def _frame_rotation(normals, anchor):
@@ -149,7 +183,8 @@ class ShadowSet:
     `polylines` holds index tuples into `params` for chained crossing
     curves (surface patches with one normal direction); other routes
     leave it empty.  A degenerate set (residual below tolerance on
-    nearly the whole grid) is materialized as the grid itself.
+    nearly every grid node and cell centre) is materialized as the grid
+    itself.
     `certificate` is the smoothness certificate of the extracted points,
     None for a degenerate or empty set; `as_dict` reports its min_ratio
     and ok as `rank_ratio` and `rank_ok`.
@@ -239,7 +274,10 @@ def _edge_roots(patch, field, f, res, tols):
     every edge that reports it maps to one point, with the coordinates and
     residual of the first edge to report it.  A strict sign change is
     bisected and keyed by its own edge.  Node points come first, then
-    bisected points, each in axis-then-edge order.
+    bisected points, each in axis-then-edge order.  A zero node that no
+    edge reports, its neighbours all being zeros too (as at grid 2 when
+    both nodes of an axis are zeros), follows the node points, keyed by
+    no edge.
     """
     box = patch.domain
     shape = tuple(res)
@@ -265,16 +303,21 @@ def _edge_roots(patch, field, f, res, tols):
         bis_a.append(starts[idx])
         bis_b.append(starts[idx] + off)
 
-    _, first, inverse = np.unique(np.concatenate(node_of), return_index=True,
-                                  return_inverse=True)
+    reported, first, inverse = np.unique(np.concatenate(node_of), return_index=True,
+                                         return_inverse=True)
     rank = np.argsort(np.argsort(first))  # node -> point id, by first report
     ids = dict(zip(node_keys, rank[inverse].tolist()))
     keep = np.sort(first)
-    pts = [np.concatenate(node_pts)[keep]]
-    resid = [np.concatenate(node_res)[keep]]
+    # a zero node whose neighbours are all zeros starts or ends no
+    # single-zero edge; it is a point of its own, keyed by no edge
+    lone = np.setdiff1d(np.flatnonzero(np.abs(ff) <= tols.extract_tol), reported,
+                        assume_unique=True)
+    pts = [np.concatenate(node_pts)[keep], starts.reshape(-1, box.n)[lone]]
+    resid = [np.concatenate(node_res)[keep], np.abs(ff.reshape(-1)[lone])]
     if bis_keys:
+        first_id = keep.size + lone.size
         r, rs = _bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b), tols)
-        ids.update(zip(bis_keys, range(keep.size, keep.size + len(bis_keys))))
+        ids.update(zip(bis_keys, range(first_id, first_id + len(bis_keys))))
         pts.append(r)
         resid.append(rs)
     return box.wrap(np.concatenate(pts)), np.concatenate(resid), ids
@@ -402,17 +445,18 @@ def _dedup(box: Box, points, residuals, radius):
     return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
 
 
-def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
+def _extract_newton(patch, field, grid, res, tols, f, jac):
     """Damped Gauss-Newton from every grid seed; returns (points, residuals,
     polylines, dropped seeds).
 
-    `grid_frames` may hold the order-2 frames of the grid scan, in a list
-    this function empties, so the first `shadow_system` call reuses them
-    and no caller keeps them alive while Newton runs.
+    `f` and `jac` are the shadow residual and Jacobian of the grid scan,
+    so the first step evaluates nothing.  Each later iteration streams
+    its rows through `_stream_rows`, so no iteration holds more than
+    `_CHUNK_ROWS` rows of frames.
 
     Only the active rows, those whose coordinates changed bit for bit in
-    the previous iteration and are still inside the padded box, go
-    through `shadow_system`.  A row whose `u` did not change would get
+    the previous iteration and are still inside the padded box, are
+    evaluated again.  A row whose `u` did not change would get
     the same F and the same step again (a zero step where the Jacobian is
     singular, or one below an ulp), so it keeps the residual of its last
     evaluation instead.  Every step is wrapped in the loop and `Box.wrap`
@@ -429,11 +473,9 @@ def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
     alive = np.ones(u.shape[0], dtype=bool)
     resid = np.empty(u.shape[0])
     active = np.arange(u.shape[0])
-    frames = grid_frames.pop() if grid_frames else None
-    for _ in range(_NEWTON_ITERS):
-        # only F and J are kept: each call's frames are freed before the next
-        f, jac = shadow_system(patch, field, u[active], tols, frames=frames)[:2]
-        frames = None
+    for it in range(_NEWTON_ITERS):
+        if it:
+            f, jac = _stream_rows(patch, field, u[active], tols, order=2)
         bad = np.max(np.abs(f), axis=1)
         resid[active] = bad
         move = bad > tols.extract_tol
@@ -448,7 +490,6 @@ def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
         u[active] = box.wrap(old + step * scale[:, None])
         alive[active] = box.contains(u[active], pad=float(cell.max()))
         moved = np.any(u[active].view(np.int64) != old.view(np.int64), axis=1)
-        del old  # freed before the next shadow_system call, which sets the peak memory
         active = active[moved & alive[active]]
         if not active.size:
             break
@@ -459,7 +500,7 @@ def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
     resid = resid[rows]
     stale = np.isin(rows, active)
     if stale.any():
-        f = shadow_values(patch, field, u[stale], tols)
+        f, = _stream_rows(patch, field, u[stale], tols, order=1)
         resid[stale] = np.max(np.abs(f), axis=1)
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
@@ -467,35 +508,49 @@ def _extract_newton(patch, field, grid, res, tols, grid_frames=()):
     return pts, res_kept, (), dropped
 
 
+def _cell_centres(box: Box, res):
+    """Centres of the grid cells, (prod(cells), n): every node shifted by
+    half a cell, less the last node of each walled axis."""
+    cells = tuple(r if per else r - 1 for r, per in zip(res, box.periodic))
+    nodes = box.grid(res).reshape(res + (box.n,))[tuple(slice(c) for c in cells)]
+    return nodes.reshape(-1, box.n) + 0.5 * np.array(box.cell_sizes(res))
+
+
 def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
                        resolution=128, tols: Tolerances = DEFAULT_TOLS) -> ShadowSet:
     """Locate the zero set of F on the chart domain.
 
-    A grid scan decides degeneracy first; otherwise zeros are pinned by
-    bisection (curves and surface level sets) or damped Gauss-Newton
-    (higher codimension), then rank-certified.
+    A grid scan decides degeneracy first: F must vanish on at least
+    DEGENERATE_FRACTION of the grid nodes and of the cell centres, since
+    a coarse grid can sit on zeros of a thin set.  Otherwise zeros are
+    pinned by bisection (curves and surface level sets) or damped
+    Gauss-Newton (higher codimension), then rank-certified.
     """
-    res = patch.domain._res_tuple(resolution)
-    grid = patch.domain.grid(res)
+    box = patch.domain
+    res = box._res_tuple(resolution)
+    grid = box.grid(res)
     edges = patch.codim == 1 and patch.n in (1, 2)
-    # Newton's first step needs order-2 frames on this same grid; their
-    # normals, hence F, are those of order-1 frames
-    frames = frames_at(patch, grid, order=1 if edges else 2, tols=tols)
-    f = shadow_values(patch, field, grid, tols, frames=frames)
+    # Newton's first step takes F and J from this scan; its order-2
+    # frames give the same normals, hence the same F, as order 1
+    *system, x = _stream_rows(patch, field, grid, tols, order=1 if edges else 2,
+                              ambient=True)
+    f = system[0]
     flat_mag = np.max(np.abs(f), axis=1)
     frac = float(np.mean(flat_mag < tols.extract_tol))
 
     if frac >= DEGENERATE_FRACTION:
-        return ShadowSet(
-            params=grid,
-            ambient=frames.x,
-            residuals=flat_mag,
-            polylines=(),
-            degenerate=True,
-            degenerate_fraction=frac,
-            resolution=res,
-            certificate=None,
-        )
+        fc, = _stream_rows(patch, field, _cell_centres(box, res), tols, order=1)
+        if np.mean(np.max(np.abs(fc), axis=1) < tols.extract_tol) >= DEGENERATE_FRACTION:
+            return ShadowSet(
+                params=grid,
+                ambient=x,
+                residuals=flat_mag,
+                polylines=(),
+                degenerate=True,
+                degenerate_fraction=frac,
+                resolution=res,
+                certificate=None,
+            )
 
     dropped = 0
     if edges and patch.n == 1:
@@ -504,10 +559,7 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     elif edges:
         pts, resid, lines = _extract_marching(patch, field, f, res, tols)
     else:
-        grid_frames = [frames]
-        del frames
-        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols,
-                                                     grid_frames)
+        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols, *system)
 
     if pts.shape[0]:
         ambient = patch.chart.eval_values(pts)

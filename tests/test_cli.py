@@ -2,12 +2,14 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shadowgeom import cli, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
+from shadowgeom.geometry import MAX_GRID_ROWS
 from shadowgeom.scene import SceneError
 from shadowgeom.tolerances import DEFAULT_TOLS
 
@@ -95,6 +97,24 @@ def test_shadow_degenerate_cylinder_report(capsys):
     assert shadow["set_equals_patch"] is True
 
 
+@pytest.mark.parametrize("scene, degenerate, points", [
+    ("circle_r2_e2", False, 2),
+    ("torus_e3", False, 4),
+    ("cylinder_e3", True, 4),
+])
+def test_shadow_grid_2_degeneracy(capsys, scene, degenerate, points):
+    # every grid-2 node of the circle and the torus is a zero of F, but the
+    # cell centres are not, so each set is its node points; the cylinder's
+    # axis field is tangent everywhere, so its set is the patch
+    code, out, _ = invoke(capsys, "shadow", scene, "--grid", "2", "--format", "json")
+    assert code == 0
+    shadow = report_of(out)["results"]["shadow"]
+    assert shadow["degenerate"] is degenerate
+    assert shadow["degenerate_fraction"] == 1.0
+    assert shadow.get("set_equals_patch", False) is degenerate
+    assert shadow["points"] == points
+
+
 def test_shadow_product_scene_uses_block_patch(capsys):
     code, out, _ = invoke(capsys, "shadow", "product_circles", "--format", "json")
     assert code == 0
@@ -131,6 +151,21 @@ def test_grid_below_two_is_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --grid must be at least 2")
+
+
+def test_grid_above_the_row_cap_is_refused_before_allocation(capsys):
+    # 10^10 rows would need 149 GiB of points; Box.grid refuses them first
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, "shadow", "torus_e3", "--grid", "100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: grid of 10000000000 rows exceeds the cap of "
+                   f"{MAX_GRID_ROWS} rows\n")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("argv", [

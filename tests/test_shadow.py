@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,15 @@ from shadowgeom import shadow
 from shadowgeom.cli import SCENES_DIR, find_scene
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
-from shadowgeom.geometry import GeometryError, frames_at, validate_patch
+from shadowgeom.geometry import (
+    AmbientSpace,
+    Box,
+    ChartRankError,
+    GeometryError,
+    SubmanifoldPatch,
+    frames_at,
+    validate_patch,
+)
 from shadowgeom.scene import load_scene
 from shadowgeom.shadow import (
     extract_shadow_set,
@@ -377,11 +386,19 @@ def _product_circles(resolution=24):
     return product_patch(c, c), product_field(y, y, c), resolution
 
 
+def _grid_newton(patch, field, res):
+    """`_extract_newton` from the grid scan's F and J, as extract_shadow_set
+    runs it."""
+    grid = patch.domain.grid(res)
+    f, jac = shadow._stream_rows(patch, field, grid, DEFAULT_TOLS, order=2)
+    return shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS, f, jac)
+
+
 def _run_newton(make):
     patch, field, resolution = make()
     res = patch.domain._res_tuple(resolution)
     grid = patch.domain.grid(res)
-    return (shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS),
+    return (_grid_newton(patch, field, res),
             _newton_full_batch(patch, field, grid, res, DEFAULT_TOLS))
 
 
@@ -405,47 +422,61 @@ def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
     assert dropped == ref_dropped
 
 
-def test_newton_evaluates_only_moving_rows(monkeypatch):
-    rows, order1_rows = [], []
-    real_system, real_frames = shadow.shadow_system, shadow.frames_at
+def _slices(rows):
+    return [min(shadow._CHUNK_ROWS, rows - s) for s in range(0, rows, shadow._CHUNK_ROWS)]
 
-    def system_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
-        rows.append(len(points))
-        return real_system(patch, field, points, tols, frames=frames)
+
+def test_newton_evaluates_only_moving_rows(monkeypatch):
+    passes, calls, order1_rows = [], [], []
+    real_stream, real_system = shadow._stream_rows, shadow.shadow_system
+    real_frames = shadow.frames_at
+
+    def stream_spy(patch, field, points, tols, order, ambient=False):
+        passes.append(len(points))
+        return real_stream(patch, field, points, tols, order, ambient)
+
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
+        calls.append(len(points))
+        return real_system(patch, field, points, tols)
 
     def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS):
         if order == 1:
             order1_rows.append(len(points))
         return real_frames(patch, points, order=order, tols=tols)
 
+    monkeypatch.setattr(shadow, "_stream_rows", stream_spy)
     monkeypatch.setattr(shadow, "shadow_system", system_spy)
     monkeypatch.setattr(shadow, "frames_at", frames_spy)
     patch, field, resolution = _product_spheres()
-    res = patch.domain._res_tuple(resolution)
-    shadow._extract_newton(patch, field, patch.domain.grid(res), res, DEFAULT_TOLS)
-    # the full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1 rows
-    assert rows == [20736, 20736, 20736, 20160, 12096, 576]
-    assert sum(rows) == 95040
+    _grid_newton(patch, field, patch.domain._res_tuple(resolution))
+    # the grid scan, then one pass per Newton iteration after the first; the
+    # full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1 rows
+    assert passes == [20736, 20736, 20736, 20160, 12096, 576]
+    assert sum(passes) == 95040
+    # each pass reaches shadow_system in slices of at most _CHUNK_ROWS rows
+    assert calls == [c for rows in passes for c in _slices(rows)]
+    assert max(calls) == shadow._CHUNK_ROWS
     assert order1_rows == []
 
 
 def test_newton_route_builds_grid_frames_once(monkeypatch):
-    # the degeneracy scan builds order-2 frames, and Newton's first step
-    # reuses them instead of building its own on the same grid
+    # the degeneracy scan builds order-2 frames slice by slice, and Newton's
+    # first step takes its F and J instead of building grid frames again
     calls = []
     real_frames = shadow.frames_at
     patch, field, resolution = _product_spheres()
     grid = patch.domain.grid(resolution)
 
     def frames_spy(patch, points, order=2, tols=DEFAULT_TOLS):
-        on_grid = np.shape(points) == grid.shape and np.array_equal(points, grid)
-        calls.append((order, on_grid))
+        calls.append((order, np.array(points)))
         return real_frames(patch, points, order=order, tols=tols)
 
     monkeypatch.setattr(shadow, "frames_at", frames_spy)
     extract_shadow_set(patch, field, resolution)
-    assert [order for order, on_grid in calls if on_grid] == [2]
+    assert max(len(points) for _, points in calls) <= shadow._CHUNK_ROWS
     assert [order for order, _ in calls if order == 1] == []
+    built = Counter(map(bytes, np.concatenate([p for order, p in calls if order == 2])))
+    assert [built[bytes(row)] for row in grid] == [1] * grid.shape[0]
 
 
 @pytest.mark.parametrize("resolution, rows, calls", [(12, 580, 6), (24, 3140, 9)])
@@ -455,15 +486,13 @@ def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatc
     batches = []
     real_system = shadow.shadow_system
 
-    def system_spy(patch, field, points, tols=DEFAULT_TOLS, frames=None):
+    def system_spy(patch, field, points, tols=DEFAULT_TOLS):
         batches.append(len(points))
-        return real_system(patch, field, points, tols, frames=frames)
+        return real_system(patch, field, points, tols)
 
     monkeypatch.setattr(shadow, "shadow_system", system_spy)
     patch, field, resolution = _product_circles(resolution)
-    res = patch.domain._res_tuple(resolution)
-    pts, _, _, _ = shadow._extract_newton(patch, field, patch.domain.grid(res), res,
-                                          DEFAULT_TOLS)
+    pts, _, _, _ = _grid_newton(patch, field, patch.domain._res_tuple(resolution))
     assert pts.shape[0] == 4
     assert (sum(batches), len(batches)) == (rows, calls)
 
@@ -718,16 +747,20 @@ def test_saddle_cell_pairs_hyperbola_branches(c, a):
 @pytest.mark.parametrize("name, resolution, values, expected", [
     ("cone_axis", 2, lambda s: s.params[:, 0], []),
     ("cone_axis", 3, lambda s: s.params[:, 0], []),
+    ("circle_r2_e2", 2, lambda s: s.params[:, 0], [0.0, np.pi]),
     ("circle_r2_e2", 3, lambda s: s.params[:, 0], [0.0, np.pi]),
+    ("torus_e3", 2, lambda s: np.hypot(s.ambient[:, 0], s.ambient[:, 1]), [1.0, 3.0]),
     ("torus_e3", 3, lambda s: np.hypot(s.ambient[:, 0], s.ambient[:, 1]), [1.0, 3.0]),
     ("sphere_e3", 2, lambda s: s.ambient[:, 2], [0.0]),
-], ids=["cone-2", "cone-3", "circle-3", "torus-3", "sphere-2"])
+], ids=["cone-2", "cone-3", "circle-2", "circle-3", "torus-2", "torus-3", "sphere-2"])
 def test_coarse_grid_shadow_sets(name, resolution, values, expected):
     # an edge whose normal turns by more than 90 degrees still brackets
     # every sign change of F, and no edge without one reports a root:
     # the cone's axis field is nowhere tangent, the circle's set is
     # {0, pi}, the torus has both circles (radii 1 and 3), the sphere's
-    # points lie on the equator
+    # points lie on the equator; at grid 2 every node of the circle and
+    # the torus is a zero of F, but no cell centre is, so the set is not
+    # degenerate, and each node is a point even with no edge to report it
     patch, field = _scene_subject(name)
     s = extract_shadow_set(patch, field, resolution)
     assert not s.degenerate
@@ -764,3 +797,64 @@ def test_normals_agree_along_every_grid_edge(scene, name):
         if not periodic:  # the last node along a walled axis starts no edge
             dots = np.delete(dots, -1, axis=axis)
         assert dots.min() > 0.0, axis
+
+
+# -- streaming in row slices -------------------------------------------------------
+
+
+def _set_bytes(s):
+    cert = s.certificate
+    return (s.params.tobytes(), s.ambient.tobytes(), s.residuals.tobytes(), s.polylines,
+            s.degenerate_fraction, s.dropped_seeds, cert.ratios.tobytes(),
+            cert.sigma_min.tobytes(), cert.flags.tobytes(), cert.argmin.tobytes())
+
+
+@pytest.mark.parametrize("subject, resolution", [
+    (lambda: _product_spheres()[:2], 12),
+    (lambda: _scene_subject("torus_e3"), 64),
+    (lambda: _scene_subject("circle_r2_e2"), 64),
+], ids=["product-spheres-newton", "torus-marching", "circle-edge-roots"])
+def test_chunk_size_cannot_change_the_shadow_set(subject, resolution, monkeypatch):
+    # 7 rows divide none of the grids (20,736, 4,096 and 64 rows), and 2**30
+    # holds every grid in one slice
+    patch, field = subject()
+    runs = []
+    for rows in (7, shadow._CHUNK_ROWS, 2**30):
+        monkeypatch.setattr(shadow, "_CHUNK_ROWS", rows)
+        s = extract_shadow_set(patch, field, resolution)
+        assert s.n_points > 0
+        runs.append(_set_bytes(s))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("m", [3, 4], ids=["marching", "newton"])
+def test_faulty_row_in_a_later_chunk_raises_as_unchunked(m, monkeypatch):
+    # x = |z|^2 z has Jacobian singular values 3|z|^2 and |z|^2, so only the
+    # origin, grid row 40 of 81 and the sixth slice of 7 rows, is rank-deficient
+    chart = parse_chart("((u^2 + v^2)*u, (u^2 + v^2)*v" + ", 0" * (m - 2) + ")", ("u", "v"))
+    patch = SubmanifoldPatch(chart, Box((-1.0, -1.0), (1.0, 1.0), (False, False)),
+                             AmbientSpace(m))
+    field = ConstantField([0.0] * (m - 1) + [1.0])
+    errors = []
+    for rows in (7, 2**30):
+        monkeypatch.setattr(shadow, "_CHUNK_ROWS", rows)
+        with pytest.raises(GeometryError) as info:
+            extract_shadow_set(patch, field, 9)
+        errors.append((type(info.value), info.value.point))
+    assert errors[0] == errors[1] == (ChartRankError, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("subject, resolution, cap_mib", [
+    (lambda: _product_spheres()[:2], 12, 24),
+    (lambda: _scene_subject("torus_e3"), 256, 16),
+], ids=["product-spheres-12", "torus-256"])
+def test_extraction_peak_memory_follows_the_chunk(subject, resolution, cap_mib):
+    # holding frames for the whole grid peaked at 67.4 and 39.6 MiB
+    patch, field = subject()
+    tracemalloc.start()
+    try:
+        extract_shadow_set(patch, field, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20
