@@ -69,16 +69,6 @@ EXIT_NOT_MET = 2
 
 SCENES_DIR = os.path.join(os.path.dirname(__file__), "scenes")
 
-THEOREM_IDS = (
-    "orthogonal-tgs",
-    "tgs-helix",
-    "minimality",
-    "parallel-normal-frame-tgs",
-    "hypersurface-helix-classification",
-    "geodesic-alignment",
-    "product-shadow",
-)
-
 # grid defaults per theorem when neither --grid nor the scene set one
 _THEOREM_RES = {
     "orthogonal-tgs": 24,
@@ -89,6 +79,7 @@ _THEOREM_RES = {
     "geodesic-alignment": 9,
     "product-shadow": 12,
 }
+THEOREM_IDS = tuple(_THEOREM_RES)
 
 # scene, theorem, expected verdict; `verify-all` passes iff every row matches
 VERIFY_PLAN = (
@@ -315,8 +306,7 @@ def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int
     res = _resolution(scene, args, 32)
     # one frame build on the grid serves the constancy test, the
     # Gauss-Kronecker curvature and the classification
-    constancy = helix_constancy_report(patch, field, resolution=res, tols=tols,
-                                       order=2 if patch.codim == 1 else 1)
+    constancy = helix_constancy_report(patch, field, resolution=res, tols=tols)
     results = {"patch": patch.name, "constancy": constancy.as_dict()}
     verdicts = []
     if patch.codim == 1:
@@ -405,7 +395,7 @@ def _run_theorem(scene: Scene, theorem: str, res, tols: Tolerances):
         field_a = _require_field(scene, scene.patch(a), _field_maybe(scene, a, tols))
         field_b = _require_field(scene, scene.patch(b), _field_maybe(scene, b, tols))
         return product_shadow_check(scene.patch(a), field_a, scene.patch(b),
-                                    field_b, resolution=res, tols=tols).report
+                                    field_b, resolution=res, tols=tols)
     raise SceneError(f"unknown theorem {theorem!r}", scene.name)
 
 

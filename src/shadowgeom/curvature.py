@@ -9,6 +9,9 @@ and in the orthonormal tangent basis.
 For a nested patch L inside M, II of L within M is computed
 intrinsically from M's induced metric via its Christoffel symbols, which
 keeps it independent of the ambient route and lets the two be compared.
+The metric, Jacobian and Hessian of M come from M's order-2 frames at
+the mapped points, so the caller that samples L evaluates each chart
+once and every helper here works on the frames and jets it is handed.
 """
 
 from __future__ import annotations
@@ -17,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ChartExpr
-from .geometry import (
-    Box,
-    FrameBatch,
-    GeometryError,
-    SubmanifoldPatch,
-    composed_patch,
-    frames_at,
-)
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .geometry import FrameBatch, GeometryError, SubmanifoldPatch
 
 __all__ = [
     "second_form_coord",
@@ -92,21 +86,19 @@ def _direction_set(n: int):
     return np.asarray(dirs)
 
 
-def tgs_scan(patch: SubmanifoldPatch, grid_points, tols: Tolerances = DEFAULT_TOLS):
-    """Max totally-geodesic residual over grid points and a spanning
+def tgs_scan(frames: FrameBatch):
+    """Max totally-geodesic residual over order-2 frames and a spanning
     direction set (coordinate directions and their pairwise sums and
     differences).  Returns (max_residual, argmax_point)."""
-    pts = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    frames = frames_at(patch, pts, order=2, tols=tols)
     coord = second_form_coord(frames)
-    dirs = _direction_set(patch.n)
+    dirs = _direction_set(frames.tangent.shape[2])
     comps = np.einsum("dp,dq,bpqa->bda", dirs, dirs, coord)
     vecs = np.einsum("bma,bda->bdm", frames.normal, comps)
     norms2 = np.einsum("dp,bpq,dq->bd", dirs, frames.metric, dirs)
     resid = np.linalg.norm(vecs, axis=2) / norms2
     flat_i = int(np.argmax(resid))
     bi = flat_i // resid.shape[1]
-    return float(resid.reshape(-1)[flat_i]), tuple(pts[bi])
+    return float(resid.reshape(-1)[flat_i]), tuple(frames.points[bi])
 
 
 def christoffels(patch: SubmanifoldPatch, points) -> np.ndarray:
@@ -141,7 +133,6 @@ class NestedCurvature:
     ii_in_parent is the intrinsic second fundamental form of L within M
     (ambient vectors, (B, m, l, l)); mean_in_parent its metric trace."""
 
-    points: np.ndarray  # (B, l) parameters of L
     parent_points: np.ndarray  # (B, n) images in M parameters
     tangent_coords: np.ndarray  # (B, n, l) dpsi
     metric: np.ndarray  # (B, l, l) induced metric of L
@@ -149,19 +140,18 @@ class NestedCurvature:
     mean_in_parent: np.ndarray  # (B, m)
 
 
-def nested_second_form(parent: SubmanifoldPatch, sub_chart: ChartExpr,
-                       points) -> NestedCurvature:
+def nested_second_form(sub_jets, frames_m: FrameBatch) -> NestedCurvature:
     """Second fundamental form of the nested patch within its parent,
-    computed from the parent metric and Christoffel symbols only."""
-    if sub_chart.n_outputs != parent.n:
-        raise GeometryError("nested chart must map into the parent parameters")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sub_jets = sub_chart.eval_jets(pts, order=2)
-    u = sub_jets.value  # (B, n)
+    computed from the parent metric and Christoffel symbols only.
+
+    ``sub_jets`` are the order-2 jets of L's chart into the parent
+    parameters; ``frames_m`` the parent's order-2 frames at their values.
+    """
+    if frames_m.hess is None:
+        raise GeometryError("second-order frame data required")
     t = sub_jets.jac  # (B, n, l)
-    parent_jets = parent.chart.eval_jets(u, order=2)
-    g = np.einsum("bmi,bmj->bij", parent_jets.jac, parent_jets.jac)
-    gamma = _christoffels(parent_jets.jac, parent_jets.hess)
+    g = frames_m.metric
+    gamma = _christoffels(frames_m.jac, frames_m.hess)
     acc = sub_jets.hess + np.einsum("bkij,bia,bjc->bkac", gamma, t, t)
     # remove the g-orthogonal projection onto span(dpsi)
     g_l = np.einsum("bia,bij,bjc->bac", t, g, t)
@@ -169,10 +159,10 @@ def nested_second_form(parent: SubmanifoldPatch, sub_chart: ChartExpr,
     b, l = rhs.shape[:2]
     coef = np.linalg.solve(g_l, rhs.reshape(b, l, -1)).reshape(rhs.shape)
     perp = acc - np.einsum("bka,bacd->bkcd", t, coef)
-    ii_amb = np.einsum("bmk,bkcd->bmcd", parent_jets.jac, perp)
+    ii_amb = np.einsum("bmk,bkcd->bmcd", frames_m.jac, perp)
     gl_inv = np.linalg.inv(g_l)
     mean = np.einsum("bmcd,bcd->bm", ii_amb, gl_inv) / l
-    return NestedCurvature(pts, u, t, g_l, ii_amb, mean)
+    return NestedCurvature(frames_m.points, t, g_l, ii_amb, mean)
 
 
 # -- additivity of the second fundamental form --------------------------------
@@ -183,35 +173,25 @@ class BangReport:
     """Residuals of the two-stage curvature decomposition for L in M in N."""
 
     ii_residual: float
-    ii_argmax: tuple
     mean_residual: float
-    mean_argmax: tuple
     n_points: int
 
 
-def bang_decomposition_check(parent: SubmanifoldPatch, sub_chart: ChartExpr,
-                             sub_domain: Box, points=None, resolution: int = 9,
-                             tols: Tolerances = DEFAULT_TOLS) -> BangReport:
+def bang_decomposition_check(nested: NestedCurvature, frames_l: FrameBatch,
+                             frames_m: FrameBatch) -> BangReport:
     """Check II(L in N) = II(L in M) + II(M in N) on L's tangent vectors.
 
     The three forms are computed by independent routes: the composite
-    chart for L in N, the parent chart for M in N, and the intrinsic
-    connection of M for L in M.  Mean curvatures are compared the same
-    way.  Residuals are absolute, maxed over a parameter grid of L.
+    chart for L in N (``frames_l``, order-2 frames of L), the parent
+    chart for M in N (``frames_m``, the parent's order-2 frames at the
+    mapped points), and the intrinsic connection of M for L in M
+    (``nested``).  Mean curvatures are compared the same way.  Residuals
+    are absolute, maxed over the sampled points.
     """
-    if points is None:
-        points = sub_domain.grid(resolution)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    l_dim = pts.shape[1]
-
-    nested = nested_second_form(parent, sub_chart, pts)
-
-    composite = composed_patch(parent, sub_chart, sub_domain)
-    frames_l = frames_at(composite, pts, order=2, tols=tols)
+    l_dim = nested.metric.shape[1]
     coord_l = second_form_coord(frames_l)
     ii_n = np.einsum("bcda,bma->bmcd", coord_l, frames_l.normal)
 
-    frames_m = frames_at(parent, nested.parent_points, order=2, tols=tols)
     coord_m = second_form_coord(frames_m)
     t = nested.tangent_coords
     comps = np.einsum("bpc,bqd,bpqa->bacd", t, t, coord_m)
@@ -219,19 +199,13 @@ def bang_decomposition_check(parent: SubmanifoldPatch, sub_chart: ChartExpr,
 
     diff = ii_n - nested.ii_in_parent - ii_m
     flat = np.linalg.norm(diff, axis=1)  # (B, l, l)
-    i = int(np.argmax(flat))
-    bi = i // (l_dim * l_dim)
-    ii_res = float(flat.reshape(-1)[i])
 
     gl_inv = np.linalg.inv(nested.metric)
     h_n = np.einsum("bmcd,bcd->bm", ii_n, gl_inv) / l_dim
     h_mn = np.einsum("bmcd,bcd->bm", ii_m, gl_inv) / l_dim
     h_diff = np.linalg.norm(h_n - nested.mean_in_parent - h_mn, axis=1)
-    j = int(np.argmax(h_diff))
     return BangReport(
-        ii_residual=ii_res,
-        ii_argmax=tuple(pts[bi]),
-        mean_residual=float(h_diff[j]),
-        mean_argmax=tuple(pts[j]),
-        n_points=len(pts),
+        ii_residual=float(flat.max()),
+        mean_residual=float(h_diff.max()),
+        n_points=len(frames_l.points),
     )

@@ -20,9 +20,13 @@ residuals:
 Nested checks take the inner patch as a chart into the parent
 parameters, so intrinsic quantities (second fundamental form in the
 parent, membership residuals) come from the parent connection rather
-than from a re-embedding.  Integral curves of tan(Y) and the geodesic
-fan both come from `transport.rk4_tracks`; a track that leaves the
-domain halves the integration time, at most four times (`_halving_retry`).
+than from a re-embedding.  One sampling stage, `_nested_sample`,
+evaluates L's chart jets, L's frames and the parent's frames once each;
+the curvature helpers and the membership residual read those.  Grid
+frames are built once at order 2 and handed to `tgs_scan`.  Integral
+curves of tan(Y) and the geodesic fan both come from
+`transport.rk4_tracks`; a track that leaves the domain halves the
+integration time, at most four times (`_halving_retry`).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .geometry import (
     frames_at,
 )
 from .reporting import Precondition, ResidualEntry, build_report
-from .shadow import shadow_values
 from .tolerances import DEFAULT_TOLS, Tolerances
 from .transport import geodesic_traces, parallelity_residual, rk4_tracks, track_defects
 
@@ -137,7 +140,7 @@ class HelixReport:
 
 
 def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
-                           tols: Tolerances = DEFAULT_TOLS, order: int = 1) -> HelixReport:
+                           tols: Tolerances = DEFAULT_TOLS) -> HelixReport:
     """Grid test of the helix property; meaningful for parallel fields.
 
     Reports the deviation of h from its mean and, alongside, the
@@ -145,14 +148,14 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
     parallel field all three are constant together.  Each axis needs at
     least 3 samples: a symmetric 2-point axis samples only mirror images,
     on which a non-helix patch can show a constant h.  The report keeps
-    the grid frames, built at jet `order` (2 when the caller also needs
-    the second fundamental form on the grid).
+    the grid frames, built at order 2 so that the second fundamental
+    form on the grid reads them too.
     """
     grid = patch.domain.grid(resolution)
     if np.min(resolution) < 3:
         raise ValueError("the helix test needs a grid resolution of at least 3, "
                          f"got {resolution!r}")
-    frames = frames_at(patch, grid, order=order, tols=tols)
+    frames = frames_at(patch, grid, order=2, tols=tols)
     h, nor, ynorm = _split_components(frames, field.values(grid))
     scale = float(ynorm.mean())
     guard = max(scale, _TINY)
@@ -281,7 +284,7 @@ def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances
     if h_rel.max() < floor:
         case = "orthogonal"
         witness = rep.points[int(np.argmax(h_rel))]
-        tgs_value, tgs_point = tgs_scan(patch, rep.points, tols=tols)
+        tgs_value, tgs_point = tgs_scan(rep.frames)
         hyp = [ResidualEntry("tangential-part", float(h_rel.max()),
                              tols.helix_tol, floor)]
         concl = [ResidualEntry("second-form-residual", tgs_value,
@@ -355,30 +358,27 @@ def _nested_ii_norms(nested) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
-def _membership(parent: SubmanifoldPatch, field, parent_points, tols) -> float:
-    """Max tangency residual |F| of the parent over mapped points."""
-    if parent.codim == 0:
-        return 0.0
-    return float(np.abs(shadow_values(parent, field, parent_points, tols=tols)).max())
-
-
 def _nested_sample(parent: SubmanifoldPatch, sub_chart, sub_domain: Box, field,
-                   resolution, name: str, order: int, tols: Tolerances):
+                   resolution, name: str, tols: Tolerances):
     """L-side data every nested check starts from.
 
-    Returns (pts, nested, frames, y, h, nor, guard, mem): the grid of L,
-    its second form in the parent, frames of L (to ``order``), Y at the
-    mapped parent points, |tan Y| and |nor Y| against L, the floored mean
-    |Y|, and the parent's membership residual over the mapped points.
+    Returns (pts, nested, frames_l, frames_m, y, h, nor, guard, mem): the
+    grid of L, its second form in the parent, order-2 frames of L and of
+    the parent at the mapped points, Y there, |tan Y| and |nor Y| against
+    L, the floored mean |Y|, and the parent's membership residual max|F|
+    over the mapped points.
     """
     sub = composed_patch(parent, sub_chart, sub_domain, name=name)
     pts = sub_domain.grid(resolution)
-    nested = nested_second_form(parent, sub_chart, pts)
-    frames = frames_at(sub, pts, order=order, tols=tols)
+    frames_l = frames_at(sub, pts, order=2, tols=tols)
+    sub_jets = sub_chart.eval_jets(pts, order=2)
+    frames_m = frames_at(parent, sub_jets.value, order=2, tols=tols)
+    nested = nested_second_form(sub_jets, frames_m)
     y = field.values(nested.parent_points)
-    h, nor, ynorm = _split_components(frames, y)
-    return (pts, nested, frames, y, h, nor, max(float(ynorm.mean()), _TINY),
-            _membership(parent, field, nested.parent_points, tols))
+    h, nor, ynorm = _split_components(frames_l, y)
+    mem = np.abs(np.einsum("bmj,bm->bj", frames_m.normal, y)).max(initial=0.0)
+    return (pts, nested, frames_l, frames_m, y, h, nor, max(float(ynorm.mean()), _TINY),
+            float(mem))
 
 
 def orthogonal_tgs_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
@@ -393,8 +393,8 @@ def orthogonal_tgs_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     residuals: membership max|F| against the second form of L in the
     parent; the verdict accepts them simultaneously small or large.
     """
-    pts, nested, frames_l, _, h, _, guard, mem = _nested_sample(
-        parent, sub_chart, sub_domain, field, resolution, name, 2, tols)
+    pts, nested, frames_l, _, _, h, _, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, tols)
     tan_rel = float(h.max() / guard)
     _, orth = second_form_components(frames_l)
     curve_norms = np.sqrt(np.einsum("bija,bija->b", orth, orth))
@@ -438,8 +438,8 @@ def tgs_helix_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     failed hypothesis is not a counterexample to an implication), then
     the conclusion is constancy of h along L.
     """
-    pts, nested, _, _, h, nor, guard, mem = _nested_sample(
-        parent, sub_chart, sub_domain, field, resolution, name, 1, tols)
+    pts, nested, _, _, _, h, nor, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, tols)
     h_mean = float(h.mean())
     h_dev = float(np.abs(h - h_mean).max())
     ii_max = float(_nested_ii_norms(nested).max())
@@ -480,11 +480,10 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     shadow set and Y transverse to L.  The two-stage decomposition of
     the second form is recomputed independently and gates the check.
     """
-    pts, nested, frames_l, y, _, nor, guard, mem = _nested_sample(
-        parent, sub_chart, sub_domain, field, resolution, name, 2, tols)
+    pts, nested, frames_l, frames_m, y, _, nor, guard, mem = _nested_sample(
+        parent, sub_chart, sub_domain, field, resolution, name, tols)
     trans_min = float((nor / guard).min())
-    bang = bang_decomposition_check(parent, sub_chart, sub_domain, points=pts,
-                                    tols=tols)
+    bang = bang_decomposition_check(nested, frames_l, frames_m)
     h_vec = mean_curvature(frames_l)
     align = np.abs(np.einsum("bm,bm->b", h_vec, y)) / guard
     mean_in_parent = np.linalg.norm(nested.mean_in_parent, axis=1)

@@ -62,7 +62,6 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 __all__ = [
     "ShadowSet",
     "SmoothnessReport",
-    "ProductShadowReport",
     "shadow_values",
     "shadow_system",
     "shadow_jacobian_consistency",
@@ -265,8 +264,9 @@ def _bisect(patch, field, a_pts, b_pts, tols):
     return root, res
 
 
-def _edge_roots(patch, field, f, res, tols):
-    """Roots of F on every grid edge of a curve or surface patch (k = 1).
+def _edge_roots(patch, field, f, grid, res, tols):
+    """Roots of F (on the scan's grid) on every grid edge of a curve or
+    surface patch (k = 1).
 
     Returns (points, residuals, ids); ids maps each edge key (axis, *start)
     that reports a root to that root's point id.  A zero at a grid node is
@@ -282,7 +282,7 @@ def _edge_roots(patch, field, f, res, tols):
     box = patch.domain
     shape = tuple(res)
     ff = f[:, 0].reshape(shape)
-    starts = box.grid(res).reshape(shape + (box.n,))
+    starts = grid.reshape(shape + (box.n,))
     node_keys, node_of, node_pts, node_res = [], [], [], []
     bis_keys, bis_a, bis_b = [], [], []
     for axis, h in enumerate(box.cell_sizes(res)):
@@ -404,9 +404,9 @@ def _chain(segments, n_points):
     return tuple(lines)
 
 
-def _extract_marching(patch, field, f, res, tols):
+def _extract_marching(patch, field, f, grid, res, tols):
     """Edge roots of a surface patch, paired per cell and chained."""
-    pts, resid, ids = _edge_roots(patch, field, f, res, tols)
+    pts, resid, ids = _edge_roots(patch, field, f, grid, res, tols)
     ff = f[:, 0].reshape(res)
 
     def corners_connect(cells):
@@ -508,11 +508,11 @@ def _extract_newton(patch, field, grid, res, tols, f, jac):
     return pts, res_kept, (), dropped
 
 
-def _cell_centres(box: Box, res):
-    """Centres of the grid cells, (prod(cells), n): every node shifted by
-    half a cell, less the last node of each walled axis."""
+def _cell_centres(box: Box, grid, res):
+    """Centres of the grid cells, (prod(cells), n): every node of `grid`
+    shifted by half a cell, less the last node of each walled axis."""
     cells = tuple(r if per else r - 1 for r, per in zip(res, box.periodic))
-    nodes = box.grid(res).reshape(res + (box.n,))[tuple(slice(c) for c in cells)]
+    nodes = grid.reshape(res + (box.n,))[tuple(slice(c) for c in cells)]
     return nodes.reshape(-1, box.n) + 0.5 * np.array(box.cell_sizes(res))
 
 
@@ -539,7 +539,7 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     frac = float(np.mean(flat_mag < tols.extract_tol))
 
     if frac >= DEGENERATE_FRACTION:
-        fc, = _stream_rows(patch, field, _cell_centres(box, res), tols, order=1)
+        fc, = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order=1)
         if np.mean(np.max(np.abs(fc), axis=1) < tols.extract_tol) >= DEGENERATE_FRACTION:
             return ShadowSet(
                 params=grid,
@@ -554,10 +554,10 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 
     dropped = 0
     if edges and patch.n == 1:
-        pts, resid, _ = _edge_roots(patch, field, f, res, tols)
+        pts, resid, _ = _edge_roots(patch, field, f, grid, res, tols)
         lines = ()
     elif edges:
-        pts, resid, lines = _extract_marching(patch, field, f, res, tols)
+        pts, resid, lines = _extract_marching(patch, field, f, grid, res, tols)
     else:
         pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols, *system)
 
@@ -678,17 +678,6 @@ def product_field(field_a: FieldAlongM, field_b: FieldAlongM,
     return BlockField(field_a, field_b, patch_a.n, patch_a.m)
 
 
-@dataclass(frozen=True)
-class ProductShadowReport:
-    hausdorff: float
-    cell_diagonal: float
-    n_direct: int
-    n_reference: int
-    direct_degenerate: bool
-    factor_degenerate: tuple
-    report: TheoremReport
-
-
 def _pair_grid(pts_a, pts_b):
     if pts_a.shape[0] == 0 or pts_b.shape[0] == 0:
         return np.zeros((0, pts_a.shape[1] + pts_b.shape[1]))
@@ -709,7 +698,7 @@ def _hausdorff(box: Box, a, b):
 def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
                          patch_b: SubmanifoldPatch, field_b: FieldAlongM,
                          resolution=24,
-                         tols: Tolerances = DEFAULT_TOLS) -> ProductShadowReport:
+                         tols: Tolerances = DEFAULT_TOLS) -> TheoremReport:
     """Shadow set of a product vs product of factor shadow sets.
 
     Both are point clouds in product parameter space; agreement means
@@ -735,7 +724,7 @@ def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
     hyp = [ResidualEntry("extraction-residual", max(residuals),
                          tols.extract_tol * 10.0, 1e-3)]
     concl = [ResidualEntry("hausdorff-gap", gap, cell_diag, 2.0 * cell_diag)]
-    report = build_report(
+    return build_report(
         "product-shadow",
         prod.name,
         hypotheses=hyp,
@@ -747,13 +736,4 @@ def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
             "direct_degenerate": direct.degenerate,
             "factor_degenerate": [sa.degenerate, sb.degenerate],
         },
-    )
-    return ProductShadowReport(
-        hausdorff=gap,
-        cell_diagonal=cell_diag,
-        n_direct=direct.n_points,
-        n_reference=int(reference.shape[0]),
-        direct_degenerate=direct.degenerate,
-        factor_degenerate=(sa.degenerate, sb.degenerate),
-        report=report,
     )

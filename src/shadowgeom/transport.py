@@ -17,9 +17,12 @@ does the stage math for curves, holonomy loops and transported fields;
 each caller only scales the increment and applies the projector.  It
 evaluates the constraint once: stage points pass the one on-ambient rule,
 `geometry.check_on_ambient`, and the step-end Jacobian rows give the
-projectors.  One fold, `_fold`, turns step matrices into the running
-products that curves, holonomy loops and transported fields read;
-transported fields build a line's station matrices in one builder call.
+projectors.  The builder hands those rows on, so the seed tangency
+check, the tangency drift and the holonomy base basis read them instead
+of evaluating the constraint again.  One fold, `_fold`, turns step
+matrices into the running products that curves, holonomy loops and
+transported fields read; transported fields build a line's station
+matrices in one builder call.
 Patch geodesics here and the integral curves of tan(Y) in `helix` come
 from one nonlinear RK4 integrator, `rk4_tracks`, which raises
 DomainExitError when a track crosses a wall of the chart domain.
@@ -41,7 +44,6 @@ from .geometry import (
     SubmanifoldPatch,
     TangencyError,
     ambient_kernel,
-    ambient_tangent_basis,
     check_on_ambient,
     constraint_kernel,
     frames_at,
@@ -159,10 +161,12 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     Takes stage parameters u3 and parameter velocities du3, both (S, 3, n)
     at step start, midpoint and end, and step sizes h (S,).  Returns the
     increment k1 + 2 k2 + 2 k3 + k4 (S, m, m), the projector onto the
-    ambient tangent space at each step end (S, m, m) and the stage
-    positions (S, 3, m).  Over a flat ambient the increment is zero and
-    the projectors are the identity.  The projectors come from the
-    step-end rows of the one order-2 constraint evaluation.
+    ambient tangent space at each step end (S, m, m), the stage
+    positions (S, 3, m) and the constraint Jacobian rows there
+    (S, 3, kc, m).  Over a flat ambient the increment is zero, the
+    projectors are the identity and there are no constraint rows.  The
+    projectors come from the step-end rows of the one order-2 constraint
+    evaluation.
     """
     s_count, n = u3.shape[0], u3.shape[2]
     flat_u = u3.reshape(-1, n)
@@ -172,7 +176,7 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     xr = x.reshape(s_count, 3, m)
     if patch.ambient.flat:
         eye = np.broadcast_to(np.eye(m), (s_count, m, m))
-        return np.zeros((s_count, m, m)), eye, xr
+        return np.zeros((s_count, m, m)), eye, xr, np.zeros((s_count, 3, 0, m))
     xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n))
     cjets = patch.ambient.constraint.eval_jets(x, order=2)
     check_on_ambient(cjets.value, x, flat_u, tols)
@@ -187,20 +191,22 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     k2 = lm + half * (lm @ k1)
     k3 = lm + half * (lm @ k2)
     k4 = le + h[:, None, None] * (le @ k3)
-    basis = constraint_kernel(dc.reshape(s_count, 3, -1, m)[:, 2], u3[:, 2], tols)
+    dc3 = dc.reshape(s_count, 3, -1, m)
+    basis = constraint_kernel(dc3[:, 2], u3[:, 2], tols)
     proj = np.einsum("bmd,bjd->bmj", basis, basis)
-    return k1 + 2 * k2 + 2 * k3 + k4, proj, xr
+    return k1 + 2 * k2 + 2 * k3 + k4, proj, xr, dc3
 
 
 def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
                    tols: Tolerances):
-    """RK4 step matrices (S, m, m) plus step-end parameters and positions."""
+    """RK4 step matrices (S, m, m) plus step-end parameters (S+1, n),
+    positions (S+1, m) and constraint Jacobian rows (S+1, kc, m)."""
     u3, du3, h = curve.stage_points(steps)
-    inc, proj, xr = _rk4_increments(patch, u3, du3, h, tols)
-    end_u = np.concatenate([u3[:, 0, :], u3[-1:, 2, :]], axis=0)
-    end_x = np.concatenate([xr[:, 0, :], xr[-1:, 2, :]], axis=0)
+    inc, proj, xr, dc3 = _rk4_increments(patch, u3, du3, h, tols)
+    end_u, end_x, end_dc = (np.concatenate([a[:, 0], a[-1:, 2]], axis=0)
+                            for a in (u3, xr, dc3))
     mats = np.eye(inc.shape[1]) + (h / 6.0)[:, None, None] * inc
-    return proj @ mats, end_u, end_x
+    return proj @ mats, end_u, end_x, end_dc
 
 
 def _fold(mats):
@@ -215,10 +221,9 @@ def _fold(mats):
     return np.moveaxis(out, 0, -3)
 
 
-def _check_seed_tangent(patch, x0, v, tols, point):
-    if patch.ambient.flat:
-        return
-    dc = patch.ambient.constraint.eval_jets(x0[None, :], order=1).jac[0]
+def _check_seed_tangent(dc, v, tols, point):
+    """TangencyError at `point` unless Dc v vanishes, for the constraint
+    Jacobian row dc (kc, m) there; a flat ambient has no rows."""
     defect = np.linalg.norm(dc @ v)
     if defect > tols.on_ambient_tol * (1.0 + np.linalg.norm(v)):
         raise TangencyError(
@@ -246,20 +251,16 @@ def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector,
                        tols: Tolerances = DEFAULT_TOLS) -> TransportResult:
     """Transport an ambient-tangent vector along a curve in the patch."""
     v0 = np.asarray(vector, dtype=float)
-    mats, end_u, end_x = _step_matrices(patch, curve, steps, tols)
-    _check_seed_tangent(patch, end_x[0], v0, tols, end_u[0])
+    mats, end_u, end_x, dc = _step_matrices(patch, curve, steps, tols)
+    _check_seed_tangent(dc[0], v0, tols, end_u[0])
     vecs = _fold(mats) @ v0
-    coarse_mats, _, _ = _step_matrices(patch, curve, max(steps // 2, 1), tols)
+    coarse_mats = _step_matrices(patch, curve, max(steps // 2, 1), tols)[0]
     v_coarse = _fold(coarse_mats)[-1] @ v0
     step_error = float(np.linalg.norm(vecs[-1] - v_coarse) / 15.0)
     norms = np.linalg.norm(vecs, axis=1)
     norm_drift = float(np.abs(norms - norms[0]).max())
-    if patch.ambient.flat:
-        tangency_drift = 0.0
-    else:
-        dc = patch.ambient.constraint.eval_jets(end_x, order=1).jac
-        dots = np.linalg.norm(np.einsum("bam,bm->ba", dc, vecs), axis=1)
-        tangency_drift = float((dots / (1.0 + norms)).max())
+    dots = np.linalg.norm(np.einsum("bam,bm->ba", dc, vecs), axis=1)
+    tangency_drift = float((dots / (1.0 + norms)).max())
     return TransportResult(
         params=end_u,
         positions=end_x,
@@ -281,7 +282,6 @@ class HolonomyResult:
     matrix: np.ndarray  # (d, d)
     ambient_matrix: np.ndarray  # (m, m)
     base_point: np.ndarray
-    base_x: np.ndarray
     deviation: float  # spectral distance from the identity
     rotation: float | None  # principal rotation angle when d == 2
     steps: int
@@ -296,14 +296,17 @@ def holonomy_loop(patch: SubmanifoldPatch, loop: ParamCurve,
     Parameter-space endpoints may differ (periodic wrap loops do), only
     the chart images must agree.
     """
-    mats, end_u, end_x = _step_matrices(patch, loop, steps, tols)
+    mats, end_u, end_x, dc = _step_matrices(patch, loop, steps, tols)
     gap = np.linalg.norm(end_x[-1] - end_x[0])
     if gap > tols.on_ambient_tol * (1.0 + np.linalg.norm(end_x[0])):
         raise GeometryError(
             f"loop does not close in the ambient space (gap {gap:.3e})", end_u[0]
         )
     total = _fold(mats)[-1]
-    basis0 = ambient_tangent_basis(patch.ambient, end_x[:1], tols)[0]
+    if patch.ambient.flat:
+        basis0 = np.eye(patch.m)
+    else:
+        basis0 = constraint_kernel(dc[:1], end_u[:1], tols)[0]
     hol = basis0.T @ total @ basis0
     d = hol.shape[0]
     deviation = float(np.linalg.norm(hol - np.eye(d), ord=2))
@@ -315,7 +318,6 @@ def holonomy_loop(patch: SubmanifoldPatch, loop: ParamCurve,
         matrix=hol,
         ambient_matrix=total,
         base_point=end_u[0],
-        base_x=end_x[0],
         deviation=deviation,
         rotation=rotation,
         steps=int(mats.shape[0]),
@@ -398,9 +400,9 @@ class TransportField(FieldAlongM):
         box = patch.domain
         self._h = np.array([(b - a) / _STATIONS for a, b in zip(box.lo, box.hi)])
         self._lines: dict = {}
-        if not patch.ambient.flat:
-            x0 = patch.chart.eval_values(self.base_point[None, :])[0]
-            _check_seed_tangent(patch, x0, self.vector, tols, self.base_point)
+        base = self.base_point[None, :]
+        _, dc = ambient_kernel(patch.ambient, patch.chart.eval_values(base), base, tols)
+        _check_seed_tangent(dc[0], self.vector, tols, self.base_point)
 
     # one RK4 step per segment, batched; starts (B, n), lengths (B,)
     def _segment_matrices(self, starts, axis: int, lengths):
@@ -410,7 +412,7 @@ class TransportField(FieldAlongM):
         u3[:, :, axis] += offs[None, :] * lengths[:, None]
         du3 = np.zeros_like(u3)
         du3[:, :, axis] = lengths[:, None]
-        inc, proj, _ = _rk4_increments(self.patch, u3, du3, np.ones(b), self.tols)
+        inc, proj, _, _ = _rk4_increments(self.patch, u3, du3, np.ones(b), self.tols)
         # S/6 here but (h/6)*S in _step_matrices: one shared final line
         # moves parallel-field report values by about 1e-16 relative
         return proj @ (np.eye(inc.shape[1]) + inc / 6.0)
@@ -614,7 +616,7 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
         if overlap[i] > worst_overlap:
             worst_overlap = float(overlap[i])
             worst_point = tuple(grid[i])
-    tgs_value, tgs_point = tgs_scan(patch, grid, tols=tols)
+    tgs_value, tgs_point = tgs_scan(frames)
     return build_report(
         "parallel-normal-frame-tgs",
         patch.name,
@@ -645,7 +647,6 @@ class GeodesicResult:
     tangential_residual: float  # defect as a geodesic of the patch
     ambient_residual: float  # defect as a geodesic of the ambient manifold
     steps: int
-    t1: float
 
 
 def rk4_tracks(rhs, start, h: float, steps: int, box, pad: float) -> np.ndarray:
@@ -761,7 +762,6 @@ def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0
                 tangential_residual=float(tangential[g]),
                 ambient_residual=float(ambient[g]),
                 steps=steps,
-                t1=float(t1),
             )
         )
     return results

@@ -214,11 +214,11 @@ def test_criterion_06_product_theorem(capsys):
     )
     for label, pa, fa, pb, fb, res in cases:
         rep = product_shadow_check(pa, fa, pb, fb, resolution=res)
-        if not rep.hausdorff < rep.cell_diagonal:
-            problems.append(f"{label}: hausdorff {rep.hausdorff:.3e} "
-                            f">= cell {rep.cell_diagonal:.3e}")
-        if rep.report.verdict != "confirmed":
-            problems.append(f"{label}: verdict {rep.report.verdict}")
+        gap, cell = rep.conclusions[0].value, rep.details["cell_diagonal"]
+        if not gap < cell:
+            problems.append(f"{label}: hausdorff {gap:.3e} >= cell {cell:.3e}")
+        if rep.verdict != "confirmed":
+            problems.append(f"{label}: verdict {rep.verdict}")
     _verdict(capsys, 6, "product-shadow-agreement", problems)
 
 

@@ -2,12 +2,13 @@
 
 import json
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from shadowgeom import cli, helix, shadow
+from shadowgeom import cli, geometry, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.geometry import MAX_GRID_ROWS
 from shadowgeom.scene import SceneError
@@ -235,6 +236,37 @@ def test_helix_builds_grid_frames_once(capsys, monkeypatch, scene):
     assert code == 0
     rows = report_of(out)["results"]["constancy"]["n_points"]
     assert [c for c in calls if c[1] == rows] == [(2, rows)]
+
+
+# a known repeat the shadow extraction keeps: `_bisect` evaluates F at the
+# bisected roots (order 1), then the rank certificate builds order-2
+# frames at the same roots
+_EXTRACTION_REPEATS = [("product_spheres", "product-shadow", "A", (12, 2)),
+                       ("product_spheres", "product-shadow", "B", (12, 2))]
+
+
+def test_verify_plan_builds_each_frame_batch_once(capsys, monkeypatch):
+    # within one theorem check no patch gets frames twice at the same points
+    real_frames = geometry.frames_at
+    calls = []
+
+    def spy(patch, points, *args, **kwargs):
+        calls.append((patch, np.array(points, dtype=float)))
+        return real_frames(patch, points, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("shadowgeom") and vars(module).get("frames_at") is real_frames:
+            monkeypatch.setattr(module, "frames_at", spy)
+    repeats = []
+    for scene, theorem, _ in VERIFY_PLAN:
+        calls.clear()
+        run(["verify", theorem, scene])
+        capsys.readouterr()
+        for i, (patch, pts) in enumerate(calls):
+            if any(p is patch and q.shape == pts.shape and np.array_equal(q, pts)
+                   for p, q in calls[:i]):
+                repeats.append((scene, theorem, patch.name, pts.shape))
+    assert repeats == _EXTRACTION_REPEATS
 
 
 def test_helix_sphere_rejected(capsys):

@@ -15,7 +15,9 @@ from shadowgeom.curvature import (
     tgs_scan,
 )
 from shadowgeom.expr import ChartExpr, parse_chart
-from shadowgeom.geometry import Box, GeometryError, frames_at
+from shadowgeom.fields import ConstantField
+from shadowgeom.geometry import Box, GeometryError, composed_patch, frames_at
+from shadowgeom.helix import minimality_criterion, orthogonal_tgs_check, tgs_helix_check
 
 import shapes
 from oracles import fd_metric_derivative
@@ -110,28 +112,28 @@ def test_orth_components_symmetric():
 
 def test_plane_is_totally_geodesic():
     patch = shapes.plane()
-    worst, _ = tgs_scan(patch, patch.domain.grid(7))
+    worst, _ = tgs_scan(frames_at(patch, patch.domain.grid(7)))
     assert worst < 1e-13
-    worst, _ = tgs_scan(patch, [(0.3, -0.4)])
+    worst, _ = tgs_scan(_frames(patch, (0.3, -0.4)))
     assert worst < 1e-13
 
 
 def test_sphere_tgs_residual_is_one():
     # |II(w,w)| / <w,w> = 1 for every direction on the unit sphere
-    worst, _ = tgs_scan(shapes.sphere(), shapes.sphere().domain.grid(5))
+    worst, _ = tgs_scan(frames_at(shapes.sphere(), shapes.sphere().domain.grid(5)))
     assert worst == pytest.approx(1.0, abs=1e-10)
 
 
 def test_latitude_residual_is_cotangent():
     theta0 = math.pi / 3
     patch = shapes.sphere_cap(theta0)
-    got, _ = tgs_scan(patch, [(0.4,)])
+    got, _ = tgs_scan(_frames(patch, (0.4,)))
     assert got == pytest.approx(1.0 / math.tan(theta0), abs=1e-12)
 
 
 def test_equator_in_sphere_is_geodesic():
     patch = shapes.circle3(shapes.sphere_ambient())
-    worst, _ = tgs_scan(patch, patch.domain.grid(9))
+    worst, _ = tgs_scan(frames_at(patch, patch.domain.grid(9)))
     assert worst < 1e-10
 
 
@@ -176,16 +178,35 @@ def test_christoffel_symmetry_in_lower_indices():
 # -- nested curvature ----------------------------------------------------------
 
 
+def _nested(parent, sub_chart, points):
+    """(nested form, parent frames) of L at its parameter points."""
+    jets = sub_chart.eval_jets(np.asarray(points, dtype=float), order=2)
+    frames_m = frames_at(parent, jets.value)
+    return nested_second_form(jets, frames_m), frames_m
+
+
+def _decomposition(parent, sub_chart, box, resolution=9):
+    pts = box.grid(resolution)
+    nested, frames_m = _nested(parent, sub_chart, pts)
+    frames_l = frames_at(composed_patch(parent, sub_chart, box), pts)
+    return bang_decomposition_check(nested, frames_l, frames_m)
+
+
 def test_equator_nested_in_sphere_is_geodesic():
     sub = parse_chart("(pi/2, s)", ("s",))
     s = np.linspace(0.1, 6.0, 9)[:, None]
-    nested = nested_second_form(shapes.sphere(), sub, s)
+    nested, _ = _nested(shapes.sphere(), sub, s)
     assert np.abs(nested.ii_in_parent).max() < 1e-10
     assert np.abs(nested.mean_in_parent).max() < 1e-10
 
 
 def test_nested_second_form_evaluates_parent_jets_once(monkeypatch):
+    # each nested check evaluates the parent chart once, at order 2: the
+    # parent frames at the mapped points serve the second form in the
+    # parent, the membership residual and the decomposition check
     parent = shapes.sphere()
+    sub = parse_chart("(pi/2, s)", ("s",))
+    field = ConstantField([0.0, 0.0, 1.0])
     calls = []
     eval_jets = ChartExpr.eval_jets
 
@@ -195,16 +216,17 @@ def test_nested_second_form_evaluates_parent_jets_once(monkeypatch):
         return eval_jets(self, points, order)
 
     monkeypatch.setattr(ChartExpr, "eval_jets", spy)
-    sub = parse_chart("(pi/3, s)", ("s",))
-    nested_second_form(parent, sub, np.linspace(0.0, 6.0, 7)[:, None])
-    assert calls == [2]
+    for check in (orthogonal_tgs_check, tgs_helix_check, minimality_criterion):
+        calls.clear()
+        check(parent, sub, Box((0.0,), (TWO_PI,), (True,)), field, resolution=7)
+        assert calls == [2], check.__name__
 
 
 def test_latitude_nested_mean_is_geodesic_curvature():
     theta0 = math.pi / 3
     sub = parse_chart("(th0, s)", ("s",), {"th0": theta0})
     s = np.linspace(0.0, 6.0, 7)[:, None]
-    nested = nested_second_form(shapes.sphere(), sub, s)
+    nested, _ = _nested(shapes.sphere(), sub, s)
     norms = np.linalg.norm(nested.mean_in_parent, axis=1)
     np.testing.assert_allclose(norms, 1.0 / math.tan(theta0), atol=1e-10)
     # the curvature vector stays tangent to the sphere
@@ -216,17 +238,17 @@ def test_latitude_nested_mean_is_geodesic_curvature():
 def test_decomposition_residuals_vanish():
     eq = parse_chart("(pi/2, s)", ("s",))
     loop = Box((0.0,), (TWO_PI,), (True,))
-    rep = bang_decomposition_check(shapes.sphere(), eq, loop)
+    rep = _decomposition(shapes.sphere(), eq, loop)
     assert rep.ii_residual < 1e-9
     assert rep.mean_residual < 1e-9
 
     lat = parse_chart("(th0, s)", ("s",), {"th0": math.pi / 3})
-    rep = bang_decomposition_check(shapes.sphere(), lat, loop)
+    rep = _decomposition(shapes.sphere(), lat, loop)
     assert rep.ii_residual < 1e-9
     assert rep.mean_residual < 1e-9
 
     outer = parse_chart("(0, s)", ("s",))
-    rep = bang_decomposition_check(shapes.torus(), outer, loop)
+    rep = _decomposition(shapes.torus(), outer, loop)
     assert rep.ii_residual < 1e-9
     assert rep.mean_residual < 1e-9
     assert rep.n_points == 9
@@ -235,9 +257,8 @@ def test_decomposition_residuals_vanish():
 def test_decomposition_on_tilted_curve():
     # a non-symmetric curve inside the torus still satisfies additivity
     sub = parse_chart("(s, 2*s)", ("s",))
-    rep = bang_decomposition_check(
-        shapes.torus(), sub, Box((0.0,), (TWO_PI,), (True,)), resolution=11
-    )
+    rep = _decomposition(shapes.torus(), sub, Box((0.0,), (TWO_PI,), (True,)),
+                         resolution=11)
     assert rep.ii_residual < 1e-8
     assert rep.mean_residual < 1e-8
 

@@ -272,29 +272,30 @@ def test_product_circles_in_r4():
     c = shapes.circle2()
     y = ConstantField([0.0, 1.0])
     rep = product_shadow_check(c, y, shapes.circle2(), y, resolution=24)
-    assert rep.report.verdict == "confirmed"
-    assert rep.n_direct == 4
-    assert rep.n_reference == 4
-    assert rep.hausdorff < rep.cell_diagonal
+    assert rep.verdict == "confirmed"
+    assert rep.details["n_direct"] == 4
+    assert rep.details["n_reference"] == 4
+    assert rep.conclusions[0].label == "hausdorff-gap"
+    assert rep.conclusions[0].value < rep.details["cell_diagonal"]
 
 
 def test_product_tori_in_spheres_full():
     me = shapes.meridian_circle()
     zero = ConstantField([0.0, 0.0, 0.0])
     rep = product_shadow_check(me, E3, shapes.meridian_circle(), zero, resolution=16)
-    assert rep.report.verdict == "confirmed"
-    assert rep.direct_degenerate
-    assert rep.factor_degenerate == (True, True)
-    assert rep.hausdorff == 0.0
+    assert rep.verdict == "confirmed"
+    assert rep.details["direct_degenerate"]
+    assert rep.details["factor_degenerate"] == [True, True]
+    assert rep.conclusions[0].value == 0.0
 
 
 def test_product_tori_in_spheres_empty():
     eq = shapes.circle3(ambient=shapes.sphere_ambient())
     zero = ConstantField([0.0, 0.0, 0.0])
     rep = product_shadow_check(eq, E3, shapes.meridian_circle(), zero, resolution=16)
-    assert rep.report.verdict == "confirmed"
-    assert rep.n_direct == 0 and rep.n_reference == 0
-    assert rep.hausdorff == 0.0
+    assert rep.verdict == "confirmed"
+    assert rep.details["n_direct"] == 0 and rep.details["n_reference"] == 0
+    assert rep.conclusions[0].value == 0.0
 
 
 def test_product_zero_field_factor_contributes_everything():
@@ -302,10 +303,10 @@ def test_product_zero_field_factor_contributes_everything():
     rep = product_shadow_check(c, ConstantField([0.0, 1.0]),
                                shapes.circle2(), ConstantField([0.0, 0.0]),
                                resolution=24)
-    assert rep.report.verdict == "confirmed"
-    assert rep.factor_degenerate == (False, True)
-    assert rep.n_reference == 2 * 24
-    assert rep.hausdorff < rep.cell_diagonal
+    assert rep.verdict == "confirmed"
+    assert rep.details["factor_degenerate"] == [False, True]
+    assert rep.details["n_reference"] == 2 * 24
+    assert rep.conclusions[0].value < rep.details["cell_diagonal"]
 
 
 def test_product_patch_constraints_stack():
@@ -613,7 +614,8 @@ def _scene_subject(name):
 def test_edge_roots_match_merged_edge_loop_on_surfaces(subject, resolution):
     patch, field = subject()
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, res, DEFAULT_TOLS)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
+                                         DEFAULT_TOLS)
     ref_pts, ref_resid, ref_ids = _surface_roots_loop(patch, field, f, normals, res,
                                                       DEFAULT_TOLS)
     assert pts.shape[0] > 0
@@ -627,7 +629,8 @@ def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
     # u = 0 is a grid node, reported by edge 0 and by the last, wrapping edge
     patch, field = _scene_subject("circle_r2_e2")
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, res, DEFAULT_TOLS)
+    pts, resid, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
+                                         DEFAULT_TOLS)
     ref_pts, ref_resid, ref_ids = _curve_roots_loop(patch, field, f, normals, res,
                                                     DEFAULT_TOLS)
     assert ids[(0, 0)] == ids[(0, resolution - 1)] == 0

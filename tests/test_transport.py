@@ -121,25 +121,51 @@ def test_off_ambient_curve_is_named_by_its_parameter():
     assert err.value.point == (1e8,)
 
 
-def test_step_builder_evaluates_the_constraint_once(monkeypatch):
-    patch = latitude()
+def _constraint_spy(monkeypatch, patch):
+    """List of (order, rows) of every evaluation of the patch's constraint."""
     constraint = patch.ambient.constraint
-    u3, du3, h = ParamCurve.polyline([[0.2], [2.5]]).stage_points(16)
     calls = []
     eval_jets = ChartExpr.eval_jets
 
     def spy(self, points, order=2):
         if self is constraint:
-            calls.append(order)
+            calls.append((order, len(points)))
         return eval_jets(self, points, order)
 
     monkeypatch.setattr(ChartExpr, "eval_jets", spy)
-    _, proj, xr = _rk4_increments(patch, u3, du3, h, Tolerances())
-    assert calls == [2]
+    return calls
+
+
+def test_step_builder_evaluates_the_constraint_once(monkeypatch):
+    patch = latitude()
+    u3, du3, h = ParamCurve.polyline([[0.2], [2.5]]).stage_points(16)
+    calls = _constraint_spy(monkeypatch, patch)
+    _, proj, xr, _ = _rk4_increments(patch, u3, du3, h, Tolerances())
+    assert calls == [(2, 48)]
     # the step-end projectors are the ones the order-1 ambient basis gives
-    monkeypatch.setattr(ChartExpr, "eval_jets", eval_jets)
     basis = ambient_tangent_basis(patch.ambient, xr[:, 2])
     assert np.array_equal(proj, np.einsum("bmd,bjd->bmj", basis, basis))
+
+
+def test_transport_reads_the_builder_constraint_rows(monkeypatch):
+    # the seed check and the tangency drift read the step builder's rows:
+    # one evaluation on the 3 * 2,048 stage points, one on the half-step run
+    patch = latitude()
+    calls = _constraint_spy(monkeypatch, patch)
+    res = parallel_transport(patch, wrap_loop(), [0.0, 1.0, 0.0], steps=2048)
+    assert calls == [(2, 6144), (2, 3072)]
+    assert res.tangency_drift < 1e-12
+
+
+def test_holonomy_evaluates_the_constraint_once(monkeypatch):
+    # the base basis comes from the builder's row at the loop start
+    patch = latitude()
+    calls = _constraint_spy(monkeypatch, patch)
+    hol = holonomy_loop(patch, wrap_loop(), steps=256)
+    assert calls == [(2, 768)]
+    x0 = patch.chart.eval_values(np.zeros((1, 1)))
+    basis = ambient_tangent_basis(patch.ambient, x0)[0]
+    np.testing.assert_array_equal(hol.matrix, basis.T @ hol.ambient_matrix @ basis)
 
 
 # -- holonomy ---------------------------------------------------------------------
@@ -329,7 +355,7 @@ def test_segment_step_matches_curve_step():
     start, length = np.array([1.0, 0.7]), 0.05
     seg = fld._segment_matrices(start[None, :], 1, np.array([length]))
     curve = ParamCurve.polyline([start, start + [0.0, length]])
-    mats, _, _ = _step_matrices(fld.patch, curve, 1, fld.tols)
+    mats = _step_matrices(fld.patch, curve, 1, fld.tols)[0]
     assert not np.allclose(seg[0], np.eye(3))
     np.testing.assert_allclose(seg[0], mats[0], rtol=1e-14)
 
