@@ -328,8 +328,7 @@ def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) ->
     loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=args.seed)
     per = []
     worst = None
-    for loop in loops:
-        hol = holonomy_loop(patch, loop, steps=1024, tols=tols)
+    for hol in holonomy_loop(patch, loops, steps=1024, tols=tols):
         per.append({"label": hol.label, "deviation": hol.deviation,
                     "rotation": hol.rotation})
         if worst is None or hol.deviation > worst.deviation:

@@ -15,14 +15,21 @@ the tangent space of N folded into every step; all stage data is built
 in batch before the sequential fold.  One builder, `_rk4_increments`,
 does the stage math for curves, holonomy loops and transported fields;
 each caller only scales the increment and applies the projector.  It
-evaluates the constraint once: stage points pass the one on-ambient rule,
+evaluates each distinct stage point once: a step start equal to the
+previous step end, in parameter and velocity bit for bit, reuses that
+end's rows, so an S-step segment costs 2S + 1 rows; at a polyline
+vertex the velocity turns and both rows are evaluated.  It evaluates the
+constraint once: stage points pass the one on-ambient rule,
 `geometry.check_on_ambient`, and the step-end Jacobian rows give the
 projectors.  The builder hands those rows on, so the seed tangency
 check, the tangency drift and the holonomy base basis read them instead
 of evaluating the constraint again.  One fold, `_fold`, turns step
 matrices into the running products that curves, holonomy loops and
 transported fields read; transported fields build a line's station
-matrices in one builder call.
+matrices in one builder call.  `holonomy_loop` is batch-first: it takes
+all probe loops of a command, builds them one builder call each, and
+folds loops that share a step count together, one batched `_fold` per
+group of at most `_GROUP_BYTES` of step matrices.
 Patch geodesics here and the integral curves of tan(Y) in `helix` come
 from one nonlinear RK4 integrator, `rk4_tracks`, which raises
 DomainExitError when a track crosses a wall of the chart domain.
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +84,9 @@ DEFAULT_STEPS = 4096
 # two stations past either end
 _STATIONS = 1024
 _REACH = _STATIONS + 2
+# stacked step matrices of one holonomy fold group stay within this many
+# bytes; the fold's running products take as many again
+_GROUP_BYTES = 1 << 21
 OBSTRUCTION_CLEAR_NOTE = "no obstruction found at probe resolution"
 
 
@@ -166,32 +177,40 @@ def _rk4_increments(patch: SubmanifoldPatch, u3, du3, h, tols: Tolerances):
     (S, 3, kc, m).  Over a flat ambient the increment is zero, the
     projectors are the identity and there are no constraint rows.  The
     projectors come from the step-end rows of the one order-2 constraint
-    evaluation.
+    evaluation.  A step start whose parameter and velocity equal the
+    previous step end bit for bit is not evaluated again: every kernel
+    here works row by row, so it takes that end's results unchanged.
     """
     s_count, n = u3.shape[0], u3.shape[2]
-    flat_u = u3.reshape(-1, n)
+    bits = np.concatenate([u3, du3], axis=2).view(np.uint64)
+    repeat = np.zeros((s_count, 3), dtype=bool)
+    repeat[1:, 0] = (bits[1:, 0] == bits[:-1, 2]).all(axis=1)
+    fresh = ~repeat.reshape(-1)
+    # compact row of each stage row; a repeated start reads the row before
+    src = np.cumsum(fresh) - 1
+    flat_u = u3.reshape(-1, n)[fresh]
     jets = patch.chart.eval_jets(flat_u, order=1)
     x = jets.value
     m = x.shape[1]
-    xr = x.reshape(s_count, 3, m)
+    xr = x[src].reshape(s_count, 3, m)
     if patch.ambient.flat:
         eye = np.broadcast_to(np.eye(m), (s_count, m, m))
         return np.zeros((s_count, m, m)), eye, xr, np.zeros((s_count, 3, 0, m))
-    xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n))
+    xdot = np.einsum("bmn,bn->bm", jets.jac, du3.reshape(-1, n)[fresh])
     cjets = patch.ambient.constraint.eval_jets(x, order=2)
     check_on_ambient(cjets.value, x, flat_u, tols)
     dc = cjets.jac
     dcdot = np.einsum("bi,baij->baj", xdot, cjets.hess)
     gram = np.einsum("bai,bci->bac", dc, dc)
     w = np.linalg.solve(gram, dcdot)
-    big_l = -np.einsum("bai,baj->bij", dc, w).reshape(s_count, 3, m, m)
+    big_l = -np.einsum("bai,baj->bij", dc, w)[src].reshape(s_count, 3, m, m)
     l0, lm, le = big_l[:, 0], big_l[:, 1], big_l[:, 2]
     half = (0.5 * h)[:, None, None]
     k1 = l0
     k2 = lm + half * (lm @ k1)
     k3 = lm + half * (lm @ k2)
     k4 = le + h[:, None, None] * (le @ k3)
-    dc3 = dc.reshape(s_count, 3, -1, m)
+    dc3 = dc[src].reshape(s_count, 3, -1, m)
     basis = constraint_kernel(dc3[:, 2], u3[:, 2], tols)
     proj = np.einsum("bmd,bjd->bmj", basis, basis)
     return k1 + 2 * k2 + 2 * k3 + k4, proj, xr, dc3
@@ -288,41 +307,64 @@ class HolonomyResult:
     label: str
 
 
-def holonomy_loop(patch: SubmanifoldPatch, loop: ParamCurve,
-                  steps: int = DEFAULT_STEPS,
-                  tols: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
-    """Full transport around a loop; the loop must close in ambient space.
+def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int = DEFAULT_STEPS,
+                  tols: Tolerances = DEFAULT_TOLS) -> list:
+    """Full transport around each of a sequence of loops: one
+    HolonomyResult per loop, in order.
 
-    Parameter-space endpoints may differ (periodic wrap loops do), only
-    the chart images must agree.
+    Each loop must close in ambient space; parameter-space endpoints may
+    differ (periodic wrap loops do), only the chart images must agree.
+    Loops are built and checked one at a time, in order, one builder call
+    each, so an error names the loop a one-by-one walk would.  Loops with
+    the same step count are stacked into groups of at most _GROUP_BYTES
+    of step matrices, and each group is folded by one batched `_fold`: a
+    group costs one matmul call a step, not one a step and loop.  The fold
+    works matrix by matrix, so every result equals the one-loop fold bit
+    for bit.
     """
-    mats, end_u, end_x, dc = _step_matrices(patch, loop, steps, tols)
-    gap = np.linalg.norm(end_x[-1] - end_x[0])
-    if gap > tols.on_ambient_tol * (1.0 + np.linalg.norm(end_x[0])):
-        raise GeometryError(
-            f"loop does not close in the ambient space (gap {gap:.3e})", end_u[0]
-        )
-    total = _fold(mats)[-1]
-    if patch.ambient.flat:
-        basis0 = np.eye(patch.m)
-    else:
-        basis0 = constraint_kernel(dc[:1], end_u[:1], tols)[0]
-    hol = basis0.T @ total @ basis0
-    d = hol.shape[0]
-    deviation = float(np.linalg.norm(hol - np.eye(d), ord=2))
-    rotation = None
-    if d == 2:
-        tr = 0.5 * (hol[0, 0] + hol[1, 1])
-        rotation = float(math.acos(min(1.0, max(-1.0, tr))))
-    return HolonomyResult(
-        matrix=hol,
-        ambient_matrix=total,
-        base_point=end_u[0],
-        deviation=deviation,
-        rotation=rotation,
-        steps=int(mats.shape[0]),
-        label=loop.label,
-    )
+    counts = [int(loop._allocate(steps).sum()) for loop in loops]
+    left = Counter(counts)
+    pending: dict = {}  # step count -> (stacked step matrices, loop heads)
+    results = [None] * len(counts)
+    for i, (loop, count) in enumerate(zip(loops, counts)):
+        mats, end_u, end_x, dc = _step_matrices(patch, loop, steps, tols)
+        gap = np.linalg.norm(end_x[-1] - end_x[0])
+        if gap > tols.on_ambient_tol * (1.0 + np.linalg.norm(end_x[0])):
+            raise GeometryError(
+                f"loop does not close in the ambient space (gap {gap:.3e})", end_u[0]
+            )
+        if patch.ambient.flat:
+            basis0 = np.eye(patch.m)
+        else:
+            basis0 = constraint_kernel(dc[:1], end_u[:1], tols)[0]
+        if count not in pending:
+            size = min(left[count], max(1, _GROUP_BYTES // mats.nbytes))
+            pending[count] = (np.empty((size,) + mats.shape), [])
+        stack, heads = pending[count]
+        stack[len(heads)] = mats
+        # copies, so results hold no step-sized buffer alive
+        heads.append((i, basis0, end_u[0].copy(), loop.label))
+        left[count] -= 1
+        if len(heads) < len(stack):
+            continue
+        del pending[count]
+        for (j, basis0, base, label), total in zip(heads, _fold(stack)[:, -1].copy()):
+            hol = basis0.T @ total @ basis0
+            d = hol.shape[0]
+            rotation = None
+            if d == 2:
+                tr = 0.5 * (hol[0, 0] + hol[1, 1])
+                rotation = float(math.acos(min(1.0, max(-1.0, tr))))
+            results[j] = HolonomyResult(
+                matrix=hol,
+                ambient_matrix=total,
+                base_point=base,
+                deviation=float(np.linalg.norm(hol - np.eye(d), ord=2)),
+                rotation=rotation,
+                steps=count,
+                label=label,
+            )
+    return results
 
 
 def probe_loops(patch: SubmanifoldPatch, levels=(1, 2, 3), n_random: int = 20,
@@ -543,12 +585,11 @@ def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=No
     vector = np.asarray(vector, dtype=float)
     fld = TransportField(patch, base_point, vector, tols=tols)
     loops = probe_loops(patch, levels=(1, 2, 3), n_random=20, seed=seed)
-    per = []
     # batch the field values at all loop bases so line caches build once
     y_bases = fld.values(np.array([loop.start for loop in loops]))
-    for loop, y0 in zip(loops, y_bases):
-        hol = holonomy_loop(patch, loop, steps=1024, tols=tols)
-        per.append((loop.label, float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))))
+    hols = holonomy_loop(patch, loops, steps=1024, tols=tols)
+    per = [(hol.label, float(np.linalg.norm(hol.ambient_matrix @ y0 - y0)))
+           for hol, y0 in zip(hols, y_bases)]
     worst_label, max_dev = max(per, key=lambda item: item[1])
     ok = max_dev <= tols.holonomy_tol
     note = OBSTRUCTION_CLEAR_NOTE if ok else (

@@ -226,7 +226,7 @@ def test_criterion_07_holonomy_oracle(capsys):
     problems = []
     wrap = ParamCurve.polyline([[0.0], [TWO_PI]], label="wrap")
     for theta0 in (math.pi / 6, math.pi / 3, math.pi / 2):
-        hol = holonomy_loop(shapes.sphere_cap(theta0), wrap, steps=2048)
+        hol, = holonomy_loop(shapes.sphere_cap(theta0), [wrap], steps=2048)
         want = TWO_PI * (1.0 - math.cos(theta0))
         gap = _angle_gap(hol.rotation, want)
         if gap >= 1e-6:
@@ -270,9 +270,8 @@ def test_criterion_08_transport_invariants(capsys):
             if pair >= 1e-7:
                 problems.append(f"{patch.name}/{loop.label}: "
                                 f"inner-product drift {pair:.3e}")
-            fwd = holonomy_loop(patch, loop, steps=1024)
             rev = ParamCurve.polyline(loop.vertices[::-1], label="rev")
-            bwd = holonomy_loop(patch, rev, steps=1024)
+            fwd, bwd = holonomy_loop(patch, [loop, rev], steps=1024)
             gap = float(np.max(np.abs(bwd.matrix @ fwd.matrix
                                       - np.eye(len(fwd.matrix)))))
             if gap >= 1e-6:

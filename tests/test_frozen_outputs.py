@@ -3,7 +3,7 @@
 perfbench/frozen_outputs.json records the sha256 of each benchmark
 command's output, `timings` removed; these tests only read it.  Every
 workload command with a digest under `fixed` is run, and so is every
-seeded command (`transport`, `parallel-field`) at CLI seeds 0 and 1
+seeded command (`transport`, `parallel-field`) at CLI seeds 0, 1 and 99
 against its `seeded` digests, so a change that moves any byte outside
 `timings` fails.  The fixed test keeps the name it had when it covered
 only the `grid` workload, so its ids stay stable.
@@ -36,7 +36,7 @@ FIXED = FROZEN["fixed"]
 COMMANDS = [cmd for cmds in BENCH.WORKLOADS.values() for cmd in cmds
             if BENCH.command_key(cmd) in FIXED]
 SEEDED = [(cmd, seed) for cmds in BENCH.WORKLOADS.values() for cmd in cmds
-          if BENCH.command_key(cmd) in FROZEN["seeded"] for seed in (0, 1)]
+          if BENCH.command_key(cmd) in FROZEN["seeded"] for seed in (0, 1, 99)]
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

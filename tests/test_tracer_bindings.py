@@ -4,12 +4,18 @@ perfbench/tracer.py names its traced functions by defining module and
 attribute; a rename in `src/` would only fail when the benchmark runs
 `Tracer.install`.  These tests load tracer.py read-only and resolve each
 name as `install` does: a module attribute, or an entry of the class
-dict.
+dict.  The probe-loop commands are also run under the tracer, which
+wraps every binding site, to check that all of their holonomy work sits
+in one `transport.holonomy_loop` span.
 """
 
 import importlib
 import importlib.util
 import os
+
+import pytest
+
+from shadowgeom.cli import run
 
 
 def _load_tracer():
@@ -36,3 +42,15 @@ def test_traced_methods_resolve():
         if cls is None or not callable(vars(cls).get(attr)):
             missing.append(f"{mod}.{cls_name}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("command", ["transport", "parallel-field"])
+def test_probe_loop_commands_call_holonomy_once(command, capsys):
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        run([command, "latitude_p3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.summary()["transport.holonomy_loop"]["calls"] == 1

@@ -1,9 +1,12 @@
 """Transport, holonomy probing, transported fields, geodesic traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shadowgeom.cli import find_scene
 from shadowgeom.curvature import christoffels
@@ -17,10 +20,13 @@ from shadowgeom.geometry import (
     SubmanifoldPatch,
     TangencyError,
     ambient_tangent_basis,
+    constraint_kernel,
 )
 from shadowgeom.helix import geodesic_alignment_check
 from shadowgeom.scene import load_scene
+from shadowgeom.shadow import product_patch
 from shadowgeom.tolerances import Tolerances
+import shadowgeom.transport as transport
 from shadowgeom.transport import (
     _REACH,
     OBSTRUCTION_CLEAR_NOTE,
@@ -34,6 +40,7 @@ from shadowgeom.transport import (
     parallelity_residual,
     probe_loops,
     rk4_tracks,
+    _fold,
     _rk4_increments,
     _step_matrices,
 )
@@ -141,7 +148,8 @@ def test_step_builder_evaluates_the_constraint_once(monkeypatch):
     u3, du3, h = ParamCurve.polyline([[0.2], [2.5]]).stage_points(16)
     calls = _constraint_spy(monkeypatch, patch)
     _, proj, xr, _ = _rk4_increments(patch, u3, du3, h, Tolerances())
-    assert calls == [(2, 48)]
+    # each step start but the first is the previous step end: 2 * 16 + 1 rows
+    assert calls == [(2, 33)]
     # the step-end projectors are the ones the order-1 ambient basis gives
     basis = ambient_tangent_basis(patch.ambient, xr[:, 2])
     assert np.array_equal(proj, np.einsum("bmd,bjd->bmj", basis, basis))
@@ -149,11 +157,12 @@ def test_step_builder_evaluates_the_constraint_once(monkeypatch):
 
 def test_transport_reads_the_builder_constraint_rows(monkeypatch):
     # the seed check and the tangency drift read the step builder's rows:
-    # one evaluation on the 3 * 2,048 stage points, one on the half-step run
+    # one evaluation on the 2 * 2,048 + 1 distinct stage points, one on the
+    # half-step run
     patch = latitude()
     calls = _constraint_spy(monkeypatch, patch)
     res = parallel_transport(patch, wrap_loop(), [0.0, 1.0, 0.0], steps=2048)
-    assert calls == [(2, 6144), (2, 3072)]
+    assert calls == [(2, 4097), (2, 2049)]
     assert res.tangency_drift < 1e-12
 
 
@@ -161,28 +170,44 @@ def test_holonomy_evaluates_the_constraint_once(monkeypatch):
     # the base basis comes from the builder's row at the loop start
     patch = latitude()
     calls = _constraint_spy(monkeypatch, patch)
-    hol = holonomy_loop(patch, wrap_loop(), steps=256)
-    assert calls == [(2, 768)]
+    hol, = holonomy_loop(patch, [wrap_loop()], steps=256)
+    assert calls == [(2, 513)]
     x0 = patch.chart.eval_values(np.zeros((1, 1)))
     basis = ambient_tangent_basis(patch.ambient, x0)[0]
     np.testing.assert_array_equal(hol.matrix, basis.T @ hol.ambient_matrix @ basis)
+
+
+def test_step_builder_keeps_both_rows_at_a_polyline_corner(monkeypatch):
+    # 3 + 5 steps on an L: each leg shares its inner step ends, but the
+    # velocity turns at the corner, so the corner is evaluated twice
+    patch = sphere_region()
+    u3, du3, h = ParamCurve.polyline([[1.0, 0.7], [1.2, 0.7], [1.2, 1.0]]).stage_points(8)
+    assert list(h) == [1.0 / 3.0] * 3 + [0.2] * 5
+    calls = _constraint_spy(monkeypatch, patch)
+    got = _rk4_increments(patch, u3, du3, h, Tolerances())
+    assert calls == [(2, (2 * 3 + 1) + (2 * 5 + 1))]
+    # and every output equals the step-by-step build, which shares nothing
+    alone = [_rk4_increments(patch, u3[s:s + 1], du3[s:s + 1], h[s:s + 1], Tolerances())
+             for s in range(8)]
+    for out, parts in zip(got, zip(*alone)):
+        assert np.array_equal(out, np.concatenate(parts))
 
 
 # -- holonomy ---------------------------------------------------------------------
 
 
 def test_latitude_holonomy_rotation():
-    hol = holonomy_loop(latitude(), wrap_loop(), steps=2048)
+    hol, = holonomy_loop(latitude(), [wrap_loop()], steps=2048)
     assert hol.rotation == pytest.approx(TWO_PI * (1.0 - math.cos(THETA0)), abs=1e-9)
     assert hol.deviation == pytest.approx(
         2.0 * abs(math.sin(math.pi * (1.0 - math.cos(THETA0)))), abs=1e-9
     )
-    other = holonomy_loop(latitude(1.0), wrap_loop(), steps=2048)
+    other, = holonomy_loop(latitude(1.0), [wrap_loop()], steps=2048)
     assert other.rotation == pytest.approx(TWO_PI * (1.0 - math.cos(1.0)), abs=1e-9)
 
 
 def test_equator_holonomy_trivial():
-    hol = holonomy_loop(latitude(math.pi / 2), wrap_loop(), steps=2048)
+    hol, = holonomy_loop(latitude(math.pi / 2), [wrap_loop()], steps=2048)
     assert hol.deviation < 1e-10
 
 
@@ -195,7 +220,7 @@ def test_sphere_cell_holonomy_equals_enclosed_area():
     loop = ParamCurve.polyline(
         [[1.0, 0.2], [1.6, 0.2], [1.6, 1.0], [1.0, 1.0]], closed=True
     )
-    hol = holonomy_loop(region, loop, steps=4096)
+    hol, = holonomy_loop(region, [loop], steps=4096)
     area = (math.cos(1.0) - math.cos(1.6)) * 0.8
     assert hol.rotation == pytest.approx(area, abs=1e-8)
 
@@ -211,7 +236,7 @@ def test_cone_holonomy_matches_development():
     patch = SubmanifoldPatch(
         chart, Box((0.0,), (TWO_PI,), (True,)), shapes.cone_ambient(alpha)
     )
-    hol = holonomy_loop(patch, wrap_loop(), steps=2048)
+    hol, = holonomy_loop(patch, [wrap_loop()], steps=2048)
     assert hol.rotation == pytest.approx(TWO_PI * (1.0 - math.sin(alpha)), abs=1e-9)
 
     # independent check: develop the circle onto the plane around the fit apex
@@ -223,7 +248,117 @@ def test_cone_holonomy_matches_development():
 
 def test_loop_must_close_in_ambient_space():
     with pytest.raises(GeometryError):
-        holonomy_loop(latitude(), ParamCurve.polyline([[0.0], [math.pi]]), steps=64)
+        holonomy_loop(latitude(), [ParamCurve.polyline([[0.0], [math.pi]])], steps=64)
+
+
+def _reference_holonomy(patch, loop, steps):
+    """(ambient matrix, matrix, deviation, rotation) of one loop, folded alone."""
+    tols = Tolerances()
+    mats, end_u, _, dc = _step_matrices(patch, loop, steps, tols)
+    total = _fold(mats)[-1]
+    if patch.ambient.flat:
+        basis0 = np.eye(patch.m)
+    else:
+        basis0 = constraint_kernel(dc[:1], end_u[:1], tols)[0]
+    hol = basis0.T @ total @ basis0
+    d = hol.shape[0]
+    rotation = None
+    if d == 2:
+        rotation = math.acos(min(1.0, max(-1.0, 0.5 * (hol[0, 0] + hol[1, 1]))))
+    return total, hol, float(np.linalg.norm(hol - np.eye(d), ord=2)), rotation
+
+
+def _assert_batch_matches_loops(patch, loops, steps):
+    results = holonomy_loop(patch, loops, steps=steps)
+    assert [r.label for r in results] == [loop.label for loop in loops]
+    for loop, res in zip(loops, results):
+        total, hol, deviation, rotation = _reference_holonomy(patch, loop, steps)
+        assert np.array_equal(res.ambient_matrix, total)
+        assert np.array_equal(res.matrix, hol)
+        assert res.deviation == deviation
+        assert res.rotation == rotation
+        assert res.steps == len(loop.stage_points(steps)[2])
+        assert np.array_equal(res.base_point, loop.start)
+    return results
+
+
+def test_batched_holonomy_matches_each_loop_on_latitude_p3():
+    # n = 1 in a curved ambient: the random polygons and the wrap
+    patch = load_scene(find_scene("latitude_p3")).patch()
+    loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=0)
+    assert len(loops) == 9
+    _assert_batch_matches_loops(patch, loops, 1024)
+
+
+def test_batched_holonomy_matches_each_loop_on_sphere_cells():
+    loops = probe_loops(sphere_region(), levels=(1, 2), n_random=2, seed=5)
+    assert len(loops) == 4 + 16 + 2
+    _assert_batch_matches_loops(sphere_region(), loops, 256)
+
+
+def test_batched_holonomy_matches_each_loop_on_a_flat_patch():
+    loops = probe_loops(shapes.torus(), levels=(1,), n_random=3, seed=1)
+    results = _assert_batch_matches_loops(shapes.torus(), loops, 256)
+    assert all(res.deviation == 0.0 for res in results)
+
+
+def test_batched_holonomy_groups_mixed_step_counts():
+    # at steps=2 every segment still gets a step: 4, 3, 4, 5 and 4 steps
+    square = [[0.8, 0.7], [1.2, 0.7], [1.2, 1.2], [0.8, 1.2]]
+    polygons = [square, square[:3], square[::-1],
+                square + [[0.7, 1.0]], [[1.0, 0.6], [1.3, 0.9], [1.0, 1.4], [0.7, 0.9]]]
+    loops = [ParamCurve.polyline(v, closed=True, label=f"poly-{i}")
+             for i, v in enumerate(polygons)]
+    results = _assert_batch_matches_loops(sphere_region(), loops, 2)
+    assert [res.steps for res in results] == [4, 3, 4, 5, 4]
+
+
+def test_holonomy_folds_once_per_group(monkeypatch):
+    # a budget of three loops' step matrices: 20 cells fold as 3 * 6 + 2
+    patch = sphere_region()
+    loops = probe_loops(patch, levels=(1, 2), n_random=0)
+    one_loop = _step_matrices(patch, loops[0], 64, Tolerances())[0].nbytes
+    monkeypatch.setattr(transport, "_GROUP_BYTES", 3 * one_loop + 1)
+    sizes = []
+
+    def spy(mats):
+        sizes.append(mats.shape[:-3])
+        return _fold(mats)
+
+    monkeypatch.setattr(transport, "_fold", spy)
+    _assert_batch_matches_loops(patch, loops, 64)
+    assert sizes == [(3,)] * 6 + [(2,)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    polygons=st.lists(
+        st.lists(st.tuples(st.floats(0.6, 1.4), st.floats(0.5, 1.5)),
+                 min_size=2, max_size=6),
+        min_size=1, max_size=4,
+    ),
+    steps=st.integers(1, 40),
+)
+def test_batched_holonomy_matches_each_loop_on_random_polygons(polygons, steps):
+    assume(all(len(set(verts)) > 1 for verts in polygons))
+    loops = [ParamCurve.polyline(verts, closed=True, label=f"random-{i}")
+             for i, verts in enumerate(polygons)]
+    _assert_batch_matches_loops(sphere_region(), loops, steps)
+
+
+def test_parallel_field_holonomy_memory_is_bounded():
+    # 526 probe loops of 1,024 6 x 6 step matrices: about 150 MiB if all
+    # were stacked at once
+    scene = load_scene(find_scene("product_spheres"))
+    patch = product_patch(scene.patch("A"), scene.patch("B"))
+    tracemalloc.start()
+    try:
+        _, rep = construct_parallel_field(patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_loops == 526
+    assert peak <= 12 * 2**20
 
 
 # -- probe loops and obstruction ----------------------------------------------------
@@ -347,6 +482,14 @@ def test_transport_field_lines_match_station_walk(case):
     ref = walked_lines(fld, axis, keys)
     for k, want in zip(keys, ref):
         np.testing.assert_array_equal(fld._lines[(axis, k)], want)
+
+
+def test_transport_field_line_evaluates_each_station_once(monkeypatch):
+    # _REACH segments a sign share their inner ends: 2 * _REACH + 1 rows
+    fld = latitude_field()
+    calls = _constraint_spy(monkeypatch, fld.patch)
+    fld._build_lines(0, [()])
+    assert calls == [(2, 2 * _REACH + 1)] * 2
 
 
 def test_segment_step_matches_curve_step():
