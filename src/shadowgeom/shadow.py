@@ -31,13 +31,19 @@ an arbitrary rotation from point to point, so the finite-difference
 Jacobian check rotates nearby frames onto the center frame first.
 
 Every evaluation over the whole grid, and every Newton iteration, streams
-its points through `_stream_rows` in fixed slices of `_CHUNK_ROWS` rows
-and keeps only the per-row results: F (B, k), J (B, k, n) and, for the
-grid scan, the chart points x (B, m).  A slice's frames are freed before
-the next slice is built, so memory follows the grid's point count and
-not the size of its frames.  Every numpy kernel on this path works row
-by row, so the slicing changes no bit of any result; when rows in two
-slices are faulty, the fault of the earlier slice is raised.
+its points through `_stream_rows` in slices of `_slice_rows` rows and
+keeps per row only what the next step reads: max|F|, and F (B, 1) on the
+edge route or the Gauss-Newton step (B, n) on the Newton route.  The step
+is taken inside the slice, so J exists for one slice at a time, and the
+chart points x are kept by no scan (a degenerate set evaluates its grid's
+chart values).  A slice's frames are freed before the next slice is
+built, so memory follows the grid's point count and not the size of its
+frames: traced peaks grow by about 48 bytes a grid row on the edge route
+(torus_e3, grids 128 to 256) and 300 on the Newton route
+(product_spheres, grids 12 to 20).  Every numpy kernel on this path,
+`pinv` included, works row by row or matrix by matrix, so the slicing
+changes no bit of any result; when rows in two slices are faulty, the
+fault of the earlier slice is raised.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ DEGENERATE_FRACTION = 0.95
 _BISECT_TOL = 1e-10
 _NEWTON_ITERS = 30
 _CHUNK_ROWS = 2048
+_SLICE_BYTES = 2**20
 
 
 # -- residual and Jacobian ---------------------------------------------------
@@ -110,25 +117,39 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     return f, jac, frames
 
 
-def _stream_rows(patch, field, points, tols, order, ambient=False):
-    """F (B, k), with J (B, k, n) at order 2 and the chart points x (B, m)
-    when `ambient`, evaluated `_CHUNK_ROWS` rows at a time.
+def _slice_rows(patch, order):
+    """Rows per `_stream_rows` slice: `_CHUNK_ROWS`, or fewer where the
+    slice's chart jets, m (1 + n) doubles a row and m n^2 more at order 2,
+    would pass `_SLICE_BYTES`."""
+    n = patch.n
+    row_bytes = 8 * patch.m * (1 + n + (n * n if order == 2 else 0))
+    return max(1, min(_CHUNK_ROWS, _SLICE_BYTES // row_bytes))
 
-    Order 1 goes through `frames_at` and `shadow_values`, order 2 through
-    `shadow_system`.
+
+def _stream_rows(patch, field, points, tols, order):
+    """max|F| per row (B,), then F (B, k) at order 1 or, at order 2, the
+    Gauss-Newton step -pinv(J) F (B, n) of every row whose max|F| exceeds
+    extract_tol (zero on the others), evaluated `_slice_rows` rows at a time.
+
+    Order 1 goes through `shadow_values`, order 2 through `shadow_system`.
+    J lives only inside its slice; `pinv` and the step's einsum work
+    matrix by matrix, so a row's step does not depend on its slice.
     """
+    size = _slice_rows(patch, order)
     out = None
-    for start in range(0, points.shape[0], _CHUNK_ROWS):
-        rows = points[start:start + _CHUNK_ROWS]
+    for start in range(0, points.shape[0], size):
+        rows = points[start:start + size]
         if order == 2:
-            f, jac, frames = shadow_system(patch, field, rows, tols)
-            parts = (f, jac)
+            f, jac = shadow_system(patch, field, rows, tols)[:2]  # frames freed here
+            mag = np.max(np.abs(f), axis=1)
+            move = mag > tols.extract_tol
+            tail = np.zeros((rows.shape[0], patch.n))
+            pinv = np.linalg.pinv(jac[move], rcond=1e-10)
+            tail[move] = -np.einsum("bnk,bk->bn", pinv, f[move])
         else:
-            frames = frames_at(patch, rows, order=1, tols=tols)
-            parts = (shadow_values(patch, field, rows, tols, frames=frames),)
-        if ambient:
-            parts += (frames.x,)
-        del frames  # freed before the next slice builds its own
+            tail = shadow_values(patch, field, rows, tols)
+            mag = np.max(np.abs(tail), axis=1)
+        parts = (mag, tail)
         if out is None:
             out = tuple(np.empty((points.shape[0],) + p.shape[1:]) for p in parts)
         for o, p in zip(out, parts):
@@ -336,23 +357,25 @@ def _march_cells(point_ids, saddle_fn, res, periodic):
     r0, r1 = res
     c0 = r0 if periodic[0] else r0 - 1
     c1 = r1 if periodic[1] else r1 - 1
-    ids = np.full((2, r0, r1), -1, dtype=np.int64)
+    # one id table with a last row and column that repeat the first (read
+    # only across a periodic seam), so every side is a view of it
+    ids = np.full((2, r0 + 1, r1 + 1), -1, dtype=np.int64)
     for (axis, i, j), pid in point_ids.items():
         ids[axis, i, j] = pid
-    sides = np.stack([
-        ids[0],
-        np.roll(ids[0], -1, axis=1),
-        ids[1],
-        np.roll(ids[1], -1, axis=0),
-    ], axis=-1)[:c0, :c1]                          # (c0, c1, 4)
-    hits = np.count_nonzero(sides >= 0, axis=-1)
-    pairs = sides[hits == 2]
+    ids[:, r0] = ids[:, 0]
+    ids[:, :, r1] = ids[:, :, 0]
+    sides = (ids[0, :c0, :c1], ids[0, :c0, 1:c1 + 1], ids[1, :c0, :c1], ids[1, 1:c0 + 1, :c1])
+    hits = np.zeros((c0, c1), dtype=np.int8)
+    for side in sides:
+        hits += side >= 0
+    two = hits == 2
+    pairs = np.stack([side[two] for side in sides], axis=1)  # (cells, 4), row-major
     pairs = pairs[pairs >= 0].reshape(-1, 2)
     saddle_i, saddle_j = np.nonzero(hits == 4)
     if saddle_i.size:
         cells = list(zip(saddle_i.tolist(), saddle_j.tolist()))
         through = np.asarray(saddle_fn(cells), dtype=bool)
-        a0, a1, b0, b1 = sides[saddle_i, saddle_j].T
+        a0, a1, b0, b1 = (side[saddle_i, saddle_j] for side in sides)
         # per cell (a0, b1), (b0, a1) when `through`, else (a0, b0), (a1, b1)
         quads = np.stack([a0, np.where(through, b1, b0),
                           np.where(through, b0, a1), np.where(through, a1, b1)], axis=1)
@@ -432,8 +455,15 @@ def _dedup(box: Box, points, residuals, radius):
     res = residuals[order]
     scale = max(radius, 1e-300)
     bins = np.floor((pts - box.lo) / scale).astype(np.int64)
-    _, first = np.unique(bins, axis=0, return_index=True)
-    first.sort()
+    # the first point of every bin: a stable sort by bin, then the start
+    # of each run of equal bins
+    by_bin = np.lexsort(bins.T[::-1])
+    starts = np.zeros(by_bin.size, dtype=bool)
+    starts[0] = True
+    for col in bins.T:
+        col = col[by_bin]
+        starts[1:] |= col[1:] != col[:-1]
+    first = np.sort(by_bin[starts])
     pts, res = pts[first], res[first]
     keep_pts: list[np.ndarray] = []
     keep_res = []
@@ -445,14 +475,14 @@ def _dedup(box: Box, points, residuals, radius):
     return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
 
 
-def _extract_newton(patch, field, grid, res, tols, f, jac):
+def _extract_newton(patch, field, grid, res, tols, mag, step):
     """Damped Gauss-Newton from every grid seed; returns (points, residuals,
     polylines, dropped seeds).
 
-    `f` and `jac` are the shadow residual and Jacobian of the grid scan,
-    so the first step evaluates nothing.  Each later iteration streams
-    its rows through `_stream_rows`, so no iteration holds more than
-    `_CHUNK_ROWS` rows of frames.
+    `mag` and `step` are max|F| and the Gauss-Newton step of the grid
+    scan, so the first step evaluates nothing.  Each later iteration
+    streams its rows through `_stream_rows`, so no iteration holds more
+    than one slice of frames or Jacobians.
 
     Only the active rows, those whose coordinates changed bit for bit in
     the previous iteration and are still inside the padded box, are
@@ -475,22 +505,22 @@ def _extract_newton(patch, field, grid, res, tols, f, jac):
     active = np.arange(u.shape[0])
     for it in range(_NEWTON_ITERS):
         if it:
-            f, jac = _stream_rows(patch, field, u[active], tols, order=2)
-        bad = np.max(np.abs(f), axis=1)
-        resid[active] = bad
-        move = bad > tols.extract_tol
+            mag, step = _stream_rows(patch, field, u[active], tols, order=2)
+        resid[active] = mag
+        move = mag > tols.extract_tol
         active = active[move]
         if not active.size:
             break
-        pinv = np.linalg.pinv(jac[move], rcond=1e-10)
-        step = -np.einsum("bnk,bk->bn", pinv, f[move])
+        step = step[move]
         norms = np.linalg.norm(step, axis=1)
-        scale = np.minimum(1.0, diag / np.maximum(norms, 1e-300))
+        step *= np.minimum(1.0, diag / np.maximum(norms, 1e-300))[:, None]
         old = u[active]
-        u[active] = box.wrap(old + step * scale[:, None])
-        alive[active] = box.contains(u[active], pad=float(cell.max()))
-        moved = np.any(u[active].view(np.int64) != old.view(np.int64), axis=1)
-        active = active[moved & alive[active]]
+        new = box.wrap(old + step)
+        u[active] = new
+        inside = box.contains(new, pad=float(cell.max()))
+        alive[active] = inside
+        moved = np.any(new.view(np.int64) != old.view(np.int64), axis=1)
+        active = active[moved & inside]
         if not active.size:
             break
     if not bool(alive.any()):
@@ -500,8 +530,7 @@ def _extract_newton(patch, field, grid, res, tols, f, jac):
     resid = resid[rows]
     stale = np.isin(rows, active)
     if stale.any():
-        f, = _stream_rows(patch, field, u[stale], tols, order=1)
-        resid[stale] = np.max(np.abs(f), axis=1)
+        resid[stale] = _stream_rows(patch, field, u[stale], tols, order=1)[0]
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
     pts, res_kept = _dedup(box, u[good], resid[good], 0.5 * diag)
@@ -530,20 +559,17 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     res = box._res_tuple(resolution)
     grid = box.grid(res)
     edges = patch.codim == 1 and patch.n in (1, 2)
-    # Newton's first step takes F and J from this scan; its order-2
-    # frames give the same normals, hence the same F, as order 1
-    *system, x = _stream_rows(patch, field, grid, tols, order=1 if edges else 2,
-                              ambient=True)
-    f = system[0]
-    flat_mag = np.max(np.abs(f), axis=1)
+    # the edge scan reads F; Newton's first step is taken in this scan,
+    # whose order-2 frames give the same normals, hence the same F, as order 1
+    flat_mag, tail = _stream_rows(patch, field, grid, tols, order=1 if edges else 2)
     frac = float(np.mean(flat_mag < tols.extract_tol))
 
     if frac >= DEGENERATE_FRACTION:
-        fc, = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order=1)
-        if np.mean(np.max(np.abs(fc), axis=1) < tols.extract_tol) >= DEGENERATE_FRACTION:
+        centre_mag, _ = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order=1)
+        if np.mean(centre_mag < tols.extract_tol) >= DEGENERATE_FRACTION:
             return ShadowSet(
                 params=grid,
-                ambient=x,
+                ambient=patch.chart.eval_values(grid),
                 residuals=flat_mag,
                 polylines=(),
                 degenerate=True,
@@ -554,12 +580,13 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 
     dropped = 0
     if edges and patch.n == 1:
-        pts, resid, _ = _edge_roots(patch, field, f, grid, res, tols)
+        pts, resid, _ = _edge_roots(patch, field, tail, grid, res, tols)
         lines = ()
     elif edges:
-        pts, resid, lines = _extract_marching(patch, field, f, grid, res, tols)
+        pts, resid, lines = _extract_marching(patch, field, tail, grid, res, tols)
     else:
-        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols, *system)
+        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols,
+                                                     flat_mag, tail)
 
     if pts.shape[0]:
         ambient = patch.chart.eval_values(pts)

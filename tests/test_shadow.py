@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowgeom import shadow
-from shadowgeom.cli import SCENES_DIR, find_scene
+from shadowgeom.cli import SCENES_DIR, _root_setup, find_scene
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
 from shadowgeom.geometry import (
@@ -388,11 +388,11 @@ def _product_circles(resolution=24):
 
 
 def _grid_newton(patch, field, res):
-    """`_extract_newton` from the grid scan's F and J, as extract_shadow_set
-    runs it."""
+    """`_extract_newton` from the grid scan's max|F| and steps, as
+    extract_shadow_set runs it."""
     grid = patch.domain.grid(res)
-    f, jac = shadow._stream_rows(patch, field, grid, DEFAULT_TOLS, order=2)
-    return shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS, f, jac)
+    mag, step = shadow._stream_rows(patch, field, grid, DEFAULT_TOLS, order=2)
+    return shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS, mag, step)
 
 
 def _run_newton(make):
@@ -423,8 +423,8 @@ def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
     assert dropped == ref_dropped
 
 
-def _slices(rows):
-    return [min(shadow._CHUNK_ROWS, rows - s) for s in range(0, rows, shadow._CHUNK_ROWS)]
+def _slices(rows, size):
+    return [min(size, rows - s) for s in range(0, rows, size)]
 
 
 def test_newton_evaluates_only_moving_rows(monkeypatch):
@@ -432,9 +432,9 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     real_stream, real_system = shadow._stream_rows, shadow.shadow_system
     real_frames = shadow.frames_at
 
-    def stream_spy(patch, field, points, tols, order, ambient=False):
+    def stream_spy(patch, field, points, tols, order):
         passes.append(len(points))
-        return real_stream(patch, field, points, tols, order, ambient)
+        return real_stream(patch, field, points, tols, order)
 
     def system_spy(patch, field, points, tols=DEFAULT_TOLS):
         calls.append(len(points))
@@ -454,9 +454,11 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     # full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1 rows
     assert passes == [20736, 20736, 20736, 20160, 12096, 576]
     assert sum(passes) == 95040
-    # each pass reaches shadow_system in slices of at most _CHUNK_ROWS rows
-    assert calls == [c for rows in passes for c in _slices(rows)]
-    assert max(calls) == shadow._CHUNK_ROWS
+    # each pass reaches shadow_system in slices of 1,040 rows, the order-2
+    # jets of a 6 x 4 chart being 1,008 bytes a row
+    size = shadow._slice_rows(patch, 2)
+    assert size == 1040
+    assert calls == [c for rows in passes for c in _slices(rows, size)]
     assert order1_rows == []
 
 
@@ -496,6 +498,39 @@ def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatc
     pts, _, _, _ = _grid_newton(patch, field, patch.domain._res_tuple(resolution))
     assert pts.shape[0] == 4
     assert (sum(batches), len(batches)) == (rows, calls)
+
+
+def _dedup_unique(box, points, residuals, radius):
+    """Reference `_dedup`: the first point of each bin by np.unique over
+    the bin rows."""
+    order = np.lexsort(points.T[::-1])
+    pts, res = points[order], residuals[order]
+    bins = np.floor((pts - box.lo) / max(radius, 1e-300)).astype(np.int64)
+    _, first = np.unique(bins, axis=0, return_index=True)
+    first.sort()
+    keep_pts, keep_res = [], []
+    for p, r in zip(pts[first], res[first]):
+        if keep_pts and bool(np.any(box.param_distance(np.array(keep_pts), p) < radius)):
+            continue
+        keep_pts.append(p)
+        keep_res.append(r)
+    return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
+
+
+def test_dedup_matches_unique_reference():
+    # clusters a bin wide, with exact repeats, over a box with periodic axes
+    rng = np.random.default_rng(11)
+    box = _product_spheres()[0].domain
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    centres = lo + (hi - lo) * rng.random((40, box.n))
+    points = np.repeat(centres, 60, axis=0) + 0.2 * rng.standard_normal((2400, box.n))
+    points = box.wrap(np.vstack([points, points[::7]]))
+    residuals = rng.random(points.shape[0])
+    got = shadow._dedup(box, points, residuals, 0.3)
+    want = _dedup_unique(box, points, residuals, 0.3)
+    assert 40 <= got[0].shape[0] < 2400
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 # -- edge roots --------------------------------------------------------------------
@@ -818,16 +853,31 @@ def _set_bytes(s):
     (lambda: _scene_subject("circle_r2_e2"), 64),
 ], ids=["product-spheres-newton", "torus-marching", "circle-edge-roots"])
 def test_chunk_size_cannot_change_the_shadow_set(subject, resolution, monkeypatch):
-    # 7 rows divide none of the grids (20,736, 4,096 and 64 rows), and 2**30
-    # holds every grid in one slice
+    # 7-row slices divide none of the grids (20,736, 4,096 and 64 rows), the
+    # defaults slice order 2 at 1,040 rows and order 1 at 2,048, and the
+    # last pair holds every grid in one slice
     patch, field = subject()
     runs = []
-    for rows in (7, shadow._CHUNK_ROWS, 2**30):
+    for rows, budget in ((7, shadow._SLICE_BYTES), (shadow._CHUNK_ROWS, shadow._SLICE_BYTES),
+                         (2**30, 2**60)):
         monkeypatch.setattr(shadow, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(shadow, "_SLICE_BYTES", budget)
         s = extract_shadow_set(patch, field, resolution)
         assert s.n_points > 0
         runs.append(_set_bytes(s))
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name", ["tube_circle", "tube_helix"])
+def test_degenerate_set_ambient_is_the_jets_value_row(name):
+    # the grid scan keeps no chart points; a degenerate set evaluates the
+    # chart values of its grid, which equal the jets' value rows bit for bit
+    scene = load_scene(find_scene(name))
+    patch, field = _root_setup(scene, scene.tols)
+    s = extract_shadow_set(patch, field, 16, scene.tols)
+    assert s.degenerate
+    want = patch.chart.eval_jets(patch.domain.grid(16), order=1).value
+    assert s.ambient.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [3, 4], ids=["marching", "newton"])
@@ -847,17 +897,23 @@ def test_faulty_row_in_a_later_chunk_raises_as_unchunked(m, monkeypatch):
     assert errors[0] == errors[1] == (ChartRankError, (0.0, 0.0))
 
 
-@pytest.mark.parametrize("subject, resolution, cap_mib", [
-    (lambda: _product_spheres()[:2], 12, 24),
-    (lambda: _scene_subject("torus_e3"), 256, 16),
-], ids=["product-spheres-12", "torus-256"])
-def test_extraction_peak_memory_follows_the_chunk(subject, resolution, cap_mib):
-    # holding frames for the whole grid peaked at 67.4 and 39.6 MiB
-    patch, field = subject()
+def _traced_peak(patch, field, resolution):
     tracemalloc.start()
     try:
         extract_shadow_set(patch, field, resolution)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cap_mib * 2**20
+
+
+@pytest.mark.parametrize("subject, resolutions, cap", [
+    (lambda: _product_spheres()[:2], (12, 16), 400),
+    (lambda: _scene_subject("torus_e3"), (128, 256), 80),
+], ids=["product-spheres-12", "torus-256"])
+def test_extraction_peak_memory_follows_the_chunk(subject, resolutions, cap):
+    # traced peak bytes per grid row between two grid sizes, so the fixed
+    # cost of a slice cancels; keeping J, x and the whole-grid pinv cost
+    # 667 and 118 bytes a row
+    patch, field = subject()
+    (r0, p0), (r1, p1) = [(g ** patch.n, _traced_peak(patch, field, g)) for g in resolutions]
+    assert (p1 - p0) / (r1 - r0) <= cap
