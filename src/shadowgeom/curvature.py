@@ -45,7 +45,9 @@ def second_form_coord(frames: FrameBatch) -> np.ndarray:
     """
     if frames.hess is None:
         raise GeometryError("second-order frame data required")
-    return np.einsum("bma,bmpq->bpqa", frames.normal, frames.hess)
+    b, m, n = frames.jac.shape
+    flat = np.einsum("bma,bmr->bar", frames.normal, frames.hess.reshape(b, m, n * n))
+    return np.ascontiguousarray(flat.transpose(0, 2, 1)).reshape(b, n, n, frames.k)
 
 
 def second_form_components(frames: FrameBatch):
@@ -116,11 +118,11 @@ def _christoffels(jac, hess) -> np.ndarray:
     """`christoffels` from chart Jacobians (B, m, n) and Hessians (B, m, n, n)."""
     metric = np.einsum("bmi,bmj->bij", jac, jac)
     ginv = np.linalg.inv(metric)
-    dg = np.einsum("bail,baj->blij", hess, jac) + np.einsum("bai,bajl->blij", jac, hess)
+    e = np.einsum("bai,bajl->blij", jac, hess)  # <phi_i, phi_lj>
+    dg = e.swapaxes(2, 3) + e  # d_l g_ij
     t1 = np.einsum("bkl,bijl->bkij", ginv, dg)  # reads dg[b,i,j,l] = d_i g_jl
-    t2 = np.einsum("bkl,bjil->bkij", ginv, dg)  # d_j g_il
     t3 = np.einsum("bkl,blij->bkij", ginv, dg)  # d_l g_ij
-    return 0.5 * (t1 + t2 - t3)
+    return 0.5 * (t1 + t1.swapaxes(2, 3) - t3)  # t1 swapped reads d_j g_il
 
 
 # -- nested patches ----------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -293,10 +294,10 @@ def orthonormal_span(mats, k: int, orthogonal_to, points):
     mats: (B, m, c) with c >= k, orthogonal_to: (B, m, r); returns
     (B, m, k).  A rank-deficient row raises at its parameter point.
     """
-    work = np.array(mats, dtype=float, copy=True)
+    work = mats
     first_norm = None
     cols = []
-    for _ in range(k):
+    for i in range(k):
         norms = np.linalg.norm(work, axis=1)  # (B, c)
         p = np.argmax(norms, axis=1)
         nv = np.take_along_axis(norms, p[:, None], axis=1)[:, 0]
@@ -310,8 +311,9 @@ def orthonormal_span(mats, k: int, orthogonal_to, points):
         for qprev in cols:
             q = q - qprev * np.einsum("bm,bm->b", qprev, q)[:, None]
         q = q / np.linalg.norm(q, axis=1)[:, None]
-        work = work - q[:, :, None] * np.einsum("bm,bmc->bc", q, work)[:, None, :]
         cols.append(q)
+        if i + 1 < k:
+            work = work - q[:, :, None] * np.einsum("bm,bmc->bc", q, work)[:, None, :]
     return np.stack(cols, axis=2)
 
 
@@ -324,23 +326,35 @@ class FrameBatch:
 
     tangent columns are an orthonormal basis of T_x M, ambient columns of
     T_x N, normal columns of the orthogonal complement of T_x M inside
-    T_x N.  rinv converts orthonormal tangent coordinates to chart
-    coordinates: e_i = jac @ rinv[:, i].
+    T_x N.  r is the sign-fixed R factor of jac = tangent @ r.
+
+    metric (B, n, n), the induced metric jac^T jac, and rinv (B, n, n),
+    the inverse of r, are computed on first read and kept; they are
+    bit-identical to np.einsum("bmi,bmj->bij", jac, jac) and
+    np.linalg.inv(r).  rinv converts orthonormal tangent coordinates to
+    chart coordinates: e_i = jac @ rinv[:, i].
     """
 
     points: np.ndarray  # (B, n)
     x: np.ndarray  # (B, m)
     jac: np.ndarray  # (B, m, n)
     hess: np.ndarray | None  # (B, m, n, n)
-    metric: np.ndarray  # (B, n, n)
     tangent: np.ndarray  # (B, m, n)
-    rinv: np.ndarray  # (B, n, n)
+    r: np.ndarray  # (B, n, n)
     ambient: np.ndarray  # (B, m, d)
     normal: np.ndarray  # (B, m, k)
 
     @property
     def k(self) -> int:
         return self.normal.shape[2]
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        return np.einsum("bmi,bmj->bij", self.jac, self.jac)
+
+    @cached_property
+    def rinv(self) -> np.ndarray:
+        return np.linalg.inv(self.r)
 
 
 def _on_ambient_residual(cvalues, x):
@@ -409,35 +423,37 @@ def _svd_rank_gate(jac, points, tols: Tolerances):
 
 
 def _certified_qr(jac, points, tols: Tolerances):
-    """Sign-fixed QR factor q and inverse R factor of a rank-certified
-    batch of chart Jacobians.
+    """Sign-fixed QR factors (q, r) of a rank-certified batch of chart
+    Jacobians.
 
-    Rank is certified from R: sigma_min / sigma_max >= 1 / (|R|_F |R^-1|_F),
-    since |R|_F >= sigma_max and |R^-1|_F >= 1 / sigma_min (Golub & Van
-    Loan, Matrix Computations, 2.6 and 5.2).  Only rows whose bound falls
-    below _RANK_BOUND_SAFETY * rank_tol take the exact SVD gate.  When
-    some pivot has |r_ii| <= _RANK_BOUND_SAFETY * rank_tol * |R|_F, or is
-    not finite, or R is not square, the whole batch takes it before R is
-    inverted, as every batch did before the bound; sigma_min <= min |r_ii|
-    flags such rows as nearly singular.  Either way a failure raises the
-    SVD gate's error at the same first row.
+    Rank is certified from R without inverting it.  With sigma_max and
+    sigma_min the extreme singular values of R (those of jac), |det R| is
+    the product of all n of them, so |det R| <= sigma_min sigma_max^(n-1);
+    and sigma_max <= |R|_F.  Hence
+
+        sigma_min / sigma_max >= |det R| / sigma_max^n
+                              >= |det R| / |R|_F^n = prod_i (|r_ii| / |R|_F),
+
+    read off the pivots and the norm of R.  Only rows whose bound falls
+    below _RANK_BOUND_SAFETY * rank_tol, or is NaN, take the exact SVD
+    gate; the whole batch takes it when R is not square.  Either way a
+    failure raises the SVD gate's error at the same first row.
     """
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
-    floor = _RANK_BOUND_SAFETY * tols.rank_tol
-    r_norm = np.linalg.norm(r, axis=(1, 2))
-    pivots = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    if r.shape[1] != r.shape[2] or not (pivots > floor * r_norm[:, None]).all():
+    if r.shape[1] != r.shape[2]:
         _svd_rank_gate(jac, points, tols)
-        return q, np.linalg.inv(r)
-    rinv = np.linalg.inv(r)
-    # written so that a NaN or overflowed bound counts as low
-    low = ~(r_norm * np.linalg.norm(rinv, axis=(1, 2)) * floor <= 1.0)
+        return q, r
+    # floored so that a zero R gives a bound of 0 rather than 0 / 0
+    r_norm = np.maximum(np.linalg.norm(r, axis=(1, 2)), 1e-300)
+    bound = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)) / r_norm[:, None], axis=1)
+    # written so that a NaN bound counts as low
+    low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
     if low.any():
         _svd_rank_gate(jac[low], points[low], tols)
-    return q, rinv
+    return q, r
 
 
 def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
@@ -446,10 +462,12 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
 
     Raises ChartRankError at the first point where the chart Jacobian is
     rank-deficient, sigma_min / sigma_max < rank_tol.  The ratio is
-    certified from the QR factor by the bound 1 / (|R|_F |R^-1|_F); only
-    rows the bound cannot clear by a safety margin, or the whole batch
-    when a pivot of R is near zero, fall back to the exact SVD
-    (`_certified_qr`).
+    certified from the QR factor R by the determinant bound
+    sigma_min / sigma_max >= prod_i (|r_ii| / |R|_F), which follows from
+    |det R| <= sigma_min sigma_max^(n-1) and sigma_max <= |R|_F; only
+    rows the bound cannot clear by a safety margin fall back to the exact
+    SVD (`_certified_qr`).  R is never inverted here: `FrameBatch.rinv`
+    and `.metric` are computed when first read.
 
     A single normal (k = 1) is signed so that det[jac | xi | Dc^T] > 0,
     which makes it continuous across the patch; two or more normal
@@ -459,8 +477,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     jets = patch.chart.eval_jets(points, order=order)
     x, jac = jets.value, jets.jac
     b, m, n = jac.shape
-    q, rinv = _certified_qr(jac, points, tols)
-    metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
+    q, r = _certified_qr(jac, points, tols)
     amb, dc = ambient_kernel(patch.ambient, x, points, tols)
     d = amb.shape[2]
     k = d - n
@@ -478,7 +495,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
             normal = normal * np.where(np.linalg.slogdet(orient)[0] < 0, -1.0, 1.0)[:, None, None]
         else:
             normal = fix_column_signs(normal)
-    return FrameBatch(points, x, jets.jac, jets.hess, metric, q, rinv, amb, normal)
+    return FrameBatch(points, x, jac, jets.hess, q, r, amb, normal)
 
 
 # -- validation ---------------------------------------------------------------

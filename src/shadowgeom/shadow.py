@@ -26,9 +26,7 @@ decider read its raw signs.  Everything else goes through damped
 Gauss-Newton from grid seeds.  Newton iterates only the active set:
 a seed is evaluated again only when its coordinates changed in the
 previous iteration and it stayed in the box; every other seed carries
-the residual of its last evaluation.  Two or more normal columns carry
-an arbitrary rotation from point to point, so the finite-difference
-Jacobian check rotates nearby frames onto the center frame first.
+the residual of its last evaluation.
 
 Every evaluation over the whole grid, and every Newton iteration, streams
 its points through `_stream_rows` in slices of `_slice_rows` rows and
@@ -70,7 +68,6 @@ __all__ = [
     "SmoothnessReport",
     "shadow_values",
     "shadow_system",
-    "shadow_jacobian_consistency",
     "extract_shadow_set",
     "smoothness_certificate",
     "product_patch",
@@ -155,42 +152,6 @@ def _stream_rows(patch, field, points, tols, order):
         for o, p in zip(out, parts):
             o[start:start + rows.shape[0]] = p
     return out
-
-
-def _frame_rotation(normals, anchor):
-    """Orthogonal k x k factors R minimizing |N R - N0| per batch row."""
-    m = np.einsum("bmi,bmj->bij", normals, anchor)
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
-
-
-def shadow_jacobian_consistency(patch: SubmanifoldPatch, field: FieldAlongM,
-                                points, tols: Tolerances = DEFAULT_TOLS):
-    """Max |analytic - central-difference| Jacobian entry, with argmax point.
-
-    Differencing F requires the perturbed frames rotated back onto the
-    center frame; meaningful where F is (near) zero.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _, jac, frames = shadow_system(patch, field, points, tols)
-    h = tols.jacobian_fd_step
-    n = points.shape[1]
-    fd = np.empty_like(jac)
-    for l in range(n):
-        step = np.zeros(n)
-        step[l] = h
-        sided = []
-        for sgn in (1.0, -1.0):
-            pts = points + sgn * step
-            fr = frames_at(patch, pts, order=1, tols=tols)
-            rot = _frame_rotation(fr.normal, frames.normal)
-            f = shadow_values(patch, field, pts, tols, frames=fr)
-            sided.append(np.einsum("bij,bi->bj", rot, f))
-        fd[:, :, l] = (sided[0] - sided[1]) / (2.0 * h)
-    diff = np.abs(jac - fd)
-    flat = int(np.argmax(diff))
-    b = flat // (diff.shape[1] * diff.shape[2])
-    return float(diff.max()), points[b]
 
 
 # -- extraction --------------------------------------------------------------

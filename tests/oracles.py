@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from shadowgeom.geometry import frames_at
+from shadowgeom.shadow import shadow_system, shadow_values
+from shadowgeom.tolerances import DEFAULT_TOLS
+
 
 def fd_jacobian(chart, u, h):
     u = np.asarray(u, dtype=float)
@@ -112,3 +116,40 @@ def cone_development_angle(points, tangent_planes_axis):
     mid_slant = 0.5 * (slant + np.roll(slant, -1))
     developed = float(np.sum(seg / mid_slant))
     return 2.0 * np.pi - developed
+
+
+def _frame_rotation(normals, anchor):
+    """Orthogonal k x k factors R minimizing |N R - N0| per batch row."""
+    m = np.einsum("bmi,bmj->bij", normals, anchor)
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
+def shadow_jacobian_consistency(patch, field, points, tols=DEFAULT_TOLS):
+    """Max |analytic - central-difference| shadow Jacobian entry, with its
+    argmax point.
+
+    Differencing F requires the perturbed frames rotated back onto the
+    center frame, since two or more normal columns carry an arbitrary
+    rotation from point to point; meaningful where F is (near) zero.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    _, jac, frames = shadow_system(patch, field, points, tols)
+    h = tols.jacobian_fd_step
+    n = points.shape[1]
+    fd = np.empty_like(jac)
+    for l in range(n):
+        step = np.zeros(n)
+        step[l] = h
+        sided = []
+        for sgn in (1.0, -1.0):
+            pts = points + sgn * step
+            fr = frames_at(patch, pts, order=1, tols=tols)
+            rot = _frame_rotation(fr.normal, frames.normal)
+            f = shadow_values(patch, field, pts, tols, frames=fr)
+            sided.append(np.einsum("bij,bi->bj", rot, f))
+        fd[:, :, l] = (sided[0] - sided[1]) / (2.0 * h)
+    diff = np.abs(jac - fd)
+    flat = int(np.argmax(diff))
+    b = flat // (diff.shape[1] * diff.shape[2])
+    return float(diff.max()), points[b]

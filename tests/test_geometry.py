@@ -14,6 +14,7 @@ from shadowgeom.geometry import (
     AmbientSpace,
     Box,
     ChartRankError,
+    GeometryError,
     OffAmbientError,
     SubmanifoldPatch,
     ambient_tangent_basis,
@@ -165,6 +166,20 @@ def test_frames_are_bit_deterministic():
     assert np.array_equal(a.rinv, b.rinv)
 
 
+@pytest.mark.parametrize("make, res", [
+    (shapes.torus, 32),
+    (lambda: product_patch(shapes.sphere(), shapes.sphere()), 12),
+], ids=["torus", "product-spheres"])
+def test_lazy_frame_fields_match_eager_bits(make, res):
+    patch = make()
+    frames = frames_at(patch, patch.domain.grid(res))
+    assert "metric" not in vars(frames) and "rinv" not in vars(frames)
+    eager_metric = np.einsum("bmi,bmj->bij", frames.jac, frames.jac)
+    assert frames.metric.tobytes() == eager_metric.tobytes()
+    assert frames.rinv.tobytes() == np.linalg.inv(frames.r).tobytes()
+    assert frames.rinv is frames.rinv and frames.metric is frames.metric
+
+
 def test_order_one_frames_skip_hessian():
     frames = frames_at(shapes.plane(), np.zeros((1, 2)), order=1)
     assert frames.hess is None
@@ -211,7 +226,7 @@ def test_cone_apex_rank_failure():
 
 
 def _svd_gate_reference(jac, points, tols=DEFAULT_TOLS):
-    """The rank gate as an exact SVD of every row, then QR, signs and inverse."""
+    """The rank gate as an exact SVD of every row, then QR and signs."""
     svals = np.linalg.svd(jac, compute_uv=False)
     good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
     if not good.all():
@@ -223,14 +238,15 @@ def _svd_gate_reference(jac, points, tols=DEFAULT_TOLS):
         )
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
-    return q * signs[:, None, :], np.linalg.inv(r * signs[:, :, None])
+    return q * signs[:, None, :], r * signs[:, :, None]
 
 
 def _gate_outcome(gate, jac, points):
     """What a gate does: the error type, message and point, or the bits of q
-    and rinv."""
+    and of the inverse of its R factor."""
     try:
-        q, rinv = gate(jac, points, DEFAULT_TOLS)
+        q, r = gate(jac, points, DEFAULT_TOLS)
+        rinv = np.linalg.inv(r)
     except (ChartRankError, np.linalg.LinAlgError) as exc:
         return type(exc), str(exc), getattr(exc, "point", None)
     return q.tobytes(), rinv.tobytes()
@@ -264,6 +280,24 @@ def test_rank_gate_matches_exact_svd_gate(seed, b, m, data):
     cols = 10.0 ** (decades[:, None] * rng.permutation(steps)[None, :] + scale)
     upper = np.eye(n) + 10.0 ** shears[:, None, None] * np.triu(np.ones((n, n)), 1)
     _assert_gates_agree((rng.standard_normal((b, m, n)) * cols[:, None, :]) @ upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       decade=st.floats(-12.0, 0.0), shear=st.floats(-2.0, 6.0),
+       scale=st.floats(-3.0, 3.0))
+def test_rank_bound_never_exceeds_singular_value_ratio(seed, n, decade, shear, scale):
+    # prod (|r_ii| / |R|_F) <= sigma_min / sigma_max, the bound `_certified_qr`
+    # clears rows with; the slack covers the rounding of the SVD's sigma_min
+    # (about eps * sigma_max), far inside the _RANK_BOUND_SAFETY margin
+    rng = np.random.default_rng(seed)
+    steps = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
+    cols = 10.0 ** (decade * rng.permutation(steps) + scale)
+    upper = np.eye(n) + 10.0 ** shear * np.triu(np.ones((n, n)), 1)
+    r = np.linalg.qr((rng.standard_normal((n, n)) * cols) @ upper)[1]
+    bound = np.prod(np.abs(np.diagonal(r)) / np.linalg.norm(r))
+    svals = np.linalg.svd(r, compute_uv=False)
+    assert bound <= svals[-1] / svals[0] + 8 * n * np.finfo(float).eps
 
 
 def test_rank_gate_bound_catches_healthy_pivots():
@@ -309,6 +343,17 @@ def test_rank_gate_non_finite_jacobian(bad, where):
     _assert_gates_agree(jac)
     jac[:] = bad
     _assert_gates_agree(jac)
+
+
+def test_patch_wider_than_flat_ambient_is_a_geometry_error():
+    # R is 1 x 2 here; with no inverse taken, the dimension check names
+    # the point instead of a LinAlgError escaping
+    patch = SubmanifoldPatch(parse_chart("(u + v)", ("u", "v")),
+                             Box((0.0, 0.0), (1.0, 1.0), (False, False)),
+                             AmbientSpace(1))
+    with pytest.raises(GeometryError, match=r"patch dimension 2 exceeds ambient "
+                       r"tangent dimension 1 at parameters \(0\.25, 0\.5\)"):
+        frames_at(patch, [(0.25, 0.5)])
 
 
 def test_healthy_grid_frames_make_no_svd_call(monkeypatch):

@@ -24,7 +24,6 @@ from shadowgeom.shadow import (
     product_field,
     product_patch,
     product_shadow_check,
-    shadow_jacobian_consistency,
     shadow_system,
     shadow_values,
     smoothness_certificate,
@@ -32,6 +31,7 @@ from shadowgeom.shadow import (
 from shadowgeom.tolerances import DEFAULT_TOLS
 
 import shapes
+from oracles import shadow_jacobian_consistency
 
 E1 = ConstantField([1.0, 0.0, 0.0])
 E2 = ConstantField([0.0, 1.0, 0.0])
@@ -421,6 +421,24 @@ def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
     assert resid.tobytes() == ref_resid.tobytes()
     assert lines == ref_lines
     assert dropped == ref_dropped
+
+
+def test_scans_make_no_inverse_call(monkeypatch):
+    # the order-1 edge scan, its bisection and the Newton route read no
+    # FrameBatch.rinv, so no R factor is ever inverted
+    calls = []
+    inv = np.linalg.inv
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    torus, torus_field = _scene_subject("torus_e3")
+    assert extract_shadow_set(torus, torus_field, 64).n_points > 0
+    patch, field, resolution = _product_spheres()
+    assert extract_shadow_set(patch, field, resolution).n_points > 0
+    assert calls == []
 
 
 def _slices(rows, size):
