@@ -20,9 +20,11 @@ in these kernels, in that order and grouping: the chain rule as
 and ``(a*Hb + b*Ha) + (ga gb^T + gb ga^T)``, and so on.  A jet's bits
 therefore depend only on its operands' bits, never on whether a step is
 shared or which register holds it; tests/test_chart_digests.py freezes
-the results for every bundled chart.  Hessians stay bit-exactly
-symmetric: every second-order update is built from symmetric
-combinations such as ``outer(ga, gb) + outer(gb, ga)``.
+the results for every bundled chart.  Row 0 is computed as values-only
+evaluation computes it (``x / c``, ``c / v``, ``np.power``), so a jet's
+value equals ``ChartExpr.eval_values`` bit for bit for every op.
+Hessians stay bit-exactly symmetric: every second-order update is built
+from symmetric combinations such as ``outer(ga, gb) + outer(gb, ga)``.
 """
 
 from __future__ import annotations
@@ -93,13 +95,11 @@ class JetKernels:
 
     @staticmethod
     def div_const(x, c):
-        return x * (1.0 / c)
+        return x / c
 
     def const_div(self, c, x):
         v = x[0]
-        r = self.chain(x, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
-        r *= c
-        return r
+        return self.chain(x, c / v, -c / v**2, 2.0 * c / v**3)
 
     def powc(self, x, c):
         """x to a constant real power."""
@@ -114,8 +114,10 @@ class JetKernels:
                           c * (c - 1.0) * np.power(v, c - 2.0))
 
     def const_pow(self, c, x):
-        """c to the power x, as exp(x log c)."""
-        return self.exp(x * float(np.log(c)))
+        """c to the power x: exp's chain rule at x log c, with the value
+        c^x from np.power."""
+        p = np.power(c, x[0])
+        return self.chain(x * float(np.log(c)), p, p, p)
 
     # -- arithmetic of two jets --------------------------------------------
 
@@ -143,8 +145,10 @@ class JetKernels:
         return r
 
     def pow(self, a, b):
-        """a to the power b, as exp(b log a)."""
-        return self.exp(self.mul(b, self.log(a)))
+        """a to the power b: exp's chain rule at b log a, with the value
+        a^b from np.power."""
+        p = np.power(a[0], b[0])
+        return self.chain(self.mul(b, self.log(a)), p, p, p)
 
     # -- primitives --------------------------------------------------------
 

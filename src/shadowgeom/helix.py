@@ -215,7 +215,8 @@ def _auto_t1(box: Box, seeds, vels, frac: float) -> float:
 
 
 def _tan_coords(jets, y):
-    """Chart coordinates of tan(Y), (B, n), from order-1 chart jets and Y."""
+    """Chart coordinates of tan(Y), (B, n), from Y and the chart Jacobian
+    `jac` of order-1 chart jets or of frames."""
     metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
     proj = np.einsum("bmi,bm->bi", jets.jac, y)
     return np.linalg.solve(metric, proj[..., None])[..., 0]
@@ -312,13 +313,10 @@ def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances
             lambda t: rk4_tracks(flow, seeds, t / _FLOW_STEPS, _FLOW_STEPS, patch.domain, pad=-1e-9),
             _auto_t1(patch.domain, seeds, flow(seeds), frac=0.5), "integral curves")
         flat = traj.reshape(-1, patch.n)
-        jets = patch.chart.eval_jets(flat, order=1)
-        m = jets.value.shape[1]
-        xs = jets.value.reshape(_FLOW_STEPS + 1, -1, m)
-        vel_amb = np.einsum("bmi,bi->bm", jets.jac, _tan_coords(jets, field.values(flat)))
+        frames = frames_at(patch, flat, order=1, tols=tols)
+        vel_amb = np.einsum("bmi,bi->bm", frames.jac, _tan_coords(frames, field.values(flat)))
         speeds = np.linalg.norm(vel_amb, axis=1).reshape(_FLOW_STEPS + 1, -1)
-        tan_def, amb_def = track_defects(patch, traj, xs, speeds, t1 / _FLOW_STEPS,
-                                         tols=tols)
+        tan_def, amb_def = track_defects(frames, speeds, t1 / _FLOW_STEPS)
         hyp = [ResidualEntry("integral-curve-patch-geodesic", float(tan_def.max()),
                              tols.tgs_tol, tols.ntgs_floor)]
         concl = [ResidualEntry("integral-curve-ambient-geodesic", float(amb_def.max()),

@@ -22,11 +22,18 @@ edge keys inside each cell in one vectorised pass (a four-crossing cell
 by the asymptotic decider on its corner values) and chains the segments
 into polylines.  `frames_at` orients a single normal continuously, so
 there F is one continuous function and the scan, the bisection and the
-decider read its raw signs.  Everything else goes through damped
-Gauss-Newton from grid seeds.  Newton iterates only the active set:
-a seed is evaluated again only when its coordinates changed in the
-previous iteration and it stayed in the box; every other seed carries
-the residual of its last evaluation.
+decider read its raw signs; the bisection takes each bracket's start
+sign from the scan.  Everything else goes through damped Gauss-Newton
+from grid seeds.  Newton iterates only the active set: a seed is
+evaluated again only when its coordinates changed in the previous
+iteration and it stayed in the box; every other seed carries the
+residual of its last evaluation.
+
+Every number reported for an extracted point comes from one evaluation
+at that exact point, wrapped into the box: the smoothness certificate's
+order-2 `shadow_system` call gives the points' residuals max|F|, their
+ambient positions and their rank.  A degenerate set, the grid itself,
+reports its scan residuals.
 
 Every evaluation over the whole grid, and every Newton iteration, streams
 its points through `_stream_rows` in slices of `_slice_rows` rows and
@@ -213,12 +220,12 @@ def _sign(values):
 
 
 def _classify_edges(f, axis, periodic, ztol):
-    """Endpoint residuals (fa, fb) of every grid edge along `axis`, and the
-    edges split into strict sign changes and single-vertex zeros.
+    """Start residuals fa of every grid edge along `axis`, and the edges
+    split into strict sign changes and single-vertex zeros.
 
     sign(0) has to pick a side, so a root sitting on a grid node defeats
     a plain sign test; node zeros are classified separately and taken as
-    roots as-is.  Returns (fa, fb, strict, vertex, za).
+    roots as-is.  Returns (fa, strict, vertex, za).
     """
     fa, fb = f, np.roll(f, -1, axis=axis)
     if not periodic:  # the last node along a walled axis starts no edge
@@ -226,14 +233,14 @@ def _classify_edges(f, axis, periodic, ztol):
         fa, fb = np.delete(fa, last, axis=axis), np.delete(fb, last, axis=axis)
     za = np.abs(fa) <= ztol
     zb = np.abs(fb) <= ztol
-    return fa, fb, ~za & ~zb & (fa * fb < 0.0), za ^ zb, za
+    return fa, ~za & ~zb & (fa * fb < 0.0), za ^ zb, za
 
 
-def _bisect(patch, field, a_pts, b_pts, tols):
-    """Roots of the scalar residual F on segments [a, b], batched."""
+def _bisect(patch, field, a_pts, b_pts, s_lo, tols):
+    """Roots of the scalar residual F on segments [a, b], batched; s_lo is
+    the sign of F at each a, which the grid scan has already evaluated."""
     lo = np.array(a_pts, dtype=float)
     hi = np.array(b_pts, dtype=float)
-    s_lo = _sign(shadow_values(patch, field, lo, tols)[:, 0])
     for _ in range(64):
         if float(np.max(np.linalg.norm(hi - lo, axis=1))) <= _BISECT_TOL:
             break
@@ -241,35 +248,32 @@ def _bisect(patch, field, a_pts, b_pts, tols):
         same = _sign(shadow_values(patch, field, mid, tols)[:, 0]) == s_lo
         lo = np.where(same[:, None], mid, lo)
         hi = np.where(same[:, None], hi, mid)
-    root = 0.5 * (lo + hi)
-    res = np.abs(shadow_values(patch, field, root, tols)[:, 0])
-    return root, res
+    return 0.5 * (lo + hi)
 
 
 def _edge_roots(patch, field, f, grid, res, tols):
     """Roots of F (on the scan's grid) on every grid edge of a curve or
     surface patch (k = 1).
 
-    Returns (points, residuals, ids); ids maps each edge key (axis, *start)
-    that reports a root to that root's point id.  A zero at a grid node is
+    Returns (points, ids); ids maps each edge key (axis, *start) that
+    reports a root to that root's point id.  A zero at a grid node is
     keyed by the node (its index taken mod res on a periodic axis), so
-    every edge that reports it maps to one point, with the coordinates and
-    residual of the first edge to report it.  A strict sign change is
-    bisected and keyed by its own edge.  Node points come first, then
-    bisected points, each in axis-then-edge order.  A zero node that no
-    edge reports, its neighbours all being zeros too (as at grid 2 when
-    both nodes of an axis are zeros), follows the node points, keyed by
-    no edge.
+    every edge that reports it maps to one point, with the coordinates of
+    the first edge to report it.  A strict sign change is bisected and
+    keyed by its own edge.  Node points come first, then bisected points,
+    each in axis-then-edge order.  A zero node that no edge reports, its
+    neighbours all being zeros too (as at grid 2 when both nodes of an
+    axis are zeros), follows the node points, keyed by no edge.
     """
     box = patch.domain
     shape = tuple(res)
     ff = f[:, 0].reshape(shape)
     starts = grid.reshape(shape + (box.n,))
-    node_keys, node_of, node_pts, node_res = [], [], [], []
-    bis_keys, bis_a, bis_b = [], [], []
+    node_keys, node_of, node_pts = [], [], []
+    bis_keys, bis_a, bis_b, bis_s = [], [], [], []
     for axis, h in enumerate(box.cell_sizes(res)):
-        fa, fb, strict, vertex, za = _classify_edges(ff, axis, box.periodic[axis],
-                                                     tols.extract_tol)
+        fa, strict, vertex, za = _classify_edges(ff, axis, box.periodic[axis],
+                                                 tols.extract_tol)
         off = np.zeros(box.n)
         off[axis] = h
         idx = np.nonzero(vertex)
@@ -279,11 +283,11 @@ def _edge_roots(patch, field, f, grid, res, tols):
         node_keys += [(axis, *s) for s in np.transpose(idx).tolist()]
         node_of.append(np.ravel_multi_index(ends, shape))
         node_pts.append(np.where(at_a[:, None], starts[idx], starts[idx] + off))
-        node_res.append(np.abs(np.where(at_a, fa[idx], fb[idx])))
         idx = np.nonzero(strict)
         bis_keys += [(axis, *s) for s in np.transpose(idx).tolist()]
         bis_a.append(starts[idx])
         bis_b.append(starts[idx] + off)
+        bis_s.append(_sign(fa[idx]))
 
     reported, first, inverse = np.unique(np.concatenate(node_of), return_index=True,
                                          return_inverse=True)
@@ -295,14 +299,12 @@ def _edge_roots(patch, field, f, grid, res, tols):
     lone = np.setdiff1d(np.flatnonzero(np.abs(ff) <= tols.extract_tol), reported,
                         assume_unique=True)
     pts = [np.concatenate(node_pts)[keep], starts.reshape(-1, box.n)[lone]]
-    resid = [np.concatenate(node_res)[keep], np.abs(ff.reshape(-1)[lone])]
     if bis_keys:
         first_id = keep.size + lone.size
-        r, rs = _bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b), tols)
         ids.update(zip(bis_keys, range(first_id, first_id + len(bis_keys))))
-        pts.append(r)
-        resid.append(rs)
-    return box.wrap(np.concatenate(pts)), np.concatenate(resid), ids
+        pts.append(_bisect(patch, field, np.concatenate(bis_a), np.concatenate(bis_b),
+                           np.concatenate(bis_s), tols))
+    return box.wrap(np.concatenate(pts)), ids
 
 
 def _march_cells(point_ids, saddle_fn, res, periodic):
@@ -390,7 +392,7 @@ def _chain(segments, n_points):
 
 def _extract_marching(patch, field, f, grid, res, tols):
     """Edge roots of a surface patch, paired per cell and chained."""
-    pts, resid, ids = _edge_roots(patch, field, f, grid, res, tols)
+    pts, ids = _edge_roots(patch, field, f, grid, res, tols)
     ff = f[:, 0].reshape(res)
 
     def corners_connect(cells):
@@ -405,15 +407,13 @@ def _extract_marching(patch, field, f, grid, res, tols):
         return saddle == _sign(f00)
 
     segments = _march_cells(ids, corners_connect, res, patch.domain.periodic)
-    return pts, resid, _chain(segments, pts.shape[0])
+    return pts, _chain(segments, pts.shape[0])
 
 
-def _dedup(box: Box, points, residuals, radius):
+def _dedup(box: Box, points, radius):
     if points.shape[0] == 0:
-        return points, residuals
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    res = residuals[order]
+        return points
+    pts = points[np.lexsort(points.T[::-1])]
     scale = max(radius, 1e-300)
     bins = np.floor((pts - box.lo) / scale).astype(np.int64)
     # the first point of every bin: a stable sort by bin, then the start
@@ -424,21 +424,17 @@ def _dedup(box: Box, points, residuals, radius):
     for col in bins.T:
         col = col[by_bin]
         starts[1:] |= col[1:] != col[:-1]
-    first = np.sort(by_bin[starts])
-    pts, res = pts[first], res[first]
     keep_pts: list[np.ndarray] = []
-    keep_res = []
-    for p, r in zip(pts, res):
+    for p in pts[np.sort(by_bin[starts])]:
         if keep_pts and bool(np.any(box.param_distance(np.array(keep_pts), p) < radius)):
             continue
         keep_pts.append(p)
-        keep_res.append(r)
-    return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
+    return np.array(keep_pts).reshape(-1, box.n)
 
 
 def _extract_newton(patch, field, grid, res, tols, mag, step):
-    """Damped Gauss-Newton from every grid seed; returns (points, residuals,
-    polylines, dropped seeds).
+    """Damped Gauss-Newton from every grid seed; returns (points, dropped
+    seeds).
 
     `mag` and `step` are max|F| and the Gauss-Newton step of the grid
     scan, so the first step evaluates nothing.  Each later iteration
@@ -455,7 +451,8 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     rows still active (`_NEWTON_ITERS` ran out); those are evaluated once
     more.  The order-1 frames of `shadow_values` give the same normals,
     hence the same F, as the order-2 frames of `shadow_system`, so every
-    other row's carried residual is exact.
+    other row's carried residual is exact.  The residuals only decide
+    which rows are kept; the reported ones come from the certificate.
     """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
@@ -485,7 +482,7 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
         if not active.size:
             break
     if not bool(alive.any()):
-        return np.zeros((0, box.n)), np.zeros(0), (), int(u.shape[0])
+        return np.zeros((0, box.n)), int(u.shape[0])
     rows = np.nonzero(alive)[0]
     u = u[rows]
     resid = resid[rows]
@@ -494,8 +491,7 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
         resid[stale] = _stream_rows(patch, field, u[stale], tols, order=1)[0]
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
-    pts, res_kept = _dedup(box, u[good], resid[good], 0.5 * diag)
-    return pts, res_kept, (), dropped
+    return _dedup(box, u[good], 0.5 * diag), dropped
 
 
 def _cell_centres(box: Box, grid, res):
@@ -514,7 +510,8 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     DEGENERATE_FRACTION of the grid nodes and of the cell centres, since
     a coarse grid can sit on zeros of a thin set.  Otherwise zeros are
     pinned by bisection (curves and surface level sets) or damped
-    Gauss-Newton (higher codimension), then rank-certified.
+    Gauss-Newton (higher codimension); the certificate's evaluation at
+    the extracted points also gives their residuals and positions.
     """
     box = patch.domain
     res = box._res_tuple(resolution)
@@ -539,26 +536,19 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
                 certificate=None,
             )
 
-    dropped = 0
+    dropped, lines = 0, ()
     if edges and patch.n == 1:
-        pts, resid, _ = _edge_roots(patch, field, tail, grid, res, tols)
-        lines = ()
+        pts = _edge_roots(patch, field, tail, grid, res, tols)[0]
     elif edges:
-        pts, resid, lines = _extract_marching(patch, field, tail, grid, res, tols)
+        pts, lines = _extract_marching(patch, field, tail, grid, res, tols)
     else:
-        pts, resid, lines, dropped = _extract_newton(patch, field, grid, res, tols,
-                                                     flat_mag, tail)
+        pts, dropped = _extract_newton(patch, field, grid, res, tols, flat_mag, tail)
 
-    if pts.shape[0]:
-        ambient = patch.chart.eval_values(pts)
-        cert = smoothness_certificate(patch, field, pts, tols)
-    else:
-        ambient = np.zeros((0, patch.m))
-        cert = None
+    cert = smoothness_certificate(patch, field, pts, tols) if pts.shape[0] else None
     return ShadowSet(
         params=pts,
-        ambient=ambient,
-        residuals=resid,
+        ambient=np.zeros((0, patch.m)) if cert is None else cert.ambient,
+        residuals=np.zeros(0) if cert is None else cert.residuals,
         polylines=lines,
         degenerate=False,
         degenerate_fraction=frac,
@@ -577,6 +567,8 @@ class SmoothnessReport:
 
     `ratios` holds sigma_min / sigma_max per point; `flags` marks the
     points whose ratio clears rank_tol; `ok` means all of them do.
+    `residuals` (max|F|) and `ambient` (the chart images x(u)) come from
+    the same evaluation as the Jacobian.
     """
 
     ratios: np.ndarray
@@ -587,6 +579,8 @@ class SmoothnessReport:
     ok: bool
     n_points: int
     expected_dim: int
+    residuals: np.ndarray
+    ambient: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -609,7 +603,7 @@ def smoothness_certificate(patch: SubmanifoldPatch, field: FieldAlongM, points,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise GeometryError("no points to certify")
-    _, jac, _ = shadow_system(patch, field, points, tols)
+    f, jac, frames = shadow_system(patch, field, points, tols)
     svals = np.linalg.svd(jac, compute_uv=False)
     ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
     i = int(np.argmin(ratios))
@@ -623,6 +617,8 @@ def smoothness_certificate(patch: SubmanifoldPatch, field: FieldAlongM, points,
         ok=bool(ratios[i] > tols.rank_tol),
         n_points=points.shape[0],
         expected_dim=patch.n - rank,
+        residuals=np.max(np.abs(f), axis=1),
+        ambient=frames.x,
     )
 
 

@@ -29,9 +29,8 @@ class Tolerances:
     # residuals below a floor count as degenerate rather than "large"
     transversality_floor: float = 1e-3
     ntgs_floor: float = 1e-3
-    # finite-difference steps for sampled data
+    # finite-difference step for sampled (transported) fields
     field_fd_step: float = 1e-5
-    jacobian_fd_step: float = 1e-4
 
     def __post_init__(self):
         for f in fields(self):

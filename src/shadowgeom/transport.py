@@ -32,7 +32,9 @@ folds loops that share a step count together, one batched `_fold` per
 group of at most `_GROUP_BYTES` of step matrices.
 Patch geodesics here and the integral curves of tan(Y) in `helix` come
 from one nonlinear RK4 integrator, `rk4_tracks`, which raises
-DomainExitError when a track crosses a wall of the chart domain.
+DomainExitError when a track crosses a wall of the chart domain.  Each
+set of tracks gets one order-1 frame build over all its points; the
+positions, the speeds and `track_defects` read those frames.
 """
 
 from __future__ import annotations
@@ -300,10 +302,8 @@ class HolonomyResult:
 
     matrix: np.ndarray  # (d, d)
     ambient_matrix: np.ndarray  # (m, m)
-    base_point: np.ndarray
     deviation: float  # spectral distance from the identity
     rotation: float | None  # principal rotation angle when d == 2
-    steps: int
     label: str
 
 
@@ -342,13 +342,13 @@ def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int = DEFAULT_STEPS,
             pending[count] = (np.empty((size,) + mats.shape), [])
         stack, heads = pending[count]
         stack[len(heads)] = mats
-        # copies, so results hold no step-sized buffer alive
-        heads.append((i, basis0, end_u[0].copy(), loop.label))
+        heads.append((i, basis0, loop.label))
         left[count] -= 1
         if len(heads) < len(stack):
             continue
         del pending[count]
-        for (j, basis0, base, label), total in zip(heads, _fold(stack)[:, -1].copy()):
+        # a copy, so results hold no step-sized buffer alive
+        for (j, basis0, label), total in zip(heads, _fold(stack)[:, -1].copy()):
             hol = basis0.T @ total @ basis0
             d = hol.shape[0]
             rotation = None
@@ -358,10 +358,8 @@ def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int = DEFAULT_STEPS,
             results[j] = HolonomyResult(
                 matrix=hol,
                 ambient_matrix=total,
-                base_point=base,
                 deviation=float(np.linalg.norm(hol - np.eye(d), ord=2)),
                 rotation=rotation,
-                steps=count,
                 label=label,
             )
     return results
@@ -715,24 +713,24 @@ def rk4_tracks(rhs, start, h: float, steps: int, box, pad: float) -> np.ndarray:
     return states
 
 
-def track_defects(patch: SubmanifoldPatch, traj, xs, speeds, h: float,
-                  tols: Tolerances = DEFAULT_TOLS):
+def track_defects(frames, speeds, h: float):
     """Geodesic defects of recorded parameter tracks.
 
-    ``traj`` is (S+1, G, n) in patch parameters, ``xs`` (S+1, G, m) the
-    same track in the ambient space, ``speeds`` (S+1, G), ``h`` the time
-    step.  The track is differentiated twice by Richardson-extrapolated
-    second differences and the acceleration is projected onto the patch
-    tangent (patch-geodesic defect) and onto the ambient tangent
-    (ambient-geodesic defect), both relative to the squared speed.
-    Returns per-track maxima, NaN when the track is too short.
+    ``frames`` are order-1 frames at every track point, step-major:
+    row s * G + g holds step s of track g; ``speeds`` is (S+1, G), ``h``
+    the time step.  The ambient track ``frames.x`` is differentiated
+    twice by Richardson-extrapolated second differences and the
+    acceleration is projected onto the patch tangent (patch-geodesic
+    defect) and onto the ambient tangent (ambient-geodesic defect), both
+    relative to the squared speed.  Returns per-track maxima, NaN when
+    the track is too short.
     """
-    steps = traj.shape[0] - 1
-    g_count, n = traj.shape[1], traj.shape[2]
-    m = xs.shape[2]
+    steps, g_count = speeds.shape[0] - 1, speeds.shape[1]
     kk = 8
     if steps < 8 * kk:
         return np.full(g_count, np.nan), np.full(g_count, np.nan)
+    m = frames.x.shape[1]
+    xs = frames.x.reshape(steps + 1, g_count, m)
 
     def second_diff(lag):
         num = xs[2 * lag:] - 2.0 * xs[lag:-lag] + xs[:-2 * lag]
@@ -740,17 +738,15 @@ def track_defects(patch: SubmanifoldPatch, traj, xs, speeds, h: float,
 
     d_fine = second_diff(kk)[kk:-kk]
     d_coarse = second_diff(2 * kk)
-    acc_est = (4.0 * d_fine - d_coarse) / 3.0  # (S+1-4k, G, m)
-    mid_params = traj[2 * kk:-2 * kk].reshape(-1, n)
-    mid_frames = frames_at(patch, mid_params, order=1, tols=tols)
-    acc_flat = acc_est.reshape(-1, m)
+    acc_flat = ((4.0 * d_fine - d_coarse) / 3.0).reshape(-1, m)  # (S+1-4k) G rows
+    mid = slice(2 * kk * g_count, (steps + 1 - 2 * kk) * g_count)
     sp2 = np.maximum(speeds[2 * kk:-2 * kk].reshape(-1) ** 2, 1e-300)
     tan_res = (
-        np.linalg.norm(np.einsum("bmi,bm->bi", mid_frames.tangent, acc_flat), axis=1)
+        np.linalg.norm(np.einsum("bmi,bm->bi", frames.tangent[mid], acc_flat), axis=1)
         / sp2
     ).reshape(-1, g_count)
     amb_res = (
-        np.linalg.norm(np.einsum("bmd,bm->bd", mid_frames.ambient, acc_flat), axis=1)
+        np.linalg.norm(np.einsum("bmd,bm->bd", frames.ambient[mid], acc_flat), axis=1)
         / sp2
     ).reshape(-1, g_count)
     return tan_res.max(axis=0), amb_res.max(axis=0)
@@ -765,6 +761,8 @@ def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0
     differences, and the acceleration is projected onto the patch
     tangent (patch-geodesic defect) and onto the ambient tangent
     (ambient-geodesic defect), both relative to the squared speed.
+    One order-1 frame build over every track point gives the positions,
+    the speeds and the defects.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
@@ -780,18 +778,15 @@ def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0
                         patch.domain, pad=1e-12)
     traj, vels = states[..., :n], states[..., n:]
 
-    flat_pts = traj.reshape(-1, n)
-    jets = patch.chart.eval_jets(flat_pts, order=1)
-    m = jets.value.shape[1]
-    xs = jets.value.reshape(steps + 1, g_count, m)
-    metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
+    frames = frames_at(patch, traj.reshape(-1, n), order=1, tols=tols)
+    xs = frames.x.reshape(steps + 1, g_count, -1)
     vflat = vels.reshape(-1, n)
     speeds = np.sqrt(
-        np.einsum("bi,bij,bj->b", vflat, metric, vflat)
+        np.einsum("bi,bij,bj->b", vflat, frames.metric, vflat)
     ).reshape(steps + 1, g_count)
     speed_drift = np.abs(speeds - speeds[0]).max(axis=0)
 
-    tangential, ambient = track_defects(patch, traj, xs, speeds, h, tols=tols)
+    tangential, ambient = track_defects(frames, speeds, h)
 
     results = []
     for g in range(g_count):

@@ -13,6 +13,9 @@ from shadowgeom.geometry import frames_at
 from shadowgeom.shadow import shadow_system, shadow_values
 from shadowgeom.tolerances import DEFAULT_TOLS
 
+# central-difference step of the shadow Jacobian oracle
+SHADOW_FD_STEP = 1e-4
+
 
 def fd_jacobian(chart, u, h):
     u = np.asarray(u, dtype=float)
@@ -135,7 +138,7 @@ def shadow_jacobian_consistency(patch, field, points, tols=DEFAULT_TOLS):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _, jac, frames = shadow_system(patch, field, points, tols)
-    h = tols.jacobian_fd_step
+    h = SHADOW_FD_STEP
     n = points.shape[1]
     fd = np.empty_like(jac)
     for l in range(n):

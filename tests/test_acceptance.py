@@ -20,10 +20,8 @@ from shadowgeom.geometry import ambient_tangent_basis
 from shadowgeom.shadow import (
     extract_shadow_set,
     product_shadow_check,
-    shadow_system,
     smoothness_certificate,
 )
-from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import (
     ParamCurve,
     construct_parallel_field,
@@ -33,6 +31,7 @@ from shadowgeom.transport import (
 )
 
 import shapes
+from oracles import shadow_jacobian_consistency
 
 TWO_PI = 2.0 * math.pi
 E2 = ConstantField([0.0, 1.0])
@@ -182,25 +181,8 @@ def test_criterion_04_finite_circle_shadow(capsys):
 
 def test_criterion_05_jacobian_certificates(capsys, sphere_set, torus_set):
     problems = []
-    h = DEFAULT_TOLS.jacobian_fd_step
-
-    def residual_aligned(patch, pts, ref_normal):
-        # F is defined up to normal orientation; pin the stencil to the
-        # frame at the center point so the difference quotient is valid
-        f, _, fr = shadow_system(patch, E3, pts)
-        sgn = np.sign(np.einsum("bmj,bmj->bj", fr.normal, ref_normal))
-        return f * sgn
-
     for label, (patch, ss, _) in (("sphere", sphere_set), ("torus", torus_set)):
-        _, jac, fr0 = shadow_system(patch, E3, ss.params)
-        fd = np.empty_like(jac)
-        for a in range(patch.n):
-            e = np.zeros(patch.n)
-            e[a] = h
-            fp = residual_aligned(patch, ss.params + e, fr0.normal)
-            fm = residual_aligned(patch, ss.params - e, fr0.normal)
-            fd[:, :, a] = (fp - fm) / (2.0 * h)
-        gap = float(np.max(np.abs(jac - fd)))
+        gap, _ = shadow_jacobian_consistency(patch, E3, ss.params)
         if gap >= 1e-5:
             problems.append(f"{label}: analytic vs fd jacobian gap {gap:.3e}")
     _verdict(capsys, 5, "shadow-jacobian-oracle", problems)

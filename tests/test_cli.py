@@ -238,11 +238,9 @@ def test_helix_builds_grid_frames_once(capsys, monkeypatch, scene):
     assert [c for c in calls if c[1] == rows] == [(2, rows)]
 
 
-# a known repeat the shadow extraction keeps: `_bisect` evaluates F at the
-# bisected roots (order 1), then the rank certificate builds order-2
-# frames at the same roots
-_EXTRACTION_REPEATS = [("product_spheres", "product-shadow", "A", (12, 2)),
-                       ("product_spheres", "product-shadow", "B", (12, 2))]
+# no known repeat is left: the rank certificate's frames give the shadow
+# points their residuals and positions
+_EXTRACTION_REPEATS = []
 
 
 def test_verify_plan_builds_each_frame_batch_once(capsys, monkeypatch):

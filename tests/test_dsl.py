@@ -308,6 +308,24 @@ def test_shared_outputs_match_separate_charts_bitwise(e1, e2):
                 assert jets.hess[:, k].tobytes() == one.hess[:, 0].tobytes()
 
 
+# one output per op and operand kind of the tape ('j' a jet, 'c' a constant)
+_EVERY_OP_KIND = ("-u", "u + v", "u + 2", "2 + u", "u - v", "u - 2", "2 - u",
+                  "u*v", "u*3", "3*u", "u/v", "u/3", "3/u", "0.7/(u + 1)",
+                  "u^v", "2^u", "u^u", "u^2.5", "u^-2", "sin(u)", "cos(u)",
+                  "tan(u)", "exp(u)", "log(u)", "sqrt(u)", "atan2(u, v)",
+                  "atan2(u, 2)", "atan2(2, u)")
+
+
+def test_values_equal_jet_values_for_every_op_kind():
+    chart = parse_chart("(" + ", ".join(_EVERY_OP_KIND) + ")", ("u", "v"))
+    pts = np.random.default_rng(3).uniform(0.1, 3.0, size=(2000, 2))
+    values = chart.eval_values(pts)
+    for order in (1, 2):
+        jets = chart.eval_jets(pts, order)
+        differ = np.count_nonzero(values != jets.value, axis=0)
+        assert dict(zip(_EVERY_OP_KIND, differ.tolist())) == dict.fromkeys(_EVERY_OP_KIND, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(outer=st.lists(_expressions(["a", "b"]), min_size=1, max_size=3),
        inner=st.lists(_expressions(["u", "v"]), min_size=2, max_size=2))

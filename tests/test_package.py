@@ -3,6 +3,7 @@ no source or test file imports a name it never uses, and no private
 function or class in the package is left without a reference."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -10,6 +11,7 @@ import pkgutil
 import pytest
 
 import shadowgeom
+from shadowgeom.tolerances import Tolerances
 
 MODULES = ["shadowgeom"] + sorted(
     f"shadowgeom.{info.name}" for info in pkgutil.iter_modules(shadowgeom.__path__))
@@ -116,3 +118,12 @@ def test_every_private_definition_is_referenced():
                 read.add(node.attr)
     assert [f"{path.name}:{line}: {name}" for path, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in read] == []
+
+
+def test_every_tolerance_has_a_reader():
+    # a Tolerances field that no module outside tolerances.py reads is a
+    # setting that changes nothing
+    read = {node.attr for path in PACKAGE_SOURCES if path.name != "tolerances.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in read] == []

@@ -343,7 +343,8 @@ def test_block_field_jacobian_consistency():
 
 def _newton_full_batch(patch, field, grid, res, tols):
     """Reference Newton loop: every alive seed goes through shadow_system on
-    every iteration, and the final residuals come from shadow_values."""
+    every iteration, and the final residuals come from shadow_values, once
+    to filter and once more at the kept points."""
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
     diag = float(np.linalg.norm(cell))
@@ -366,14 +367,14 @@ def _newton_full_batch(patch, field, grid, res, tols):
         if not bool(alive.any()):
             break
     if not bool(alive.any()):
-        return np.zeros((0, box.n)), np.zeros(0), (), int(u.shape[0])
+        return np.zeros((0, box.n)), np.zeros(0), int(u.shape[0])
     u = box.wrap(u[alive])
     f = shadow_values(patch, field, u, tols)
     resid = np.max(np.abs(f), axis=1)
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
-    pts, res_kept = shadow._dedup(box, u[good], resid[good], 0.5 * diag)
-    return pts, res_kept, (), dropped
+    pts = shadow._dedup(box, u[good], 0.5 * diag)
+    return pts, np.max(np.abs(shadow_values(patch, field, pts, tols)), axis=1), dropped
 
 
 def _product_spheres():
@@ -414,12 +415,13 @@ def _run_newton(make):
 def test_newton_active_set_matches_full_batch(make, iters, monkeypatch):
     if iters is not None:
         monkeypatch.setattr(shadow, "_NEWTON_ITERS", iters)
-    (pts, resid, lines, dropped), (ref_pts, ref_resid, ref_lines, ref_dropped) = \
-        _run_newton(make)
+    (pts, dropped), (ref_pts, ref_resid, ref_dropped) = _run_newton(make)
     assert pts.shape[0] > 0
     assert pts.tobytes() == ref_pts.tobytes()
-    assert resid.tobytes() == ref_resid.tobytes()
-    assert lines == ref_lines
+    # the residuals reported with the points are the certificate's
+    patch, field, _ = make()
+    cert = smoothness_certificate(patch, field, pts)
+    assert cert.residuals.tobytes() == ref_resid.tobytes()
     assert dropped == ref_dropped
 
 
@@ -513,26 +515,24 @@ def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatc
 
     monkeypatch.setattr(shadow, "shadow_system", system_spy)
     patch, field, resolution = _product_circles(resolution)
-    pts, _, _, _ = _grid_newton(patch, field, patch.domain._res_tuple(resolution))
+    pts, _ = _grid_newton(patch, field, patch.domain._res_tuple(resolution))
     assert pts.shape[0] == 4
     assert (sum(batches), len(batches)) == (rows, calls)
 
 
-def _dedup_unique(box, points, residuals, radius):
+def _dedup_unique(box, points, radius):
     """Reference `_dedup`: the first point of each bin by np.unique over
     the bin rows."""
-    order = np.lexsort(points.T[::-1])
-    pts, res = points[order], residuals[order]
+    pts = points[np.lexsort(points.T[::-1])]
     bins = np.floor((pts - box.lo) / max(radius, 1e-300)).astype(np.int64)
     _, first = np.unique(bins, axis=0, return_index=True)
     first.sort()
-    keep_pts, keep_res = [], []
-    for p, r in zip(pts[first], res[first]):
+    keep_pts = []
+    for p in pts[first]:
         if keep_pts and bool(np.any(box.param_distance(np.array(keep_pts), p) < radius)):
             continue
         keep_pts.append(p)
-        keep_res.append(r)
-    return np.array(keep_pts).reshape(-1, box.n), np.array(keep_res)
+    return np.array(keep_pts).reshape(-1, box.n)
 
 
 def test_dedup_matches_unique_reference():
@@ -543,12 +543,10 @@ def test_dedup_matches_unique_reference():
     centres = lo + (hi - lo) * rng.random((40, box.n))
     points = np.repeat(centres, 60, axis=0) + 0.2 * rng.standard_normal((2400, box.n))
     points = box.wrap(np.vstack([points, points[::7]]))
-    residuals = rng.random(points.shape[0])
-    got = shadow._dedup(box, points, residuals, 0.3)
-    want = _dedup_unique(box, points, residuals, 0.3)
-    assert 40 <= got[0].shape[0] < 2400
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    got = shadow._dedup(box, points, 0.3)
+    want = _dedup_unique(box, points, 0.3)
+    assert 40 <= got.shape[0] < 2400
+    assert got.tobytes() == want.tobytes()
 
 
 # -- edge roots --------------------------------------------------------------------
@@ -562,22 +560,27 @@ def _grid_residuals(patch, field, resolution):
     return f, frames.normal[:, :, 0], res
 
 
-def _merge_roots(box, roots, resids, keys, radius):
-    """Reference: cluster near-coincident roots; points, residuals, key->id."""
+def _merge_roots(box, roots, keys, radius):
+    """Reference: cluster near-coincident roots; points, key->id."""
     wrapped = box.wrap(roots)
-    points, point_res, idmap = [], [], {}
-    for key, p, r in zip(keys, wrapped, resids):
+    points, idmap = [], {}
+    for key, p in zip(keys, wrapped):
         if points:
             d = box.param_distance(np.array(points), p)
             j = int(np.argmin(d))
             if d[j] < radius:
                 idmap[key] = j
-                point_res[j] = min(point_res[j], float(r))
                 continue
         idmap[key] = len(points)
         points.append(p)
-        point_res.append(float(r))
-    return np.array(points).reshape(-1, box.n), np.array(point_res), idmap
+    return np.array(points).reshape(-1, box.n), idmap
+
+
+def _bisect_from(patch, field, a_pts, b_pts):
+    """`_bisect` with the start signs evaluated afresh."""
+    f = shadow_values(patch, field, a_pts, DEFAULT_TOLS)[:, 0]
+    return shadow._bisect(patch, field, a_pts, b_pts, np.where(f < 0.0, -1.0, 1.0),
+                          DEFAULT_TOLS)
 
 
 def _flipped_edges(f, normals, axis, periodic, ztol):
@@ -607,10 +610,10 @@ def _surface_roots_loop(patch, field, f, normals, res, tols):
     g0, g1 = box.axis_grid(0, r0), box.axis_grid(1, r1)
     h0, h1 = box.cell_sizes(res)
     bis_keys, bis_a, bis_off = [], [], []
-    roots, resids, keys = [], [], []
+    roots, keys = [], []
     for axis, h in ((0, h0), (1, h1)):
-        fa, fb, strict, vertex, za = _flipped_edges(ff, nn, axis, box.periodic[axis],
-                                                    tols.extract_tol)
+        _, _, strict, vertex, za = _flipped_edges(ff, nn, axis, box.periodic[axis],
+                                                  tols.extract_tol)
         off = (h, 0.0) if axis == 0 else (0.0, h)
         for i, j in zip(*np.nonzero(strict)):
             bis_keys.append((axis, int(i), int(j)))
@@ -620,36 +623,30 @@ def _surface_roots_loop(patch, field, f, normals, res, tols):
             a = np.array((g0[i], g1[j]))
             keys.append((axis, int(i), int(j)))
             roots.append(a if za[i, j] else a + off)
-            resids.append(abs(fa[i, j]) if za[i, j] else abs(fb[i, j]))
     if bis_keys:
         a_pts = np.array(bis_a)
-        r, rs = shadow._bisect(patch, field, a_pts, a_pts + np.array(bis_off), tols)
-        roots.extend(r)
-        resids.extend(rs)
+        roots.extend(_bisect_from(patch, field, a_pts, a_pts + np.array(bis_off)))
         keys.extend(bis_keys)
-    return _merge_roots(box, np.array(roots), np.array(resids), keys, 1e-6 * min(h0, h1))
+    return _merge_roots(box, np.array(roots), keys, 1e-6 * min(h0, h1))
 
 
 def _curve_roots_loop(patch, field, f, normals, res, tols):
     """Reference: bisected crossings first, then node zeros, then merging."""
     box = patch.domain
-    fa, fb, strict, vertex, za = _flipped_edges(f[:, 0], normals, 0, box.periodic[0],
-                                                tols.extract_tol)
+    fa, _, strict, vertex, za = _flipped_edges(f[:, 0], normals, 0, box.periodic[0],
+                                               tols.extract_tol)
     grid = box.axis_grid(0, res[0])[: fa.shape[0]]
     h = box.cell_sizes(res)[0]
-    keys, roots, resids = [], [], []
+    keys, roots = [], []
     idx = np.nonzero(strict)[0]
     if idx.size:
         a = grid[idx][:, None]
-        r, rs = shadow._bisect(patch, field, a, a + h, tols)
         keys.extend((0, int(i)) for i in idx)
-        roots.extend(r)
-        resids.extend(rs)
+        roots.extend(_bisect_from(patch, field, a, a + h))
     for i in np.nonzero(vertex)[0]:
         keys.append((0, int(i)))
         roots.append(np.array([grid[i] if za[i] else grid[i] + h]))
-        resids.append(abs(fa[i]) if za[i] else abs(fb[i]))
-    return _merge_roots(box, np.array(roots), np.array(resids), keys, 1e-6 * h)
+    return _merge_roots(box, np.array(roots), keys, 1e-6 * h)
 
 
 def _scene_subject(name):
@@ -667,13 +664,11 @@ def _scene_subject(name):
 def test_edge_roots_match_merged_edge_loop_on_surfaces(subject, resolution):
     patch, field = subject()
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
-                                         DEFAULT_TOLS)
-    ref_pts, ref_resid, ref_ids = _surface_roots_loop(patch, field, f, normals, res,
-                                                      DEFAULT_TOLS)
+    pts, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
+                                  DEFAULT_TOLS)
+    ref_pts, ref_ids = _surface_roots_loop(patch, field, f, normals, res, DEFAULT_TOLS)
     assert pts.shape[0] > 0
     assert pts.tobytes() == ref_pts.tobytes()
-    assert resid.tobytes() == ref_resid.tobytes()
     assert ids == ref_ids
 
 
@@ -682,19 +677,31 @@ def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
     # u = 0 is a grid node, reported by edge 0 and by the last, wrapping edge
     patch, field = _scene_subject("circle_r2_e2")
     f, normals, res = _grid_residuals(patch, field, resolution)
-    pts, resid, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
-                                         DEFAULT_TOLS)
-    ref_pts, ref_resid, ref_ids = _curve_roots_loop(patch, field, f, normals, res,
-                                                    DEFAULT_TOLS)
+    pts, ids = shadow._edge_roots(patch, field, f, patch.domain.grid(res), res,
+                                  DEFAULT_TOLS)
+    ref_pts, ref_ids = _curve_roots_loop(patch, field, f, normals, res, DEFAULT_TOLS)
     assert ids[(0, 0)] == ids[(0, resolution - 1)] == 0
     assert ref_ids[(0, 0)] == ref_ids[(0, resolution - 1)]
-
-    def rows(p, r):
-        table = np.column_stack([p, r])
-        return table[np.lexsort(table.T[::-1])]
-
     assert pts.shape == (2, 1)
-    assert rows(pts, resid).tobytes() == rows(ref_pts, ref_resid).tobytes()
+    assert np.sort(pts, axis=0).tobytes() == np.sort(ref_pts, axis=0).tobytes()
+
+
+def test_seam_edge_root_residual_is_taken_at_the_reported_point():
+    # a circle over [0.25 - 2 pi, 0.25) with a root inside the seam edge,
+    # from the last node to the wrap; `Box.wrap` re-rounds the bisected
+    # root, so its residual must be |F| at the wrapped point it reports
+    hi, res = 0.25, 16
+    h = 2 * np.pi / res
+    root = hi - 0.3 * h
+    patch = SubmanifoldPatch(parse_chart("(cos(u), sin(u))", ("u",)),
+                             Box((hi - 2 * np.pi,), (hi,), (True,)), AmbientSpace(2, None))
+    field = ConstantField([np.sin(-root), np.cos(-root)])
+    s = extract_shadow_set(patch, field, res)
+    assert s.n_points == 2
+    assert np.count_nonzero(s.params[:, 0] > hi - h) == 1
+    f = np.abs(shadow_values(patch, field, s.params, DEFAULT_TOLS)[:, 0])
+    assert s.residuals.tobytes() == f.tobytes()
+    assert s.ambient.tobytes() == patch.chart.eval_values(s.params).tobytes()
 
 
 # -- marching cells ----------------------------------------------------------------

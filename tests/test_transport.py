@@ -277,8 +277,6 @@ def _assert_batch_matches_loops(patch, loops, steps):
         assert np.array_equal(res.matrix, hol)
         assert res.deviation == deviation
         assert res.rotation == rotation
-        assert res.steps == len(loop.stage_points(steps)[2])
-        assert np.array_equal(res.base_point, loop.start)
     return results
 
 
@@ -309,8 +307,8 @@ def test_batched_holonomy_groups_mixed_step_counts():
                 square + [[0.7, 1.0]], [[1.0, 0.6], [1.3, 0.9], [1.0, 1.4], [0.7, 0.9]]]
     loops = [ParamCurve.polyline(v, closed=True, label=f"poly-{i}")
              for i, v in enumerate(polygons)]
-    results = _assert_batch_matches_loops(sphere_region(), loops, 2)
-    assert [res.steps for res in results] == [4, 3, 4, 5, 4]
+    _assert_batch_matches_loops(sphere_region(), loops, 2)
+    assert [int(loop._allocate(2).sum()) for loop in loops] == [4, 3, 4, 5, 4]
 
 
 def test_holonomy_folds_once_per_group(monkeypatch):
@@ -600,6 +598,29 @@ def test_cone_ruling_is_both_patch_and_ambient_geodesic():
     assert g.tangential_residual < 1e-8
     assert g.ambient_residual < 1e-8
     np.testing.assert_allclose(g.params[-1], [1.5, 1.0], atol=1e-10)
+
+
+def test_geodesic_tracks_get_one_frame_build(monkeypatch):
+    # positions, speeds and both defects read one order-1 frame build over
+    # every track point; the chart is evaluated for no other track rows
+    frame_calls, jet_rows = [], []
+    real_frames, real_jets = transport.frames_at, ChartExpr.eval_jets
+
+    def frames_spy(patch, points, order=2, tols=Tolerances()):
+        frame_calls.append((order, len(points)))
+        return real_frames(patch, points, order=order, tols=tols)
+
+    def jets_spy(chart, points, order=2):
+        jet_rows.append((order, len(points)))
+        return real_jets(chart, points, order)
+
+    monkeypatch.setattr(transport, "frames_at", frames_spy)
+    monkeypatch.setattr(ChartExpr, "eval_jets", jets_spy)
+    results = geodesic_traces(shapes.cone(), [(0.5, 1.0), (0.6, 1.2)],
+                              [(1.0, 0.0), (0.3, 0.4)], t1=0.5, steps=128)
+    assert frame_calls == [(1, 2 * 129)]
+    assert [r for r in jet_rows if r[0] == 1] == [(1, 2 * 129)]
+    assert all(np.isfinite(r.ambient_residual) for r in results)
 
 
 def test_geodesic_domain_exit_raises():
