@@ -22,6 +22,8 @@ constraint gradients last (none when the ambient is flat).  Every column
 of that matrix is continuous and the rank gates keep it invertible, so
 xi is continuous over the whole patch, periodic seams included.  Two
 evaluations at the same parameters produce bit-identical frames.
+`normal_component` reads <v, xi> for that single normal as a ratio of
+determinants, with the same gates and no frame built.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "ambient_kernel",
     "constraint_kernel",
     "frames_at",
+    "normal_component",
     "composed_patch",
     "ValidationReport",
     "validate_patch",
@@ -116,16 +119,19 @@ class Box:
     def wrap(self, points):
         """Map periodic coordinates into [lo, hi); clamp nothing else.
 
-        A value that rounds onto hi (one just below lo, say) maps to lo,
-        so the result lies in [lo, hi) and wrapping it again changes no bit.
+        A coordinate already in [lo, hi) is returned unchanged, bit for
+        bit.  One outside that rounds onto hi (one just below lo, say) maps
+        to lo, so the result lies in [lo, hi) and wrapping it again changes
+        no bit.
         """
         pts = np.array(points, dtype=float, copy=True)
         flat = pts.reshape(-1, self.n)
         for i, per in enumerate(self.periodic):
             if per:
                 lo, hi = self.lo[i], self.hi[i]
-                w = lo + np.mod(flat[:, i] - lo, hi - lo)
-                flat[:, i] = np.where(w < hi, w, lo)
+                x = flat[:, i]
+                w = lo + np.mod(x - lo, hi - lo)
+                flat[:, i] = np.where((x >= lo) & (x < hi), x, np.where(w < hi, w, lo))
         return pts
 
     def contains(self, points, pad: float = 0.0):
@@ -401,16 +407,32 @@ def constraint_kernel(dc, points, tols: Tolerances):
     constraint Jacobians dc (B, kc, m); ChartRankError names the
     parameter point of a rank-deficient row."""
     _, svals, vh = np.linalg.svd(dc, full_matrices=True)
+    _constraint_rank_gate(svals, points, tols)
+    return fix_column_signs(vh[:, dc.shape[1]:, :].transpose(0, 2, 1))
+
+
+def _constraint_rank_gate(svals, points, tols: Tolerances):
+    """Raise ChartRankError at the first row whose constraint Jacobian
+    singular values svals (B, kc) have sigma_min < rank_tol sigma_max."""
     bad = svals[:, -1] < tols.rank_tol * svals[:, 0]
     if bad.any():
         raise ChartRankError("constraint Jacobian is rank-deficient",
                              points[int(np.argmax(bad))])
-    return fix_column_signs(vh[:, dc.shape[1]:, :].transpose(0, 2, 1))
 
 
-def _svd_rank_gate(jac, points, tols: Tolerances):
-    """Raise ChartRankError at the first row whose exact singular value
-    ratio sigma_min / sigma_max falls below rank_tol."""
+def _rank_gate(jac, bound, points, tols: Tolerances):
+    """Raise ChartRankError at the first row of jac whose exact singular
+    value ratio sigma_min / sigma_max falls below rank_tol.
+
+    bound (B,) is a certified lower bound on each row's ratio.  Only rows
+    whose bound falls below _RANK_BOUND_SAFETY * rank_tol, or is NaN, take
+    the exact SVD; a row that fails has a bound below that, so the error
+    names the same first row and ratio whichever certified bound is given.
+    """
+    low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
+    if not low.any():
+        return
+    jac, points = jac[low], points[low]
     svals = np.linalg.svd(jac, compute_uv=False)
     good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
     if not good.all():
@@ -434,26 +456,109 @@ def _certified_qr(jac, points, tols: Tolerances):
         sigma_min / sigma_max >= |det R| / sigma_max^n
                               >= |det R| / |R|_F^n = prod_i (|r_ii| / |R|_F),
 
-    read off the pivots and the norm of R.  Only rows whose bound falls
-    below _RANK_BOUND_SAFETY * rank_tol, or is NaN, take the exact SVD
-    gate; the whole batch takes it when R is not square.  Either way a
-    failure raises the SVD gate's error at the same first row.
+    read off the pivots and the norm of R and handed to `_rank_gate`;
+    when R is not square the whole batch takes the exact SVD.
     """
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
     if r.shape[1] != r.shape[2]:
-        _svd_rank_gate(jac, points, tols)
+        _rank_gate(jac, np.zeros(jac.shape[0]), points, tols)
         return q, r
     # floored so that a zero R gives a bound of 0 rather than 0 / 0
     r_norm = np.maximum(np.linalg.norm(r, axis=(1, 2)), 1e-300)
     bound = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)) / r_norm[:, None], axis=1)
-    # written so that a NaN bound counts as low
-    low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
-    if low.any():
-        _svd_rank_gate(jac[low], points[low], tols)
+    _rank_gate(jac, bound, points, tols)
     return q, r
+
+
+def _pow2_scaled(a):
+    """a (r, c, B) times a power of two per batch column, chosen so that
+    the column's largest |entry| lies in [0.5, 1); exact, and a zero or
+    non-finite column is left as it is."""
+    _, e = np.frexp(np.abs(a).max(axis=(0, 1)))
+    return np.ldexp(a, -e)
+
+
+def _det(a):
+    """Determinants of batch-last k x k matrices a (k, k, B), (B,): the
+    cofactor expansion for k <= 3, an LU beyond."""
+    k = a.shape[0]
+    if k == 1:
+        return a[0, 0]
+    if k == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if k == 3:
+        return (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+                - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    return np.linalg.det(np.moveaxis(a, -1, 0))
+
+
+def _gram(a):
+    """Gram matrices a^T a of batch-last columns a (m, c, B), (c, c, B)."""
+    return np.einsum("mib,mjb->ijb", a, a)
+
+
+def _gram_error(n: int, m: int) -> float:
+    """delta: a bound on |computed det g - det g| / (tr g)^n for the Gram
+    matrix g = jac^T jac of an m x n chart Jacobian, taken generously
+    over the roundings of g's products (about n m eps) and of `_det`
+    (a few eps for the cofactor expansions, n^2 2^n eps for an LU with
+    partial pivoting, whose growth is at most 2^(n-1))."""
+    return n * (n + m) * 2.0**n * np.finfo(float).eps
+
+
+def _gram_rank_bound(g, det_g):
+    """Lower bound on sigma_min / sigma_max per batch column of chart
+    Jacobians jac (m, n, B), from their Gram matrices g = jac^T jac
+    (n, n, B) and det_g = `_det(g)`: (B,).
+
+    With sigma_1 .. sigma_n the singular values of jac, det g = prod
+    sigma_i^2 and tr g = sum sigma_i^2 >= sigma_max^2, so
+
+        sqrt(det g) / (tr g)^(n/2) <= prod_i sigma_i / sigma_max^n
+                                   <= sigma_min / sigma_max = rho.
+
+    It is the QR bound of `_certified_qr` in other terms: |det R| =
+    sqrt(det g) and |R|_F^2 = tr g.  Forming g squares the conditioning:
+    the computed det g is off by at most delta (tr g)^n (`_gram_error`),
+    so the computed bound is at most sqrt(rho^2 + delta).
+    """
+    n = g.shape[0]
+    tr = np.trace(g)
+    # a zero Jacobian gives a bound of 0 rather than 0 / 0
+    tr = np.where(tr > 0.0, tr, 1.0)
+    return np.sqrt(np.maximum(det_g, 0.0) / tr**n)
+
+
+def _gram_rank_gated(jac, points, tols: Tolerances):
+    """The chart-rank gate of `frames_at` read from Gram matrices, not a
+    QR: raises its ChartRankError at the same first row, else returns jac
+    (B, m, n) as batch-last columns scaled by `_pow2_scaled` (m, n, B),
+    whose small products run over whole rows, and det g of those (B,).
+
+    A row below rank_tol has a `_gram_rank_bound` of at most
+    sqrt(rank_tol^2 + delta), so it still falls below the 16x margin of
+    `_rank_gate` while rank_tol^2 + delta < (16 rank_tol)^2, that is
+    while (16 rank_tol)^2 >> eps: at the default rank_tol of 1e-8 with
+    n = 2 and m = 3, delta = 40 eps = 8.9e-15 against 2.56e-14.  Where
+    it fails (a much smaller rank_tol, or a large n) every row takes the
+    exact SVD; one unit of rank_tol^2 is kept spare for the roundings of
+    the trace, the quotient and the root.  The power-of-two scaling
+    leaves rho exact and keeps g clear of overflow and underflow.
+    """
+    _, m, n = jac.shape
+    cols = _pow2_scaled(np.ascontiguousarray(jac.transpose(1, 2, 0)))
+    g = _gram(cols)
+    det_g = _det(g)
+    if _gram_error(n, m) > (_RANK_BOUND_SAFETY**2 - 2.0) * tols.rank_tol**2:
+        bound = np.zeros(jac.shape[0])
+    else:
+        bound = _gram_rank_bound(g, det_g)
+    _rank_gate(jac, bound, points, tols)
+    return cols, det_g
 
 
 def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
@@ -488,7 +593,10 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     if k == 0:
         normal = np.zeros((b, m, 0))
     else:
-        resid = amb - q @ np.einsum("bmn,bmd->bnd", q, amb)
+        # flat: amb is the identity, and q^T amb is q^T up to the sign of
+        # exact zeros, which amb - q q^T amb turns to +0 either way
+        proj = q.mT if patch.ambient.flat else np.einsum("bmn,bmd->bnd", q, amb)
+        resid = amb - q @ proj
         normal = orthonormal_span(resid, k, q, points)
         if k == 1:
             orient = np.concatenate([jac, normal, dc.transpose(0, 2, 1)], axis=2)
@@ -496,6 +604,55 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
         else:
             normal = fix_column_signs(normal)
     return FrameBatch(points, x, jac, jets.hess, q, r, amb, normal)
+
+
+def normal_component(patch: SubmanifoldPatch, points, vectors,
+                     tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """<v, xi> at parameter points of a patch with one normal (k = 1),
+    xi the normal `frames_at` builds, read as a ratio of determinants
+    with no frame built: (B,).
+
+    vectors(points) gives v (B, m); it is called once every gate has
+    passed.  With A = [jac | Dc^T] (m x (m - 1); A = jac over a flat
+    ambient), define w by <v, w> = det[jac | v | Dc^T] for every v.
+    w is orthogonal to every column of A, so it spans the normal line of
+    T M inside T N; |w|^2 = det(A^T A); and det[jac | w/|w| | Dc^T] =
+    |w| > 0 is the orientation rule of `frames_at`.  So xi = w/|w| and
+
+        <v, xi> = det[jac | v | Dc^T] / sqrt(det(A^T A)).
+
+    It needs order-1 chart jets and, in a constrained ambient, order-1
+    constraint jets.  The gates of `frames_at` run in its order and raise
+    its errors at the same points: chart rank (`_rank_gate` on the Gram
+    bound of `_gram_rank_bound`), the on-ambient rule and constraint rank
+    (its rule, without the kernel basis).  Then a row whose det(A^T A) is
+    not positive and finite raises GeometryError: Dc = 0 with one
+    constraint, say, where `frames_at` takes an arbitrary kernel basis.
+    jac and Dc are each scaled per row by a power of two first (the
+    error prints det(A^T A) of the scaled columns); that is exact, the
+    ratio is homogeneous of degree 0 in each, and it keeps the
+    determinants clear of overflow and underflow.
+    """
+    if patch.codim != 1:
+        raise ValueError(f"normal_component needs one normal, patch has {patch.codim}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    jets = patch.chart.eval_jets(points, order=1)
+    jac, det_g = _gram_rank_gated(jets.jac, points, tols)
+    if patch.ambient.flat:
+        dct, det_a = jac[:, :0], det_g
+    else:
+        cjets = patch.ambient.constraint.eval_jets(jets.value, order=1)
+        check_on_ambient(cjets.value, jets.value, points, tols)
+        _constraint_rank_gate(np.linalg.svd(cjets.jac, compute_uv=False), points, tols)
+        dct = _pow2_scaled(np.ascontiguousarray(cjets.jac.transpose(2, 1, 0)))
+        det_a = _det(_gram(np.concatenate([jac, dct], axis=1)))
+    bad = ~(np.isfinite(det_a) & (det_a > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GeometryError(
+            f"normal direction is undefined (Gram determinant {det_a[i]:.3e})", points[i])
+    v = vectors(points).T[:, None, :]
+    return _det(np.concatenate([jac, v, dct], axis=1)) / np.sqrt(det_a)
 
 
 # -- validation ---------------------------------------------------------------

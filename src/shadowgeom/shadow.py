@@ -23,17 +23,21 @@ by the asymptotic decider on its corner values) and chains the segments
 into polylines.  `frames_at` orients a single normal continuously, so
 there F is one continuous function and the scan, the bisection and the
 decider read its raw signs; the bisection takes each bracket's start
-sign from the scan.  Everything else goes through damped Gauss-Newton
-from grid seeds.  Newton iterates only the active set: a seed is
-evaluated again only when its coordinates changed in the previous
-iteration and it stayed in the box; every other seed carries the
-residual of its last evaluation.
+sign from the scan.  With one normal the scan and the bisection build no
+frame: `shadow_values` reads F = det[x_u | Y | Dc^T] / sqrt(det(A^T A)),
+A = [x_u | Dc^T], the same F as the frame's up to rounding
+(`geometry.normal_component`).  Everything else goes through damped
+Gauss-Newton from grid seeds.  Newton iterates only the active set: a
+seed is evaluated again only when its coordinates changed in the
+previous iteration and it stayed in the box; every other seed carries
+the residual of its last evaluation.
 
 Every number reported for an extracted point comes from one evaluation
 at that exact point, wrapped into the box: the smoothness certificate's
 order-2 `shadow_system` call gives the points' residuals max|F|, their
 ambient positions and their rank.  A degenerate set, the grid itself,
-reports its scan residuals.
+reports residuals from `shadow_system` too, streamed over the grid, so
+every reported F is read off a frame.
 
 Every evaluation over the whole grid, and every Newton iteration, streams
 its points through `_stream_rows` in slices of `_slice_rows` rows and
@@ -66,6 +70,7 @@ from .geometry import (
     GeometryError,
     SubmanifoldPatch,
     frames_at,
+    normal_component,
 )
 from .reporting import ResidualEntry, TheoremReport, build_report
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -93,13 +98,19 @@ _SLICE_BYTES = 2**20
 
 
 def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
-                  tols: Tolerances = DEFAULT_TOLS, frames=None) -> np.ndarray:
-    """Normal components F = Xi^T Y at parameter points, (B, k)."""
+                  tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Normal components F = Xi^T Y at parameter points, (B, k).
+
+    With one normal (k = 1) F is read as a ratio of determinants,
+    `geometry.normal_component`, and no frame is built; its gates raise
+    the errors `frames_at` raises.  With two or more normals F depends on
+    the frame, and order-1 frames give it.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if frames is None:
-        frames = frames_at(patch, points, order=1, tols=tols)
-    y = field.values(points)
-    return np.einsum("bmj,bm->bj", frames.normal, y)
+    if patch.codim == 1:
+        return normal_component(patch, points, field.values, tols)[:, None]
+    frames = frames_at(patch, points, order=1, tols=tols)
+    return np.einsum("bmj,bm->bj", frames.normal, field.values(points))
 
 
 def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
@@ -135,7 +146,9 @@ def _stream_rows(patch, field, points, tols, order):
     Gauss-Newton step -pinv(J) F (B, n) of every row whose max|F| exceeds
     extract_tol (zero on the others), evaluated `_slice_rows` rows at a time.
 
-    Order 1 goes through `shadow_values`, order 2 through `shadow_system`.
+    Order 1 goes through `shadow_values` (with one normal, the
+    determinant form, which builds no frame), order 2 through
+    `shadow_system`.
     J lives only inside its slice; `pinv` and the step's einsum work
     matrix by matrix, so a row's step does not depend on its slice.
     """
@@ -449,10 +462,12 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     evaluation instead.  Every step is wrapped in the loop and `Box.wrap`
     is idempotent, so after the loop a carried residual is stale only for
     rows still active (`_NEWTON_ITERS` ran out); those are evaluated once
-    more.  The order-1 frames of `shadow_values` give the same normals,
-    hence the same F, as the order-2 frames of `shadow_system`, so every
-    other row's carried residual is exact.  The residuals only decide
-    which rows are kept; the reported ones come from the certificate.
+    more, by `shadow_values`: with two or more normals its order-1 frames
+    give the same normals, hence the same F, as the order-2 frames of
+    `shadow_system`; with one normal it reads F as a ratio of
+    determinants, equal to the frame's F up to rounding.  The residuals
+    only decide which rows are kept; the reported ones come from the
+    certificate.
     """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
@@ -517,18 +532,21 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     res = box._res_tuple(resolution)
     grid = box.grid(res)
     edges = patch.codim == 1 and patch.n in (1, 2)
-    # the edge scan reads F; Newton's first step is taken in this scan,
-    # whose order-2 frames give the same normals, hence the same F, as order 1
+    # the edge scan reads F as a ratio of determinants and builds no frame;
+    # Newton's first step is taken in this scan, from order-2 frames
     flat_mag, tail = _stream_rows(patch, field, grid, tols, order=1 if edges else 2)
     frac = float(np.mean(flat_mag < tols.extract_tol))
 
     if frac >= DEGENERATE_FRACTION:
         centre_mag, _ = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order=1)
         if np.mean(centre_mag < tols.extract_tol) >= DEGENERATE_FRACTION:
+            # reported residuals are read off frames, as the certificate's
+            # are; the Newton route's scan already did
+            resid = _stream_rows(patch, field, grid, tols, order=2)[0] if edges else flat_mag
             return ShadowSet(
                 params=grid,
                 ambient=patch.chart.eval_values(grid),
-                residuals=flat_mag,
+                residuals=resid,
                 polylines=(),
                 degenerate=True,
                 degenerate_fraction=frac,

@@ -1,6 +1,8 @@
 """Adapted frames, tangent/normal splitting, and patch validation."""
 
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from shadowgeom.geometry import (
     frames_at,
     validate_patch,
 )
-from shadowgeom.helix import _split_components
+from shadowgeom.cli import SCENES_DIR
+from shadowgeom.helix import _split_components, tube_patch
+from shadowgeom.scene import load_scene
 from shadowgeom.shadow import product_patch
 from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import parallelity_residual
@@ -88,6 +92,16 @@ def test_wrap_lands_in_box_and_is_idempotent(which, data):
     w = box.wrap([[x]])
     assert lo <= w[0, 0] < hi
     assert box.wrap(w).tobytes() == w.tobytes()
+
+
+def test_wrap_returns_in_range_coordinates_unchanged():
+    # lo + mod(x - lo, span) re-rounds x whenever lo != 0: on [-pi, pi) it
+    # moved 9,144 of these 10,000 points, by up to 2.2e-16
+    box = Box((-math.pi, 0.0), (math.pi, 1.0), (True, False))
+    x = np.random.default_rng(0).uniform(-0.3, 0.3, size=(10000, 2))
+    assert box.wrap(x).tobytes() == x.tobytes()
+    edges = np.array([[-math.pi, 0.5], [np.nextafter(math.pi, 0.0), 0.5]])
+    assert box.wrap(edges).tobytes() == edges.tobytes()
 
 
 def test_box_rejects_empty_axis():
@@ -180,6 +194,55 @@ def test_lazy_frame_fields_match_eager_bits(make, res):
     assert frames.rinv is frames.rinv and frames.metric is frames.metric
 
 
+def _bundled_flat_patches():
+    """Every patch over a flat ambient that a bundled scene or test shape
+    builds: root patches, products, tubes and composed nested patches."""
+    for path in sorted(glob.glob(os.path.join(SCENES_DIR, "*.scene"))):
+        scene = load_scene(path)
+        patches = dict(scene.patches)
+        for name, spec in scene.nested.items():
+            patches[name] = composed_patch(scene.patches[spec.parent], spec.chart,
+                                           spec.domain, name)
+        if scene.product is not None:
+            patches["product"] = product_patch(*(scene.patch(n) for n in scene.product))
+        if scene.tube is not None:
+            patches["tube"] = tube_patch(scene.patch(scene.tube.of), scene.tube.direction,
+                                         scene.tube.eps)[0]
+        for name, patch in patches.items():
+            yield f"{scene.name}/{name}", patch
+    for name in sorted(shapes.BUILTIN_PATCHES):
+        yield f"shapes/{name}", shapes.build_patch(name)
+
+
+FLAT_PATCHES = [(name, p) for name, p in _bundled_flat_patches()
+                if p.ambient.flat and p.codim > 0]
+
+
+def _einsum_form_normal(frames):
+    """The normal as built with q^T amb taken by an einsum against the
+    identity, the flat ambient's basis."""
+    q, amb = frames.tangent, frames.ambient
+    k = amb.shape[2] - q.shape[2]
+    resid = amb - q @ np.einsum("bmn,bmd->bnd", q, amb)
+    normal = geometry.orthonormal_span(resid, k, q, frames.points)
+    if k > 1:
+        return geometry.fix_column_signs(normal)
+    orient = np.concatenate([frames.jac, normal], axis=2)
+    return normal * np.where(np.linalg.slogdet(orient)[0] < 0, -1.0, 1.0)[:, None, None]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name, patch", FLAT_PATCHES, ids=[n for n, _ in FLAT_PATCHES])
+def test_flat_frames_match_the_identity_contraction(name, patch, order):
+    # q^T differs from einsum(q, eye) only in the sign of exact zeros,
+    # which amb - q q^T amb turns to +0 either way
+    rng = np.random.default_rng(19)
+    box = patch.domain
+    pts = np.concatenate([box.grid(7), rng.uniform(box.lo, box.hi, size=(9, box.n))])
+    frames = frames_at(patch, pts, order=order)
+    assert frames.normal.tobytes() == _einsum_form_normal(frames).tobytes()
+
+
 def test_order_one_frames_skip_hessian():
     frames = frames_at(shapes.plane(), np.zeros((1, 2)), order=1)
     assert frames.hess is None
@@ -252,10 +315,23 @@ def _gate_outcome(gate, jac, points):
     return q.tobytes(), rinv.tobytes()
 
 
+def _rank_error(gate, jac, points):
+    """The error type, message and point a gate raises, or None."""
+    try:
+        gate(jac, points, DEFAULT_TOLS)
+    except (ChartRankError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+    return None
+
+
 def _assert_gates_agree(jac):
+    # the QR gate of frames_at and the Gram gate of normal_component both
+    # raise what the exact SVD of every row raises
     points = np.arange(2.0 * jac.shape[0]).reshape(-1, 2)
     assert (_gate_outcome(geometry._certified_qr, jac, points)
             == _gate_outcome(_svd_gate_reference, jac, points))
+    assert (_rank_error(geometry._gram_rank_gated, jac, points)
+            == _rank_error(_svd_gate_reference, jac, points))
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,6 +374,44 @@ def test_rank_bound_never_exceeds_singular_value_ratio(seed, n, decade, shear, s
     bound = np.prod(np.abs(np.diagonal(r)) / np.linalg.norm(r))
     svals = np.linalg.svd(r, compute_uv=False)
     assert bound <= svals[-1] / svals[0] + 8 * n * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), extra=st.integers(0, 2),
+       decade=st.floats(-12.0, 0.0), shear=st.floats(-2.0, 6.0),
+       scale=st.floats(-250.0, 250.0))
+def test_gram_rank_bound_slack(seed, n, extra, decade, shear, scale):
+    # sqrt(det g) / (tr g)^(n/2) <= rho holds exactly; computed, the bound
+    # exceeds rho by at most its stated slack, sqrt(rho^2 + delta) with
+    # delta = `_gram_error(n, m)`, at any overall magnitude; the extra
+    # 8 n eps covers the rounding of the SVD's rho, as above
+    m = n + extra
+    rng = np.random.default_rng(seed)
+    steps = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
+    cols = 10.0 ** (decade * rng.permutation(steps) + scale)
+    upper = np.eye(n) + 10.0 ** shear * np.triu(np.ones((n, n)), 1)
+    jac = ((rng.standard_normal((m, n)) * cols) @ upper)[None]
+    scaled = geometry._pow2_scaled(np.ascontiguousarray(jac.transpose(1, 2, 0)))
+    g = geometry._gram(scaled)
+    bound = geometry._gram_rank_bound(g, geometry._det(g))[0]
+    svals = np.linalg.svd(jac[0], compute_uv=False)
+    rho = svals[-1] / svals[0] + 8 * n * np.finfo(float).eps
+    assert bound <= math.sqrt(rho**2 + geometry._gram_error(n, m))
+
+
+def test_gram_gate_defers_to_svd_below_its_certified_range():
+    # nearly parallel columns with sigma_min / sigma_max = 5.2e-14: forming
+    # g squares that below eps, and the computed bound reads 5.8e-9.  At
+    # rank_tol = 1e-12 that would clear the 16x margin, so there every row
+    # takes the exact SVD instead; at the default 1e-8 the bound is low
+    a = np.array([1.0, 0.9, 0.1])
+    jac = np.stack([a, a + 1e-13 * np.array([1.0, -1.0, 0.0])], axis=1)[None]
+    g = geometry._gram(geometry._pow2_scaled(np.ascontiguousarray(jac.transpose(1, 2, 0))))
+    assert 16e-12 < geometry._gram_rank_bound(g, geometry._det(g))[0] < 16e-8
+    for rank_tol in (1e-12, 1e-8):
+        tols = DEFAULT_TOLS.with_overrides({"rank_tol": rank_tol})
+        with pytest.raises(ChartRankError, match=r"ratio 5\.231e-14\) at parameters \(0\.0,\)"):
+            geometry._gram_rank_gated(jac, np.zeros((1, 1)), tols)
 
 
 def test_rank_gate_bound_catches_healthy_pivots():

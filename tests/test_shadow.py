@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shadowgeom import shadow
+from shadowgeom import geometry, shadow
 from shadowgeom.cli import SCENES_DIR, _root_setup, find_scene
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField, ExprField
@@ -14,6 +14,7 @@ from shadowgeom.geometry import (
     Box,
     ChartRankError,
     GeometryError,
+    OffAmbientError,
     SubmanifoldPatch,
     frames_at,
     validate_patch,
@@ -556,7 +557,7 @@ def _grid_residuals(patch, field, resolution):
     res = patch.domain._res_tuple(resolution)
     grid = patch.domain.grid(res)
     frames = frames_at(patch, grid, order=1, tols=DEFAULT_TOLS)
-    f = shadow_values(patch, field, grid, DEFAULT_TOLS, frames=frames)
+    f = np.einsum("bmj,bm->bj", frames.normal, field.values(grid))
     return f, frames.normal[:, :, 0], res
 
 
@@ -688,8 +689,8 @@ def test_edge_roots_match_merged_edge_loop_on_curves(resolution):
 
 def test_seam_edge_root_residual_is_taken_at_the_reported_point():
     # a circle over [0.25 - 2 pi, 0.25) with a root inside the seam edge,
-    # from the last node to the wrap; `Box.wrap` re-rounds the bisected
-    # root, so its residual must be |F| at the wrapped point it reports
+    # from the last node to the wrap; its residual must be the
+    # certificate's |F| at the wrapped point it reports
     hi, res = 0.25, 16
     h = 2 * np.pi / res
     root = hi - 0.3 * h
@@ -699,7 +700,7 @@ def test_seam_edge_root_residual_is_taken_at_the_reported_point():
     s = extract_shadow_set(patch, field, res)
     assert s.n_points == 2
     assert np.count_nonzero(s.params[:, 0] > hi - h) == 1
-    f = np.abs(shadow_values(patch, field, s.params, DEFAULT_TOLS)[:, 0])
+    f = np.abs(shadow_system(patch, field, s.params, DEFAULT_TOLS)[0][:, 0])
     assert s.residuals.tobytes() == f.tobytes()
     assert s.ambient.tobytes() == patch.chart.eval_values(s.params).tobytes()
 
@@ -860,6 +861,136 @@ def test_normals_agree_along_every_grid_edge(scene, name):
         if not periodic:  # the last node along a walled axis starts no edge
             dots = np.delete(dots, -1, axis=axis)
         assert dots.min() > 0.0, axis
+
+
+# -- F as a ratio of determinants (k = 1) ----------------------------------------
+
+
+def _det_subjects():
+    """(scene, patch, field) of every bundled scene whose main subject has
+    one normal and a field."""
+    for scene in _SCENES:
+        patch, field = _root_setup(scene, scene.tols)
+        if patch.codim == 1 and field is not None:
+            yield scene, patch, field
+
+
+DET_SUBJECTS = list(_det_subjects())
+
+
+@pytest.mark.parametrize("resolution", [7, 16, 64])
+@pytest.mark.parametrize("scene, patch, field", DET_SUBJECTS,
+                         ids=[s.name for s, _, _ in DET_SUBJECTS])
+def test_determinant_f_matches_frame_f(scene, patch, field, resolution):
+    grid = patch.domain.grid(resolution)
+    f = shadow_values(patch, field, grid, scene.tols)[:, 0]
+    y = field.values(grid)
+    normal = frames_at(patch, grid, order=1, tols=scene.tols).normal[:, :, 0]
+    frame_f = np.einsum("bm,bm->b", normal, y)
+    zero = np.abs(f) <= scene.tols.extract_tol
+    assert np.array_equal(zero, np.abs(frame_f) <= scene.tols.extract_tol)
+    # inside the zero class the two may part in sign (0 against 1e-17)
+    assert np.array_equal(np.sign(f[~zero]), np.sign(frame_f[~zero]))
+    slack = 16 * np.finfo(float).eps * (1.0 + np.linalg.norm(y, axis=1))
+    assert np.all(np.abs(f - frame_f) <= slack)
+
+
+@pytest.mark.parametrize("scale", [2.0**-300, 2.0**300], ids=["2^-300", "2^300"])
+def test_determinant_f_is_scale_free(scale):
+    # det g of this sphere's chart Jacobian would underflow to 0 or overflow
+    # to inf; each row is scaled by a power of two first, so F keeps the
+    # bits it has on the unit sphere
+    def sphere(s):
+        chart = parse_chart("(s*sin(u)*cos(v), s*sin(u)*sin(v), s*cos(u))", ("u", "v"),
+                            {"s": s})
+        return SubmanifoldPatch(chart, Box((0.1, 0.0), (np.pi - 0.1, 2 * np.pi),
+                                           (False, True)), AmbientSpace(3))
+    grid = sphere(1.0).domain.grid(16)
+    field = ConstantField([0.3, -0.4, 1.0])
+    want = shadow_values(sphere(1.0), field, grid)
+    assert shadow_values(sphere(scale), field, grid).tobytes() == want.tobytes()
+
+
+def _equator_in_s2():
+    # tangent to the sphere along the equator, with F = cos s up to sign
+    patch = load_scene(find_scene("equator_in_s2")).patches["equator"]
+    return patch, ExprField(parse_chart("(-sin(s)^2, sin(s)*cos(s), cos(s))", ("s",)))
+
+
+@pytest.mark.parametrize("subject, resolution", [
+    (lambda: _scene_subject("torus_e3"), 33),
+    (lambda: _scene_subject("sphere_e3"), 32),
+    (lambda: _scene_subject("circle_r2_e2"), 33),
+    (_equator_in_s2, 33),
+], ids=["torus", "sphere", "circle", "equator-in-s2"])
+def test_scan_and_bisection_build_no_frames(subject, resolution, monkeypatch):
+    # resolutions that put a root inside some grid edge, so it is bisected
+    patch, field = subject()
+    calls, bisected = [], []
+    real_frames, real_bisect = frames_at, shadow._bisect
+
+    def frames_spy(patch, points, *args, **kwargs):
+        calls.append(len(points))
+        return real_frames(patch, points, *args, **kwargs)
+
+    def bisect_spy(patch, field, a_pts, *args):
+        bisected.append(len(a_pts))
+        return real_bisect(patch, field, a_pts, *args)
+
+    monkeypatch.setattr(shadow, "frames_at", frames_spy)
+    monkeypatch.setattr(geometry, "frames_at", frames_spy)
+    monkeypatch.setattr(shadow, "_bisect", bisect_spy)
+    res = patch.domain._res_tuple(resolution)
+    grid = patch.domain.grid(res)
+    f = shadow._stream_rows(patch, field, grid, DEFAULT_TOLS, order=1)[1]
+    shadow._edge_roots(patch, field, f, grid, res, DEFAULT_TOLS)
+    assert bisected and calls == []
+    # the certificate's evaluation is then the one frame build
+    s = extract_shadow_set(patch, field, resolution)
+    assert calls == [s.n_points]
+
+
+def _gate_error(fn):
+    with pytest.raises(GeometryError) as info:
+        fn()
+    return type(info.value), str(info.value), info.value.point
+
+
+@pytest.mark.parametrize("chart, params, ambient, points", [
+    # phi_u = 0 at u = 0
+    ("(u^3, v, 0)", ("u", "v"), (3, None), [(0.5, 0.1), (0.0, 0.2), (0.0, 0.3)]),
+    # healthy pivots, singular value ratio 1e-10: the bound sends it to the SVD
+    ("(u + 1e5*v, v, 0)", ("u", "v"), (3, None), [(0.5, 0.25), (0.0, 0.0)]),
+    ("(1.2*cos(s), 1.2*sin(s), 0)", ("s",), (3, "(x1^2 + x2^2 + x3^2 - 1)"),
+     [(0.1,), (0.2,)]),
+    # the second constraint's gradient is x3 times the first's on the ambient
+    ("(cos(s), sin(s), 0.5, 0)", ("s",),
+     (4, "(x1^2 + x2^2 - 1, (x1^2 + x2^2 - 1)*x3)"), [(0.1,), (0.2,)]),
+], ids=["chart-rank", "chart-rank-bound", "off-ambient", "constraint-rank"])
+def test_shadow_values_raises_what_frames_at_raises(chart, params, ambient, points):
+    dim, constraint = ambient
+    names = tuple(f"x{i + 1}" for i in range(dim))
+    amb = AmbientSpace(dim, None if constraint is None else parse_chart(constraint, names))
+    patch = SubmanifoldPatch(parse_chart(chart, params),
+                             Box((-1.0,) * len(params), (1.0,) * len(params),
+                                 (False,) * len(params)), amb)
+    assert patch.codim == 1
+    field = ConstantField([0.0] * (dim - 1) + [1.0])
+    pts = np.array(points)
+    got = _gate_error(lambda: shadow_values(patch, field, pts))
+    assert got == _gate_error(lambda: frames_at(patch, pts, order=1))
+    assert got[0] in (ChartRankError, OffAmbientError)
+
+
+def test_vanishing_constraint_gradient_raises():
+    # c = (|x|^2 - 1)^2 vanishes on the unit sphere with Dc = 0 there: the
+    # normal of the equator inside the ambient is undefined
+    amb = AmbientSpace(3, parse_chart("((x1^2 + x2^2 + x3^2 - 1)^2)", ("x1", "x2", "x3")))
+    patch = SubmanifoldPatch(parse_chart("(cos(s), sin(s), 0)", ("s",)),
+                             Box((0.0,), (2 * np.pi,), (True,)), amb)
+    with pytest.raises(GeometryError, match=r"normal direction is undefined \(Gram "
+                       r"determinant 0\.000e\+00\) at parameters \(0\.5,\)"):
+        shadow_values(patch, E3, [(0.5,), (1.0,)])
 
 
 # -- streaming in row slices -------------------------------------------------------
