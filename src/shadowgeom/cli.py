@@ -5,7 +5,7 @@ print a canonical JSON report, except `shadow` which defaults to CSV
 and `tube` which prints a generated scene.  Exit codes: 0 when every
 verdict is confirmed or the command simply succeeded, 2 when any check
 reports hypotheses-not-met (including a holonomy obstruction), 1 on
-errors, counterexample flags included.
+errors, counterexample flags and usage errors included.
 
 Reports are deterministic for a fixed scene, flags, and version; only
 the "timings" object varies between runs.
@@ -481,11 +481,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"shadowgeom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, scene=True):
+    def common(sp, seed=False, scene=True, grid=True):
         if scene:
             sp.add_argument("scene", help="scene file path or bundled scene name")
-        sp.add_argument("--grid", type=int, default=None, metavar="N",
-                        help="override the grid resolution")
+        if grid:
+            sp.add_argument("--grid", type=int, default=None, metavar="N",
+                            help="override the grid resolution")
         sp.add_argument("--tol", action="append", default=None,
                         metavar="NAME=VALUE", help="override a tolerance")
         sp.add_argument("--out", default=None, metavar="PATH",
@@ -501,14 +502,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--allow-empty", action="store_true",
                     help="export even when the set is empty")
     common(sub.add_parser("helix", help="helix constancy and classification"))
-    common(sub.add_parser("transport", help="holonomy probe loops"), seed=True)
+    common(sub.add_parser("transport", help="holonomy probe loops"), seed=True, grid=False)
     common(sub.add_parser("parallel-field",
                           help="construct a parallel field, probe obstructions"),
-           seed=True)
+           seed=True, grid=False)
     sp = sub.add_parser("verify", help="run one theorem check")
     sp.add_argument("theorem", choices=THEOREM_IDS)
     common(sp)
-    common(sub.add_parser("tube", help="materialize the swept scene"))
+    common(sub.add_parser("tube", help="materialize the swept scene"), grid=False)
     common(sub.add_parser("verify-all", help="run the bundled theorem suite"),
            scene=False)
     return parser
@@ -527,9 +528,16 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of hypotheses-not-met
+        # here; --help and --version exit 0
+        if exc.code:
+            return EXIT_ERROR
+        raise
     t0 = time.perf_counter()
-    if args.grid is not None and args.grid < 2:
+    if getattr(args, "grid", None) is not None and args.grid < 2:
         print(f"error: --grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_ERROR
     try:

@@ -26,6 +26,7 @@ __all__ = [
     "second_form_coord",
     "second_form_components",
     "mean_curvature",
+    "tangent_coords",
     "gauss_kronecker",
     "tgs_scan",
     "christoffels",
@@ -73,6 +74,14 @@ def gauss_kronecker(frames: FrameBatch) -> np.ndarray:
         )
     _, orth = second_form_components(frames)
     return np.linalg.det(orth[..., 0])
+
+
+def tangent_coords(jac, y) -> np.ndarray:
+    """Chart coordinates of the tangential part of ambient vectors y
+    (B, m), g^-1 jac^T y, from chart Jacobians jac (B, m, n): (B, n)."""
+    metric = np.einsum("bmi,bmj->bij", jac, jac)
+    proj = np.einsum("bmi,bm->bi", jac, y)
+    return np.linalg.solve(metric, proj[..., None])[..., 0]
 
 
 def _direction_set(n: int):

@@ -8,10 +8,15 @@ Jacobian, an orthonormal basis of the ambient tangent space from the
 constraint kernel, and an orthonormal normal frame spanning the
 complement of the patch tangent inside the ambient tangent.
 
-One rule decides whether a chart point lies on the ambient manifold,
-`check_on_ambient`: its constraint residual is at most on_ambient_tol *
-(1 + |x|), else OffAmbientError names the caller's parameter point.
-Frames, the transport steps and `validate_patch` all use it.
+Frames exist only where the patch fits inside the ambient tangent space
+and both Jacobians have full rank; each rule has one implementation.
+`SubmanifoldPatch` refuses a chart with more parameters than the ambient
+has tangent directions.  `_rank_ok` is the rank rule of chart Jacobians
+(`_rank_gate`), constraint Jacobians (`constraint_kernel`) and
+`validate_patch`.  `check_on_ambient` is the on-ambient rule, a
+constraint residual of at most on_ambient_tol * (1 + |x|).
+`ambient_kernel` runs it and then the constraint-rank rule, after the
+chart-rank gate in both `frames_at` and `normal_component`.
 
 Tangent and ambient columns, and normal columns when there are two or
 more, follow one deterministic sign convention: the component of largest
@@ -238,6 +243,9 @@ class SubmanifoldPatch:
             raise ValueError(
                 f"chart maps to R^{self.chart.n_outputs}, ambient is R^{self.ambient.dim}"
             )
+        if self.chart.n_params > self.ambient.tangent_dim:
+            raise ValueError(f"patch dimension {self.chart.n_params} exceeds ambient "
+                             f"tangent dimension {self.ambient.tangent_dim}")
 
     @property
     def n(self) -> int:
@@ -405,43 +413,44 @@ def ambient_kernel(ambient: AmbientSpace, x, points, tols: Tolerances):
 def constraint_kernel(dc, points, tols: Tolerances):
     """Sign-fixed orthonormal basis of ker Dc, (B, m, m - kc), from
     constraint Jacobians dc (B, kc, m); ChartRankError names the
-    parameter point of a rank-deficient row."""
+    parameter point of a row that fails `_rank_ok`."""
     _, svals, vh = np.linalg.svd(dc, full_matrices=True)
-    _constraint_rank_gate(svals, points, tols)
+    _require_rank(svals, points, "constraint", tols)
     return fix_column_signs(vh[:, dc.shape[1]:, :].transpose(0, 2, 1))
 
 
-def _constraint_rank_gate(svals, points, tols: Tolerances):
-    """Raise ChartRankError at the first row whose constraint Jacobian
-    singular values svals (B, kc) have sigma_min < rank_tol sigma_max."""
-    bad = svals[:, -1] < tols.rank_tol * svals[:, 0]
-    if bad.any():
-        raise ChartRankError("constraint Jacobian is rank-deficient",
-                             points[int(np.argmax(bad))])
+def _rank_ok(svals, tols: Tolerances):
+    """The one rank rule, per row of singular values svals (B, r) in
+    descending order: sigma_min >= rank_tol * max(sigma_max, 1e-300).  A
+    zero row or a NaN row fails."""
+    return svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
 
 
-def _rank_gate(jac, bound, points, tols: Tolerances):
-    """Raise ChartRankError at the first row of jac whose exact singular
-    value ratio sigma_min / sigma_max falls below rank_tol.
-
-    bound (B,) is a certified lower bound on each row's ratio.  Only rows
-    whose bound falls below _RANK_BOUND_SAFETY * rank_tol, or is NaN, take
-    the exact SVD; a row that fails has a bound below that, so the error
-    names the same first row and ratio whichever certified bound is given.
-    """
-    low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
-    if not low.any():
-        return
-    jac, points = jac[low], points[low]
-    svals = np.linalg.svd(jac, compute_uv=False)
-    good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
+def _require_rank(svals, points, what: str, tols: Tolerances):
+    """Raise ChartRankError, with the singular value ratio, at the first
+    row of svals that fails `_rank_ok`; `what` names the Jacobian."""
+    good = _rank_ok(svals, tols)
     if not good.all():
         i = int(np.argmax(~good))
         raise ChartRankError(
-            f"chart Jacobian is rank-deficient (singular value ratio "
+            f"{what} Jacobian is rank-deficient (singular value ratio "
             f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
             points[i],
         )
+
+
+def _rank_gate(jac, bound, points, tols: Tolerances):
+    """Raise ChartRankError at the first row of jac that fails `_rank_ok`.
+
+    bound (B,) is a certified lower bound on each row's ratio
+    sigma_min / sigma_max.  Only rows whose bound falls below
+    _RANK_BOUND_SAFETY * rank_tol, or is NaN, take the exact SVD; a row
+    that fails has a bound below that, so the error names the same first
+    row and ratio whichever certified bound is given.
+    """
+    low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
+    if low.any():
+        _require_rank(np.linalg.svd(jac[low], compute_uv=False), points[low], "chart", tols)
 
 
 def _certified_qr(jac, points, tols: Tolerances):
@@ -456,16 +465,13 @@ def _certified_qr(jac, points, tols: Tolerances):
         sigma_min / sigma_max >= |det R| / sigma_max^n
                               >= |det R| / |R|_F^n = prod_i (|r_ii| / |R|_F),
 
-    read off the pivots and the norm of R and handed to `_rank_gate`;
-    when R is not square the whole batch takes the exact SVD.
+    read off the pivots and the norm of R (square: n <= m) and handed to
+    `_rank_gate`.
     """
     q, r = np.linalg.qr(jac)
     signs = column_signs(q)
     q = q * signs[:, None, :]
     r = r * signs[:, :, None]
-    if r.shape[1] != r.shape[2]:
-        _rank_gate(jac, np.zeros(jac.shape[0]), points, tols)
-        return q, r
     # floored so that a zero R gives a bound of 0 rather than 0 / 0
     r_norm = np.maximum(np.linalg.norm(r, axis=(1, 2)), 1e-300)
     bound = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)) / r_norm[:, None], axis=1)
@@ -551,8 +557,10 @@ def _gram_rank_gated(jac, points, tols: Tolerances):
     """
     _, m, n = jac.shape
     cols = _pow2_scaled(np.ascontiguousarray(jac.transpose(1, 2, 0)))
-    g = _gram(cols)
-    det_g = _det(g)
+    # a non-finite row gives a NaN bound, which `_rank_gate` sends to the SVD
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = _gram(cols)
+        det_g = _det(g)
     if _gram_error(n, m) > (_RANK_BOUND_SAFETY**2 - 2.0) * tols.rank_tol**2:
         bound = np.zeros(jac.shape[0])
     else:
@@ -584,12 +592,7 @@ def frames_at(patch: SubmanifoldPatch, points, order: int = 2,
     b, m, n = jac.shape
     q, r = _certified_qr(jac, points, tols)
     amb, dc = ambient_kernel(patch.ambient, x, points, tols)
-    d = amb.shape[2]
-    k = d - n
-    if k < 0:
-        raise GeometryError(
-            f"patch dimension {n} exceeds ambient tangent dimension {d}", points[0]
-        )
+    k = amb.shape[2] - n
     if k == 0:
         normal = np.zeros((b, m, 0))
     else:
@@ -621,13 +624,14 @@ def normal_component(patch: SubmanifoldPatch, points, vectors,
 
         <v, xi> = det[jac | v | Dc^T] / sqrt(det(A^T A)).
 
-    It needs order-1 chart jets and, in a constrained ambient, order-1
-    constraint jets.  The gates of `frames_at` run in its order and raise
+    It needs order-1 chart jets and, in a constrained ambient, Dc from
+    `ambient_kernel`.  The gates of `frames_at` run in its order and raise
     its errors at the same points: chart rank (`_rank_gate` on the Gram
-    bound of `_gram_rank_bound`), the on-ambient rule and constraint rank
-    (its rule, without the kernel basis).  Then a row whose det(A^T A) is
-    not positive and finite raises GeometryError: Dc = 0 with one
-    constraint, say, where `frames_at` takes an arbitrary kernel basis.
+    bound of `_gram_rank_bound`), then `ambient_kernel`'s on-ambient and
+    constraint-rank rules (its kernel basis is not read).  Then a row
+    whose det(A^T A) is not positive and finite raises GeometryError: a
+    chart that crosses the ambient, not lying in it, can put a tangent
+    column in the span of Dc^T.
     jac and Dc are each scaled per row by a power of two first (the
     error prints det(A^T A) of the scaled columns); that is exact, the
     ratio is homogeneous of degree 0 in each, and it keeps the
@@ -641,10 +645,8 @@ def normal_component(patch: SubmanifoldPatch, points, vectors,
     if patch.ambient.flat:
         dct, det_a = jac[:, :0], det_g
     else:
-        cjets = patch.ambient.constraint.eval_jets(jets.value, order=1)
-        check_on_ambient(cjets.value, jets.value, points, tols)
-        _constraint_rank_gate(np.linalg.svd(cjets.jac, compute_uv=False), points, tols)
-        dct = _pow2_scaled(np.ascontiguousarray(cjets.jac.transpose(2, 1, 0)))
+        dc = ambient_kernel(patch.ambient, jets.value, points, tols)[1]
+        dct = _pow2_scaled(np.ascontiguousarray(dc.transpose(2, 1, 0)))
         det_a = _det(_gram(np.concatenate([jac, dct], axis=1)))
     bad = ~(np.isfinite(det_a) & (det_a > 0.0))
     if bad.any():
@@ -692,7 +694,7 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
     svals = np.linalg.svd(jets.jac, compute_uv=False)
     ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
     i_rank = int(np.argmin(ratios))
-    rank_bad = ratios < tols.rank_tol
+    rank_bad = ~_rank_ok(svals, tols)
     failures = tuple(tuple(u) for u in grid[rank_bad][:8])
     messages = []
     if rank_bad.any():

@@ -41,6 +41,7 @@ from .curvature import (
     mean_curvature,
     nested_second_form,
     second_form_components,
+    tangent_coords,
     tgs_scan,
 )
 from .expr import parse_chart, to_source
@@ -214,17 +215,9 @@ def _auto_t1(box: Box, seeds, vels, frac: float) -> float:
     return t1
 
 
-def _tan_coords(jets, y):
-    """Chart coordinates of tan(Y), (B, n), from Y and the chart Jacobian
-    `jac` of order-1 chart jets or of frames."""
-    metric = np.einsum("bmi,bmj->bij", jets.jac, jets.jac)
-    proj = np.einsum("bmi,bm->bi", jets.jac, y)
-    return np.linalg.solve(metric, proj[..., None])[..., 0]
-
-
 def _tan_flow(patch: SubmanifoldPatch, field):
     """Right-hand side of du/dt = tan(Y) in chart coordinates."""
-    return lambda u: _tan_coords(patch.chart.eval_jets(u, order=1), field.values(u))
+    return lambda u: tangent_coords(patch.chart.eval_jets(u, order=1).jac, field.values(u))
 
 
 def _halving_retry(run, t1: float, what: str):
@@ -314,7 +307,8 @@ def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances
             _auto_t1(patch.domain, seeds, flow(seeds), frac=0.5), "integral curves")
         flat = traj.reshape(-1, patch.n)
         frames = frames_at(patch, flat, order=1, tols=tols)
-        vel_amb = np.einsum("bmi,bi->bm", frames.jac, _tan_coords(frames, field.values(flat)))
+        yc = tangent_coords(frames.jac, field.values(flat))
+        vel_amb = np.einsum("bmi,bi->bm", frames.jac, yc)
         speeds = np.linalg.norm(vel_amb, axis=1).reshape(_FLOW_STEPS + 1, -1)
         tan_def, amb_def = track_defects(frames, speeds, t1 / _FLOW_STEPS)
         hyp = [ResidualEntry("integral-curve-patch-geodesic", float(tan_def.max()),
@@ -555,7 +549,7 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, resolution: int = 9
     frames_c = frames_at(patch, center[None, :], order=1, tols=tols)
     metric_c = frames_c.metric[0]
     dirs = _fan_directions(frames_c.rinv[0])
-    yc = np.linalg.solve(metric_c, frames_c.jac[0].T @ field.values(center[None, :])[0])
+    yc = tangent_coords(frames_c.jac, field.values(center[None, :]))[0]
     yc_norm = math.sqrt(float(yc @ metric_c @ yc))
     if yc_norm > tols.transversality_floor * guard:
         dirs = np.concatenate([dirs, (yc / yc_norm)[None, :]], axis=0)

@@ -23,14 +23,16 @@ by the asymptotic decider on its corner values) and chains the segments
 into polylines.  `frames_at` orients a single normal continuously, so
 there F is one continuous function and the scan, the bisection and the
 decider read its raw signs; the bisection takes each bracket's start
-sign from the scan.  With one normal the scan and the bisection build no
-frame: `shadow_values` reads F = det[x_u | Y | Dc^T] / sqrt(det(A^T A)),
-A = [x_u | Dc^T], the same F as the frame's up to rounding
-(`geometry.normal_component`).  Everything else goes through damped
-Gauss-Newton from grid seeds.  Newton iterates only the active set: a
-seed is evaluated again only when its coordinates changed in the
-previous iteration and it stayed in the box; every other seed carries
-the residual of its last evaluation.
+sign from the scan.  Everything else goes through damped Gauss-Newton
+from grid seeds.  Newton iterates only the active set: a seed is
+evaluated again only when its coordinates changed in the previous
+iteration and it stayed in the box; every other seed carries the
+residual of its last evaluation.
+
+Each F has one evaluator.  The edge route reads F of its one normal as
+det[x_u | Y | Dc^T] / sqrt(det(A^T A)), A = [x_u | Dc^T], building no
+frame (`shadow_values`); the Newton route and every reported point read
+frame F (`shadow_system`).  The two agree up to rounding.
 
 Every number reported for an extracted point comes from one evaluation
 at that exact point, wrapped into the box: the smoothness certificate's
@@ -47,8 +49,8 @@ is taken inside the slice, so J exists for one slice at a time, and the
 chart points x are kept by no scan (a degenerate set evaluates its grid's
 chart values).  A slice's frames are freed before the next slice is
 built, so memory follows the grid's point count and not the size of its
-frames: traced peaks grow by about 48 bytes a grid row on the edge route
-(torus_e3, grids 128 to 256) and 300 on the Newton route
+frames: traced peaks grow by about 55 bytes a grid row on the edge route
+(torus_e3, grids 128 to 1024) and 300 on the Newton route
 (product_spheres, grids 12 to 20).  Every numpy kernel on this path,
 `pinv` included, works row by row or matrix by matrix, so the slicing
 changes no bit of any result; when rows in two slices are faulty, the
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import second_form_coord
+from .curvature import second_form_coord, tangent_coords
 from .expr import ChartExpr, Param, product_chart, substitute_params
 from .fields import BlockField, FieldAlongM
 from .geometry import (
@@ -99,18 +101,11 @@ _SLICE_BYTES = 2**20
 
 def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Normal components F = Xi^T Y at parameter points, (B, k).
-
-    With one normal (k = 1) F is read as a ratio of determinants,
-    `geometry.normal_component`, and no frame is built; its gates raise
-    the errors `frames_at` raises.  With two or more normals F depends on
-    the frame, and order-1 frames give it.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if patch.codim == 1:
-        return normal_component(patch, points, field.values, tols)[:, None]
-    frames = frames_at(patch, points, order=1, tols=tols)
-    return np.einsum("bmj,bm->bj", frames.normal, field.values(points))
+    """F = <Y, xi> at parameter points of a patch with one normal, (B, 1),
+    read as a ratio of determinants with no frame built
+    (`geometry.normal_component`, which raises the errors of `frames_at`,
+    and ValueError for two or more normals: `shadow_system` reads those)."""
+    return normal_component(patch, points, field.values, tols)[:, None]
 
 
 def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
@@ -124,9 +119,7 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     y = field.values(points)
     f = np.einsum("bmj,bm->bj", frames.normal, y)
     coord = second_form_coord(frames)                  # (B, n, n, k)
-    rhs = np.einsum("bmp,bm->bp", frames.jac, y)
-    yc = np.linalg.solve(frames.metric, rhs[..., None])[..., 0]
-    jac = -np.einsum("bp,bpla->bal", yc, coord)
+    jac = -np.einsum("bp,bpla->bal", tangent_coords(frames.jac, y), coord)
     dy = field.param_jacobian(points)
     jac += np.einsum("bma,bml->bal", frames.normal, dy)
     return f, jac, frames
@@ -146,8 +139,8 @@ def _stream_rows(patch, field, points, tols, order):
     Gauss-Newton step -pinv(J) F (B, n) of every row whose max|F| exceeds
     extract_tol (zero on the others), evaluated `_slice_rows` rows at a time.
 
-    Order 1 goes through `shadow_values` (with one normal, the
-    determinant form, which builds no frame), order 2 through
+    Order 1, for patches with one normal, goes through `shadow_values`
+    (the determinant form, which builds no frame), order 2 through
     `shadow_system`.
     J lives only inside its slice; `pinv` and the step's einsum work
     matrix by matrix, so a row's step does not depend on its slice.
@@ -450,22 +443,18 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     seeds).
 
     `mag` and `step` are max|F| and the Gauss-Newton step of the grid
-    scan, so the first step evaluates nothing.  Each later iteration
-    streams its rows through `_stream_rows`, so no iteration holds more
-    than one slice of frames or Jacobians.
+    scan, so the first step evaluates nothing.  Each later pass streams
+    its rows through `_stream_rows`, so no pass holds more than one slice
+    of frames or Jacobians.
 
     Only the active rows, those whose coordinates changed bit for bit in
     the previous iteration and are still inside the padded box, are
     evaluated again.  A row whose `u` did not change would get
     the same F and the same step again (a zero step where the Jacobian is
     singular, or one below an ulp), so it keeps the residual of its last
-    evaluation instead.  Every step is wrapped in the loop and `Box.wrap`
-    is idempotent, so after the loop a carried residual is stale only for
-    rows still active (`_NEWTON_ITERS` ran out); those are evaluated once
-    more, by `shadow_values`: with two or more normals its order-1 frames
-    give the same normals, hence the same F, as the order-2 frames of
-    `shadow_system`; with one normal it reads F as a ratio of
-    determinants, equal to the frame's F up to rounding.  The residuals
+    evaluation instead.  The loop makes `_NEWTON_ITERS` steps and one pass
+    more, which evaluates the rows still active and takes no step, so
+    every carried residual is that of the row's final `u`.  The residuals
     only decide which rows are kept; the reported ones come from the
     certificate.
     """
@@ -476,13 +465,13 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     alive = np.ones(u.shape[0], dtype=bool)
     resid = np.empty(u.shape[0])
     active = np.arange(u.shape[0])
-    for it in range(_NEWTON_ITERS):
+    for it in range(_NEWTON_ITERS + 1):
         if it:
             mag, step = _stream_rows(patch, field, u[active], tols, order=2)
         resid[active] = mag
         move = mag > tols.extract_tol
         active = active[move]
-        if not active.size:
+        if it == _NEWTON_ITERS or not active.size:
             break
         step = step[move]
         norms = np.linalg.norm(step, axis=1)
@@ -498,12 +487,7 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
             break
     if not bool(alive.any()):
         return np.zeros((0, box.n)), int(u.shape[0])
-    rows = np.nonzero(alive)[0]
-    u = u[rows]
-    resid = resid[rows]
-    stale = np.isin(rows, active)
-    if stale.any():
-        resid[stale] = _stream_rows(patch, field, u[stale], tols, order=1)[0]
+    u, resid = u[alive], resid[alive]
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
     return _dedup(box, u[good], 0.5 * diag), dropped
@@ -534,11 +518,12 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
     edges = patch.codim == 1 and patch.n in (1, 2)
     # the edge scan reads F as a ratio of determinants and builds no frame;
     # Newton's first step is taken in this scan, from order-2 frames
-    flat_mag, tail = _stream_rows(patch, field, grid, tols, order=1 if edges else 2)
+    order = 1 if edges else 2
+    flat_mag, tail = _stream_rows(patch, field, grid, tols, order)
     frac = float(np.mean(flat_mag < tols.extract_tol))
 
     if frac >= DEGENERATE_FRACTION:
-        centre_mag, _ = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order=1)
+        centre_mag, _ = _stream_rows(patch, field, _cell_centres(box, grid, res), tols, order)
         if np.mean(centre_mag < tols.extract_tol) >= DEGENERATE_FRACTION:
             # reported residuals are read off frames, as the certificate's
             # are; the Newton route's scan already did

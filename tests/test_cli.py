@@ -10,8 +10,8 @@ import pytest
 
 from shadowgeom import cli, geometry, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
-from shadowgeom.geometry import MAX_GRID_ROWS
-from shadowgeom.scene import SceneError
+from shadowgeom.geometry import MAX_GRID_ROWS, ChartRankError, frames_at, validate_patch
+from shadowgeom.scene import SceneError, load_scene
 from shadowgeom.tolerances import DEFAULT_TOLS
 
 
@@ -152,6 +152,39 @@ def test_grid_below_two_is_rejected(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --grid must be at least 2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("transport", "latitude_p3"),
+    ("parallel-field", "latitude_p3"),
+    ("tube", "tube_circle"),
+], ids=lambda argv: argv[0])
+def test_grid_is_refused_where_no_grid_is_read(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--grid", "64")
+    assert (code, out) == (1, "")
+    assert err.endswith("shadowgeom: error: unrecognized arguments: --grid 64\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "bogus", "sphere_e3"), "argument theorem: invalid choice: 'bogus'"),
+    (("shadow",), "the following arguments are required: scene"),
+    (("shadow", "sphere_e3", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+], ids=["unknown-theorem", "missing-scene", "unknown-format"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # argparse exits 2 on its own, the exit code of hypotheses-not-met
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: shadowgeom {argv[0]} ")
+    assert f"shadowgeom {argv[0]}: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("shadow", "--help")],
+                         ids=" ".join)
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        run(list(argv))
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: shadowgeom", "shadowgeom "))
 
 
 def test_grid_above_the_row_cap_is_refused_before_allocation(capsys):
@@ -557,6 +590,48 @@ field {
     code, out, _ = invoke(capsys, "validate", str(p))
     assert code == 2
     assert report_of(out)["results"]["validation"]["ok"] is False
+
+
+FLAT_CONSTRAINT_SCENE = """
+scene flat_constraint
+ambient {
+  dim = 3
+  coords = x1, x2, x3
+  constraint = ((x1^2 + x2^2 + x3^2 - 1)^2)
+}
+patch equator {
+  chart = (cos(s), sin(s), 0)
+  params = s
+  lo = 0
+  hi = 2*pi
+  periodic = yes
+}
+field {
+  constant = 0, 0, 1
+}
+"""
+
+
+def test_vanishing_constraint_gradient_is_an_error(capsys, tmp_path):
+    # c = (|x|^2 - 1)^2 has Dc = 0 on the whole unit sphere: its tangent space,
+    # and so every frame along the equator, is undefined, which is an error
+    # and not a verdict built on an arbitrary kernel basis
+    p = tmp_path / "flat_constraint.scene"
+    p.write_text(FLAT_CONSTRAINT_SCENE)
+    scene = load_scene(str(p))
+    patch, field = scene.patches["equator"], scene.fields["equator"]
+    message = ("constraint Jacobian is rank-deficient (singular value ratio 0.000e+00)"
+               " at parameters ")
+    for evaluate, point in ((lambda: frames_at(patch, [(0.5,)]), "(0.5,)"),
+                            (lambda: validate_patch(patch, field), "(0.0,)"),
+                            (lambda: helix.helix_constancy_report(patch, field), "(0.0,)")):
+        with pytest.raises(ChartRankError) as caught:
+            evaluate()
+        assert str(caught.value) == message + point
+    for command in ("validate", "helix"):
+        code, out, err = invoke(capsys, command, str(p))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}(0.0,)\n"
 
 
 @pytest.mark.parametrize("command,scene,chart,point", [

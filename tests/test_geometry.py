@@ -16,7 +16,6 @@ from shadowgeom.geometry import (
     AmbientSpace,
     Box,
     ChartRankError,
-    GeometryError,
     OffAmbientError,
     SubmanifoldPatch,
     ambient_tangent_basis,
@@ -27,7 +26,7 @@ from shadowgeom.geometry import (
 )
 from shadowgeom.cli import SCENES_DIR
 from shadowgeom.helix import _split_components, tube_patch
-from shadowgeom.scene import load_scene
+from shadowgeom.scene import SceneError, load_scene, parse_scene
 from shadowgeom.shadow import product_patch
 from shadowgeom.tolerances import DEFAULT_TOLS
 from shadowgeom.transport import parallelity_residual
@@ -459,15 +458,77 @@ def test_rank_gate_non_finite_jacobian(bad, where):
     _assert_gates_agree(jac)
 
 
-def test_patch_wider_than_flat_ambient_is_a_geometry_error():
-    # R is 1 x 2 here; with no inverse taken, the dimension check names
-    # the point instead of a LinAlgError escaping
-    patch = SubmanifoldPatch(parse_chart("(u + v)", ("u", "v")),
-                             Box((0.0, 0.0), (1.0, 1.0), (False, False)),
-                             AmbientSpace(1))
-    with pytest.raises(GeometryError, match=r"patch dimension 2 exceeds ambient "
-                       r"tangent dimension 1 at parameters \(0\.25, 0\.5\)"):
-        frames_at(patch, [(0.25, 0.5)])
+WIDE_SCENE = """scene wide
+
+ambient {
+  dim = 1
+}
+
+patch w {
+  chart = (u + v)
+  params = u, v
+  lo = 0, 0
+  hi = 1, 1
+}
+"""
+
+
+def test_patch_wider_than_flat_ambient_is_refused_at_construction():
+    # two parameters in R^1: R would be 1 x 2 and k = -1, so no frame exists;
+    # the patch is refused before any is asked for, and a scene names the line
+    with pytest.raises(ValueError, match=r"patch dimension 2 exceeds ambient "
+                       r"tangent dimension 1"):
+        SubmanifoldPatch(parse_chart("(u + v)", ("u", "v")),
+                         Box((0.0, 0.0), (1.0, 1.0), (False, False)), AmbientSpace(1))
+    with pytest.raises(SceneError, match=r"^wide:7: patch dimension 2 exceeds ambient "
+                       r"tangent dimension 1$"):
+        parse_scene(WIDE_SCENE, "wide")
+
+
+def test_patch_wider_than_its_constraint_leaves_is_refused():
+    # the unit circle in R^2 has one tangent direction; a 2-parameter chart
+    # into it has R^2 to map into but no room for both parameters
+    circle = AmbientSpace(2, parse_chart("(x1^2 + x2^2 - 1)", ("x1", "x2")))
+    with pytest.raises(ValueError, match=r"patch dimension 2 exceeds ambient "
+                       r"tangent dimension 1"):
+        SubmanifoldPatch(parse_chart("(cos(u + v), sin(u + v))", ("u", "v")),
+                         Box((0.0, 0.0), (1.0, 1.0), (False, False)), circle)
+
+
+def test_rank_rule_fails_zero_and_nan_rows():
+    svals = np.array([[2.0, 1.0], [1.0, 1e-9], [0.0, 0.0], [np.nan, np.nan], [1.0, np.nan]])
+    assert geometry._rank_ok(svals, DEFAULT_TOLS).tolist() == [True, False, False, False,
+                                                               False]
+    points = np.array([[0.5], [1.0]])
+    gates = (("chart", np.array([np.eye(3, 2)] * 2),
+              lambda jac: geometry._rank_gate(jac, np.zeros(2), points, DEFAULT_TOLS)),
+             ("constraint", np.array([[[1.0, 0.0, 0.0]]] * 2),
+              lambda dc: geometry.constraint_kernel(dc, points, DEFAULT_TOLS)))
+    # a zero row, and a row with an infinite entry, whose singular values are NaN
+    for what, healthy, gate in gates:
+        for where, bad, ratio in ((0, 0.0, r"0\.000e\+00"), ((0, 0), np.inf, "nan")):
+            jac = healthy.copy()
+            jac[where] = bad
+            with pytest.raises(ChartRankError, match=rf"^{what} Jacobian is rank-deficient "
+                               rf"\(singular value ratio {ratio}\) at parameters \(0\.5,\)$"):
+                gate(jac)
+
+
+def test_validate_counts_a_nan_chart_row_as_a_rank_failure(monkeypatch):
+    patch = SubmanifoldPatch(parse_chart("(u, v, 0)", ("u", "v")),
+                             Box((0.0, 0.0), (1.0, 1.0), (False, False)), AmbientSpace(3))
+    real = type(patch.chart).eval_jets
+
+    def jets(chart, points, order=2):
+        out = real(chart, points, order=order)
+        out.jac[1, 2, 0] = np.inf  # the singular values of row (0, 0.5) are NaN
+        return out
+
+    monkeypatch.setattr(type(patch.chart), "eval_jets", jets)
+    rep = validate_patch(patch, resolution=3)
+    assert not rep.ok
+    assert rep.rank_failures == ((0.0, 0.5),)
+    assert rep.messages == ("chart Jacobian rank-deficient at 1 of 9 grid points",)
 
 
 def test_healthy_grid_frames_make_no_svd_call(monkeypatch):

@@ -344,8 +344,8 @@ def test_block_field_jacobian_consistency():
 
 def _newton_full_batch(patch, field, grid, res, tols):
     """Reference Newton loop: every alive seed goes through shadow_system on
-    every iteration, and the final residuals come from shadow_values, once
-    to filter and once more at the kept points."""
+    every iteration, and the final residuals come from shadow_system too,
+    once to filter and once more at the kept points."""
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
     diag = float(np.linalg.norm(cell))
@@ -370,12 +370,12 @@ def _newton_full_batch(patch, field, grid, res, tols):
     if not bool(alive.any()):
         return np.zeros((0, box.n)), np.zeros(0), int(u.shape[0])
     u = box.wrap(u[alive])
-    f = shadow_values(patch, field, u, tols)
+    f = shadow_system(patch, field, u, tols)[0]
     resid = np.max(np.abs(f), axis=1)
     good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
     dropped = int(grid.shape[0] - np.count_nonzero(good))
     pts = shadow._dedup(box, u[good], 0.5 * diag)
-    return pts, np.max(np.abs(shadow_values(patch, field, pts, tols)), axis=1), dropped
+    return pts, np.max(np.abs(shadow_system(patch, field, pts, tols)[0]), axis=1), dropped
 
 
 def _product_spheres():
@@ -984,13 +984,21 @@ def test_shadow_values_raises_what_frames_at_raises(chart, params, ambient, poin
 
 def test_vanishing_constraint_gradient_raises():
     # c = (|x|^2 - 1)^2 vanishes on the unit sphere with Dc = 0 there: the
-    # normal of the equator inside the ambient is undefined
+    # normal of the equator inside the ambient is undefined, and the
+    # constraint-rank rule says so before any determinant is formed
     amb = AmbientSpace(3, parse_chart("((x1^2 + x2^2 + x3^2 - 1)^2)", ("x1", "x2", "x3")))
     patch = SubmanifoldPatch(parse_chart("(cos(s), sin(s), 0)", ("s",)),
                              Box((0.0,), (2 * np.pi,), (True,)), amb)
-    with pytest.raises(GeometryError, match=r"normal direction is undefined \(Gram "
-                       r"determinant 0\.000e\+00\) at parameters \(0\.5,\)"):
+    with pytest.raises(ChartRankError, match=r"^constraint Jacobian is rank-deficient "
+                       r"\(singular value ratio 0\.000e\+00\) at parameters \(0\.5,\)$"):
         shadow_values(patch, E3, [(0.5,), (1.0,)])
+
+
+def test_shadow_values_needs_one_normal():
+    # frame F with two or more normals comes only from shadow_system
+    patch, field, _ = _product_spheres()
+    with pytest.raises(ValueError, match="needs one normal, patch has 2"):
+        shadow_values(patch, field, patch.domain.grid(2))
 
 
 # -- streaming in row slices -------------------------------------------------------
