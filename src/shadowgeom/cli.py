@@ -243,7 +243,7 @@ def cmd_validate(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> 
     patch, field = _root_setup(scene, tols)
     report = validate_patch(patch, field=field,
                             resolution=_resolution(scene, args, 9), tols=tols)
-    results = {"patch": patch.name, "validation": report.as_dict()}
+    results = {"patch": patch.name, "validation": report}
     _emit(canonical_json(_run_report(scene, path, "validate", results, t0)),
           args.out)
     return EXIT_OK if report.ok else EXIT_NOT_MET

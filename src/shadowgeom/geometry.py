@@ -11,9 +11,11 @@ complement of the patch tangent inside the ambient tangent.
 Frames exist only where the patch fits inside the ambient tangent space
 and both Jacobians have full rank; each rule has one implementation.
 `SubmanifoldPatch` refuses a chart with more parameters than the ambient
-has tangent directions.  `_rank_ok` is the rank rule of chart Jacobians
-(`_rank_gate`), constraint Jacobians (`constraint_kernel`) and
-`validate_patch`.  `check_on_ambient` is the on-ambient rule, a
+has tangent directions.  `rank_ok` is the rank rule of chart Jacobians
+(`_rank_gate`), constraint Jacobians (`constraint_kernel`),
+`validate_patch` and the shadow certificate, read off `singular_values`,
+which keeps a non-finite matrix from LAPACK (its row fails, and its
+`rank_ratio` reads 0.0).  `check_on_ambient` is the on-ambient rule, a
 constraint residual of at most on_ambient_tol * (1 + |x|).
 `ambient_kernel` runs it and then the constraint-rank rule, after the
 chart-rank gate in both `frames_at` and `normal_component`.
@@ -56,6 +58,10 @@ __all__ = [
     "fix_column_signs",
     "orthonormal_span",
     "check_on_ambient",
+    "singular_values",
+    "rank_ratio",
+    "rank_ok",
+    "induced_metric",
     "ambient_tangent_basis",
     "ambient_kernel",
     "constraint_kernel",
@@ -344,9 +350,9 @@ class FrameBatch:
 
     metric (B, n, n), the induced metric jac^T jac, and rinv (B, n, n),
     the inverse of r, are computed on first read and kept; they are
-    bit-identical to np.einsum("bmi,bmj->bij", jac, jac) and
-    np.linalg.inv(r).  rinv converts orthonormal tangent coordinates to
-    chart coordinates: e_i = jac @ rinv[:, i].
+    bit-identical to induced_metric(jac) and np.linalg.inv(r).  rinv
+    converts orthonormal tangent coordinates to chart coordinates:
+    e_i = jac @ rinv[:, i].
     """
 
     points: np.ndarray  # (B, n)
@@ -364,11 +370,16 @@ class FrameBatch:
 
     @cached_property
     def metric(self) -> np.ndarray:
-        return np.einsum("bmi,bmj->bij", self.jac, self.jac)
+        return induced_metric(self.jac)
 
     @cached_property
     def rinv(self) -> np.ndarray:
         return np.linalg.inv(self.r)
+
+
+def induced_metric(jac) -> np.ndarray:
+    """Induced metrics jac^T jac of chart Jacobians jac (B, m, n), (B, n, n)."""
+    return np.einsum("bmi,bmj->bij", jac, jac)
 
 
 def _on_ambient_residual(cvalues, x):
@@ -379,9 +390,9 @@ def _on_ambient_residual(cvalues, x):
 
 def check_on_ambient(cvalues, x, points, tols: Tolerances):
     """The one on-ambient rule: a row of x passes when its
-    `_on_ambient_residual` is at most on_ambient_tol, else OffAmbientError
-    is raised at the caller's parameter point for that row."""
-    bad = _on_ambient_residual(cvalues, x) > tols.on_ambient_tol
+    `_on_ambient_residual` is at most on_ambient_tol (not NaN), else
+    OffAmbientError is raised at the caller's parameter point for that row."""
+    bad = ~(_on_ambient_residual(cvalues, x) <= tols.on_ambient_tol)
     if bad.any():
         i = int(np.argmax(bad))
         raise OffAmbientError(
@@ -413,34 +424,53 @@ def ambient_kernel(ambient: AmbientSpace, x, points, tols: Tolerances):
 def constraint_kernel(dc, points, tols: Tolerances):
     """Sign-fixed orthonormal basis of ker Dc, (B, m, m - kc), from
     constraint Jacobians dc (B, kc, m); ChartRankError names the
-    parameter point of a row that fails `_rank_ok`."""
-    _, svals, vh = np.linalg.svd(dc, full_matrices=True)
+    parameter point of a row that fails `rank_ok`."""
+    svals, vh = singular_values(dc, vectors=True)
     _require_rank(svals, points, "constraint", tols)
     return fix_column_signs(vh[:, dc.shape[1]:, :].transpose(0, 2, 1))
 
 
-def _rank_ok(svals, tols: Tolerances):
+def singular_values(mats, vectors: bool = False):
+    """Singular values (B, r) of matrices mats (B, p, q), descending, and
+    with vectors=True the full vh (B, q, q) too.  A matrix with a
+    non-finite entry gets NaNs and never reaches LAPACK, which would raise
+    "SVD did not converge" with no parameter point."""
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    out = np.linalg.svd(np.where(bad[:, None, None], 0.0, mats), compute_uv=vectors)
+    for a in out[1:] if vectors else (out,):
+        a[bad] = np.nan
+    return out[1:] if vectors else out
+
+
+def rank_ratio(svals) -> np.ndarray:
+    """sigma_min / max(sigma_max, 1e-300) per row of singular values svals
+    (B, r), descending; a NaN row reads 0.0, no rank certified."""
+    ratio = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    return np.where(np.isnan(ratio), 0.0, ratio)
+
+
+def rank_ok(svals, tols: Tolerances) -> np.ndarray:
     """The one rank rule, per row of singular values svals (B, r) in
     descending order: sigma_min >= rank_tol * max(sigma_max, 1e-300).  A
-    zero row or a NaN row fails."""
+    zero row or a NaN row fails; a tie passes."""
     return svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
 
 
 def _require_rank(svals, points, what: str, tols: Tolerances):
-    """Raise ChartRankError, with the singular value ratio, at the first
-    row of svals that fails `_rank_ok`; `what` names the Jacobian."""
-    good = _rank_ok(svals, tols)
+    """Raise ChartRankError, with the `rank_ratio`, at the first row of
+    svals that fails `rank_ok`; `what` names the Jacobian."""
+    good = rank_ok(svals, tols)
     if not good.all():
         i = int(np.argmax(~good))
         raise ChartRankError(
             f"{what} Jacobian is rank-deficient (singular value ratio "
-            f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
+            f"{rank_ratio(svals[i:i + 1])[0]:.3e})",
             points[i],
         )
 
 
 def _rank_gate(jac, bound, points, tols: Tolerances):
-    """Raise ChartRankError at the first row of jac that fails `_rank_ok`.
+    """Raise ChartRankError at the first row of jac that fails `rank_ok`.
 
     bound (B,) is a certified lower bound on each row's ratio
     sigma_min / sigma_max.  Only rows whose bound falls below
@@ -450,7 +480,7 @@ def _rank_gate(jac, bound, points, tols: Tolerances):
     """
     low = ~(bound >= _RANK_BOUND_SAFETY * tols.rank_tol)
     if low.any():
-        _require_rank(np.linalg.svd(jac[low], compute_uv=False), points[low], "chart", tols)
+        _require_rank(singular_values(jac[low]), points[low], "chart", tols)
 
 
 def _certified_qr(jac, points, tols: Tolerances):
@@ -662,6 +692,8 @@ def normal_component(patch: SubmanifoldPatch, points, vectors,
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Grid health of a patch; a report serializes it field by field."""
+
     ok: bool
     max_constraint_residual: float
     constraint_argmax: tuple | None
@@ -672,29 +704,16 @@ class ValidationReport:
     rank_failures: tuple
     messages: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_constraint_residual": self.max_constraint_residual,
-            "constraint_argmax": list(self.constraint_argmax) if self.constraint_argmax else None,
-            "min_jacobian_ratio": self.min_jacobian_ratio,
-            "jacobian_argmin": list(self.jacobian_argmin) if self.jacobian_argmin else None,
-            "max_tangency_residual": self.max_tangency_residual,
-            "tangency_argmax": list(self.tangency_argmax) if self.tangency_argmax else None,
-            "rank_failures": [list(u) for u in self.rank_failures],
-            "messages": list(self.messages),
-        }
-
 
 def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
                    tols: Tolerances = DEFAULT_TOLS) -> ValidationReport:
     """Sample a grid and report chart rank, constraint, and field health."""
     grid = patch.domain.grid(resolution)
     jets = patch.chart.eval_jets(grid, order=1)
-    svals = np.linalg.svd(jets.jac, compute_uv=False)
-    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    svals = singular_values(jets.jac)
+    ratios = rank_ratio(svals)
     i_rank = int(np.argmin(ratios))
-    rank_bad = ~_rank_ok(svals, tols)
+    rank_bad = ~rank_ok(svals, tols)
     failures = tuple(tuple(u) for u in grid[rank_bad][:8])
     messages = []
     if rank_bad.any():
@@ -707,7 +726,7 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
         i_cons = int(np.argmax(cres))
         max_cons = float(cres[i_cons])
         cons_arg = tuple(grid[i_cons])
-        if max_cons > tols.on_ambient_tol:
+        if not max_cons <= tols.on_ambient_tol:
             messages.append(
                 f"chart leaves the ambient manifold (max constraint residual {max_cons:.3e})"
             )
@@ -726,7 +745,7 @@ def validate_patch(patch: SubmanifoldPatch, field=None, resolution=9,
             i_t = int(np.argmax(norms))
             max_tan = float(norms[i_t])
             tan_arg = tuple(pts[i_t])
-            if max_tan > tols.on_ambient_tol:
+            if not max_tan <= tols.on_ambient_tol:
                 messages.append(
                     f"field is not tangent to the ambient manifold (max residual {max_tan:.3e})"
                 )

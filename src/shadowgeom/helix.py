@@ -344,7 +344,7 @@ def _nested_ii_norms(nested) -> np.ndarray:
     metric inverse contracts both slots; the result is independent of
     how L is parametrized.
     """
-    ginv = np.linalg.inv(nested.metric)
+    ginv = nested.metric_inv
     val = np.einsum("bpr,bqs,bmpq,bmrs->b", ginv, ginv,
                     nested.ii_in_parent, nested.ii_in_parent)
     return np.sqrt(np.maximum(val, 0.0))
@@ -475,7 +475,7 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     pts, nested, frames_l, frames_m, y, _, nor, guard, mem = _nested_sample(
         parent, sub_chart, sub_domain, field, resolution, name, tols)
     trans_min = float((nor / guard).min())
-    bang = bang_decomposition_check(nested, frames_l, frames_m)
+    decomposition = bang_decomposition_check(nested, frames_l, frames_m)
     h_vec = mean_curvature(frames_l)
     align = np.abs(np.einsum("bm,bm->b", h_vec, y)) / guard
     mean_in_parent = np.linalg.norm(nested.mean_in_parent, axis=1)
@@ -491,7 +491,7 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
                      trans_min >= tols.transversality_floor, trans_min,
                      tols.transversality_floor),
         Precondition("curvature-decomposition",
-                     bang.ii_residual <= _DECOMPOSITION_TOL, bang.ii_residual,
+                     decomposition <= _DECOMPOSITION_TOL, decomposition,
                      _DECOMPOSITION_TOL),
     ]
     hyp = [ResidualEntry("mean-curvature-in-parent", float(mean_in_parent.max()),
@@ -502,7 +502,7 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
         "n_points": int(pts.shape[0]),
         "mean_curvature_argmax": [float(v) for v in pts[int(np.argmax(mean_in_parent))]],
         "alignment_argmax": [float(v) for v in pts[int(np.argmax(align))]],
-        "decomposition_residual": float(bang.ii_residual),
+        "decomposition_residual": decomposition,
     }
     return build_report("minimality", f"{name} in {parent.name}",
                         hypotheses=hyp, conclusions=concl, preconditions=pre,

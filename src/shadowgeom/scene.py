@@ -27,6 +27,11 @@ a multi-patch scene; a bare `field` block binds to the unique root.
 Optional blocks: `product { factors = A, B }`, `tube { of = L,
 direction = ..., eps = ... }`, and `tolerances { name = value }`.
 
+Sizes are checked at load, and a mismatch names its line: `dim` is an
+integer of at least 1; `constant`, `expression` outputs, `vector` and a
+tube's `direction` have `dim` entries, and a field's `params` and
+`transport_base` one per patch parameter.
+
 Comments run from '#' to the end of the line.  The scene digest is the
 SHA-256 of the raw file bytes, so any edit shows up in reports.
 """
@@ -34,6 +39,7 @@ SHA-256 of the raw file bytes, so any edit shows up in reports.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -115,15 +121,6 @@ class Scene:
 
 
 # -- low-level text parsing ----------------------------------------------------
-
-
-def _strip(line: str) -> str:
-    out = []
-    for ch in line:
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out).strip()
 
 
 def _unquote(text: str) -> str:
@@ -208,7 +205,7 @@ def _split_blocks(text: str, source: str):
     blocks = []
     current: _Block | None = None
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if current is None:
@@ -277,18 +274,28 @@ def _finish(block: _Block, source: str):
 
 def _build_ambient(block: _Block, source: str) -> AmbientSpace:
     dim_txt, line = _take(block, "dim", source)
-    dim = int(_number(dim_txt, source, line))
+    dim = _number(dim_txt, source, line)
+    if not (dim.is_integer() and dim >= 1):
+        raise SceneError(f"dim must be an integer of at least 1, got {dim_txt}", source, line)
     cons_txt, cline = _take(block, "constraint", source, required=False)
     if cons_txt is None:
         _finish(block, source)
-        return AmbientSpace(dim)
+        return AmbientSpace(int(dim))
     coords_txt, _ = _take(block, "coords", source)
     _finish(block, source)
     try:
-        chart = parse_chart(cons_txt, _names(coords_txt))
+        return AmbientSpace(int(dim), parse_chart(cons_txt, _names(coords_txt)))
     except ParseError as exc:
         raise SceneError(f"bad constraint: {exc}", source, cline)
-    return AmbientSpace(dim, chart)
+    except ValueError as exc:
+        raise SceneError(str(exc), source, cline)
+
+
+def _sized(values, size: int, what: str, source: str, line: int):
+    """values, refused unless it has `size` entries."""
+    if len(values) != size:
+        raise SceneError(f"{what} has {len(values)} entries, expected {size}", source, line)
+    return values
 
 
 def _build_chart_and_box(block: _Block, source: str):
@@ -318,7 +325,7 @@ def _build_chart_and_box(block: _Block, source: str):
     return chart, box
 
 
-def _build_field(block: _Block, source: str, seeds_out: dict):
+def _build_field(block: _Block, source: str, patch: SubmanifoldPatch, seeds_out: dict):
     kinds = [k for k in ("constant", "expression", "transport_base")
              if k in block.entries]
     if len(kinds) != 1:
@@ -330,17 +337,21 @@ def _build_field(block: _Block, source: str, seeds_out: dict):
     if kind == "constant":
         txt, line = _take(block, "constant", source)
         _finish(block, source)
-        fld: FieldAlongM = ConstantField(_numbers(txt, source, line))
+        vector = _sized(_numbers(txt, source, line), patch.m, "constant", source, line)
+        fld: FieldAlongM = ConstantField(vector)
     elif kind == "expression":
         txt, line = _take(block, "expression", source)
-        params = _names(_take(block, "params", source)[0])
+        params_txt, params_line = _take(block, "params", source)
         consts_txt, consts_line = _take(block, "constants", source, required=False)
         constants = _constants(consts_txt, source, consts_line) if consts_txt else None
         _finish(block, source)
         try:
-            fld = ExprField(parse_chart(txt, params, constants))
+            chart = parse_chart(txt, _names(params_txt), constants)
         except ParseError as exc:
             raise SceneError(f"bad field expression: {exc}", source, line)
+        _sized(chart.outputs, patch.m, "expression", source, line)
+        _sized(chart.params, patch.n, "params", source, params_line)
+        fld = ExprField(chart)
     else:
         if scale_txt is not None:
             raise SceneError("transported fields cannot be scaled", source,
@@ -348,9 +359,10 @@ def _build_field(block: _Block, source: str, seeds_out: dict):
         txt, line = _take(block, "transport_base", source)
         vec_txt, vec_line = _take(block, "vector", source, required=False)
         _finish(block, source)
-        base = np.asarray(_numbers(txt, source, line))
-        vector = (np.asarray(_numbers(vec_txt, source, vec_line))
-                  if vec_txt else None)
+        base = np.asarray(_sized(_numbers(txt, source, line), patch.n, "transport_base",
+                                 source, line))
+        vector = (np.asarray(_sized(_numbers(vec_txt, source, vec_line), patch.m, "vector",
+                                    source, vec_line)) if vec_txt else None)
         seeds_out[block.name] = SeedSpec(block.name, base, vector)
         fld = None
     if fld is not None and scale_txt is not None:
@@ -395,6 +407,7 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
             _finish(block, source)
             tube = TubeSpec(of, np.asarray(_numbers(dir_txt, source, dir_line)),
                             _number(eps_txt, source, eps_line))
+            tube_line = dir_line
         elif block.kind == "grid":
             res_txt, res_line = _take(block, "resolution", source)
             _finish(block, source)
@@ -410,6 +423,8 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
 
     if ambient is None:
         raise SceneError("scene needs an ambient block", source)
+    if tube is not None:
+        _sized(tube.direction, ambient.dim, "direction", source, tube_line)
     try:
         tols = DEFAULT_TOLS.with_overrides(overrides)
     except (KeyError, ValueError) as exc:
@@ -458,7 +473,7 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
             raise SceneError(f"duplicate field for patch {target!r}", source,
                              block.line)
         block.name = target
-        fld = _build_field(block, source, seeds)
+        fld = _build_field(block, source, patches[target], seeds)
         if fld is not None:
             fields[target] = fld
 
@@ -487,8 +502,5 @@ def parse_scene(text: str, source: str = "scene") -> Scene:
 
 def load_scene(path: str) -> Scene:
     with open(path, "rb") as fh:
-        data = fh.read()
-    import os
-
-    source = os.path.basename(path)
-    return parse_scene(data.decode("utf-8"), source=source)
+        text = fh.read().decode("utf-8")
+    return parse_scene(text, source=os.path.basename(path))

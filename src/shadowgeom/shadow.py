@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import second_form_coord, tangent_coords
-from .expr import ChartExpr, Param, product_chart, substitute_params
+from .expr import ChartExpr, product_chart
 from .fields import BlockField, FieldAlongM
 from .geometry import (
     AmbientSpace,
@@ -73,6 +73,9 @@ from .geometry import (
     SubmanifoldPatch,
     frames_at,
     normal_component,
+    rank_ok,
+    rank_ratio,
+    singular_values,
 )
 from .reporting import ResidualEntry, TheoremReport, build_report
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -568,8 +571,8 @@ def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
 class SmoothnessReport:
     """Per-point Jacobian conditioning over a set of shadow points.
 
-    `ratios` holds sigma_min / sigma_max per point; `flags` marks the
-    points whose ratio clears rank_tol; `ok` means all of them do.
+    `ratios` holds `geometry.rank_ratio` per point; `flags` marks the
+    points that pass `geometry.rank_ok`; `ok` means all of them do.
     `residuals` (max|F|) and `ambient` (the chart images x(u)) come from
     the same evaluation as the Jacobian.
     """
@@ -600,24 +603,25 @@ def smoothness_certificate(patch: SubmanifoldPatch, field: FieldAlongM, points,
                            tols: Tolerances = DEFAULT_TOLS) -> SmoothnessReport:
     """Full-rank check of the shadow Jacobian at given zero-set points.
 
-    sigma_min / sigma_max above rank_tol at every point certifies the
-    set as a submanifold of dimension n - min(k, n) near those points.
+    `geometry.rank_ok` at every point certifies the set as a submanifold
+    of dimension n - min(k, n) near those points; a non-finite row fails.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise GeometryError("no points to certify")
     f, jac, frames = shadow_system(patch, field, points, tols)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    ratios = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+    svals = singular_values(jac)
+    ratios = rank_ratio(svals)
+    flags = rank_ok(svals, tols)
     i = int(np.argmin(ratios))
     rank = min(jac.shape[1], jac.shape[2])
     return SmoothnessReport(
         ratios=ratios,
-        flags=ratios > tols.rank_tol,
+        flags=flags,
         sigma_min=svals[:, -1],
         min_ratio=float(ratios[i]),
         argmin=points[i],
-        ok=bool(ratios[i] > tols.rank_tol),
+        ok=bool(flags.all()),
         n_points=points.shape[0],
         expected_dim=patch.n - rank,
         residuals=np.max(np.abs(f), axis=1),
@@ -628,26 +632,13 @@ def smoothness_certificate(patch: SubmanifoldPatch, field: FieldAlongM, points,
 # -- products ----------------------------------------------------------------
 
 
-def _offset_constraint(chart: ChartExpr, names, offset):
-    reps = [Param((0, 0), i + offset, names[i + offset]) for i in range(chart.n_params)]
-    outs = tuple(substitute_params(o, reps) for o in chart.outputs)
-    return outs
-
-
 def _product_ambient(a: AmbientSpace, b: AmbientSpace) -> AmbientSpace:
     m = a.dim + b.dim
     if a.flat and b.flat:
         return AmbientSpace(m, None)
-    names = tuple(f"x{i + 1}" for i in range(m))
-    outs = ()
-    constants: dict = {}
-    if not a.flat:
-        outs += _offset_constraint(a.constraint, names, 0)
-        constants.update(a.constraint.constants)
-    if not b.flat:
-        outs += _offset_constraint(b.constraint, names, a.dim)
-        constants.update(b.constraint.constants)
-    return AmbientSpace(m, ChartExpr(names, outs, constants))
+    charts = (ChartExpr(tuple(f"x{i + 1}" for i in range(s.dim)), ()) if s.flat
+              else s.constraint for s in (a, b))
+    return AmbientSpace(m, product_chart(*charts))
 
 
 def product_patch(a: SubmanifoldPatch, b: SubmanifoldPatch,
@@ -666,11 +657,8 @@ def product_field(field_a: FieldAlongM, field_b: FieldAlongM,
 
 
 def _pair_grid(pts_a, pts_b):
-    if pts_a.shape[0] == 0 or pts_b.shape[0] == 0:
-        return np.zeros((0, pts_a.shape[1] + pts_b.shape[1]))
-    left = np.repeat(pts_a, pts_b.shape[0], axis=0)
-    right = np.tile(pts_b, (pts_a.shape[0], 1))
-    return np.hstack([left, right])
+    return np.hstack([np.repeat(pts_a, pts_b.shape[0], axis=0),
+                      np.tile(pts_b, (pts_a.shape[0], 1))])
 
 
 def _hausdorff(box: Box, a, b):

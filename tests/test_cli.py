@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import sys
 import tracemalloc
 
@@ -677,3 +678,40 @@ def test_per_axis_scene_grid_matches_scalar_grid(capsys, tmp_path, argv):
         assert got["constancy"].pop("resolution") == [16, 16]
         assert want["constancy"].pop("resolution") == 16
     assert got == want
+
+
+OVERFLOW_SCENE = """scene overflow
+ambient {
+  dim = 3
+}
+patch M {
+  chart = (u, v, exp(1000*u))
+  params = u, v
+  lo = 0, 0
+  hi = 1, 1
+}
+field {
+  constant = 0, 0, 1
+}
+"""
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# the chart's jets overflow to inf and NaN, which dual.py reports as warnings
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_chart_never_reaches_lapack(tmp_path, capsys):
+    path = tmp_path / "overflow.scene"
+    path.write_text(OVERFLOW_SCENE)
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 2 and err == ""
+    validation = _strict_json(out)["results"]["validation"]
+    assert validation["min_jacobian_ratio"] == 0.0 and not validation["ok"]
+    code, out, err = invoke(capsys, "helix", str(path))
+    assert code == 1 and out == ""
+    assert re.match(r"^error: chart Jacobian is rank-deficient \(singular value ratio "
+                    r"\S+\) at parameters \(\S+, \S+\)\n$", err), err

@@ -238,27 +238,19 @@ def test_latitude_nested_mean_is_geodesic_curvature():
 def test_decomposition_residuals_vanish():
     eq = parse_chart("(pi/2, s)", ("s",))
     loop = Box((0.0,), (TWO_PI,), (True,))
-    rep = _decomposition(shapes.sphere(), eq, loop)
-    assert rep.ii_residual < 1e-9
-    assert rep.mean_residual < 1e-9
+    assert _decomposition(shapes.sphere(), eq, loop) < 1e-9
 
     lat = parse_chart("(th0, s)", ("s",), {"th0": math.pi / 3})
-    rep = _decomposition(shapes.sphere(), lat, loop)
-    assert rep.ii_residual < 1e-9
-    assert rep.mean_residual < 1e-9
+    assert _decomposition(shapes.sphere(), lat, loop) < 1e-9
 
     outer = parse_chart("(0, s)", ("s",))
-    rep = _decomposition(shapes.torus(), outer, loop)
-    assert rep.ii_residual < 1e-9
-    assert rep.mean_residual < 1e-9
-    assert rep.n_points == 9
+    assert _decomposition(shapes.torus(), outer, loop) < 1e-9
 
 
 def test_decomposition_on_tilted_curve():
     # a non-symmetric curve inside the torus still satisfies additivity
     sub = parse_chart("(s, 2*s)", ("s",))
-    rep = _decomposition(shapes.torus(), sub, Box((0.0,), (TWO_PI,), (True,)),
-                         resolution=11)
-    assert rep.ii_residual < 1e-8
-    assert rep.mean_residual < 1e-8
-
+    residual = _decomposition(shapes.torus(), sub, Box((0.0,), (TWO_PI,), (True,)),
+                              resolution=11)
+    assert isinstance(residual, float)
+    assert residual < 1e-8

@@ -1,6 +1,7 @@
 """Adapted frames, tangent/normal splitting, and patch validation."""
 
 import glob
+import json
 import math
 import os
 
@@ -26,6 +27,7 @@ from shadowgeom.geometry import (
 )
 from shadowgeom.cli import SCENES_DIR
 from shadowgeom.helix import _split_components, tube_patch
+from shadowgeom.reporting import canonical_json
 from shadowgeom.scene import SceneError, load_scene, parse_scene
 from shadowgeom.shadow import product_patch
 from shadowgeom.tolerances import DEFAULT_TOLS
@@ -288,14 +290,17 @@ def test_cone_apex_rank_failure():
 
 
 def _svd_gate_reference(jac, points, tols=DEFAULT_TOLS):
-    """The rank gate as an exact SVD of every row, then QR and signs."""
-    svals = np.linalg.svd(jac, compute_uv=False)
-    good = svals[:, -1] >= tols.rank_tol * np.maximum(svals[:, 0], 1e-300)
-    if not good.all():
-        i = int(np.argmax(~good))
+    """The rank gate as an exact SVD of each row in turn, then QR and
+    signs; a row with a non-finite entry fails with ratio 0."""
+    for i, row in enumerate(jac):
+        ratio = 0.0
+        if np.isfinite(row).all():
+            svals = np.linalg.svd(row, compute_uv=False)
+            if svals[-1] >= tols.rank_tol * max(svals[0], 1e-300):
+                continue
+            ratio = svals[-1] / max(svals[0], 1e-300)
         raise ChartRankError(
-            f"chart Jacobian is rank-deficient (singular value ratio "
-            f"{svals[i, -1] / max(svals[i, 0], 1e-300):.3e})",
+            f"chart Jacobian is rank-deficient (singular value ratio {ratio:.3e})",
             points[i],
         )
     q, r = np.linalg.qr(jac)
@@ -497,16 +502,17 @@ def test_patch_wider_than_its_constraint_leaves_is_refused():
 
 def test_rank_rule_fails_zero_and_nan_rows():
     svals = np.array([[2.0, 1.0], [1.0, 1e-9], [0.0, 0.0], [np.nan, np.nan], [1.0, np.nan]])
-    assert geometry._rank_ok(svals, DEFAULT_TOLS).tolist() == [True, False, False, False,
-                                                               False]
+    assert geometry.rank_ok(svals, DEFAULT_TOLS).tolist() == [True, False, False, False,
+                                                              False]
     points = np.array([[0.5], [1.0]])
     gates = (("chart", np.array([np.eye(3, 2)] * 2),
               lambda jac: geometry._rank_gate(jac, np.zeros(2), points, DEFAULT_TOLS)),
              ("constraint", np.array([[[1.0, 0.0, 0.0]]] * 2),
               lambda dc: geometry.constraint_kernel(dc, points, DEFAULT_TOLS)))
-    # a zero row, and a row with an infinite entry, whose singular values are NaN
+    # a zero row, and a row with an infinite entry, whose singular values are
+    # NaN and whose ratio reads 0
     for what, healthy, gate in gates:
-        for where, bad, ratio in ((0, 0.0, r"0\.000e\+00"), ((0, 0), np.inf, "nan")):
+        for where, bad, ratio in ((0, 0.0, r"0\.000e\+00"), ((0, 0), np.inf, r"0\.000e\+00")):
             jac = healthy.copy()
             jac[where] = bad
             with pytest.raises(ChartRankError, match=rf"^{what} Jacobian is rank-deficient "
@@ -625,8 +631,8 @@ def test_validate_healthy_torus():
     assert rep.min_jacobian_ratio == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert rep.jacobian_argmin[0] == pytest.approx(0.0)
     assert rep.rank_failures == ()
-    d = rep.as_dict()
-    assert d["ok"] is True
+    d = json.loads(canonical_json(rep))
+    assert d["ok"] is True and d["rank_failures"] == [] and d["constraint_argmax"] is None
 
 
 def test_validate_flags_cone_apex():

@@ -127,3 +127,19 @@ def test_every_tolerance_has_a_reader():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)}
     assert [f.name for f in dataclasses.fields(Tolerances) if f.name not in read] == []
+
+
+def test_rank_rule_and_svd_live_in_geometry_only():
+    # the rank tolerance and the SVD are read in one module, so a change to
+    # the rank rule is made in one place
+    found = []
+    for path in PACKAGE_SOURCES:
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("rank_tol", "svd"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}: import {a.name}"
+                          for a in node.names if a.name == "svd"]
+    assert found == []

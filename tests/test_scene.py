@@ -418,3 +418,29 @@ def test_load_scene_uses_file_name_in_errors(tmp_path):
     p.write_text(MINIMAL.replace("dim = 3", "dim = 3\n  extra = 1"))
     with pytest.raises(SceneError, match="broken.scene:"):
         load_scene(str(p))
+
+
+TUBE = "\ntube {\n  of = plane\n  direction = 0, 0, 1\n  eps = 0.5\n}\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("dim = 3", "dim = inf", 5),
+    ("dim = 3", "dim = 1e400", 5),
+    ("dim = 3", "dim = 2.5", 5),
+    ("dim = 3", "dim = nan", 5),
+    ("dim = 3", "dim = 0", 5),
+    ("dim = 3", "dim = -3", 5),
+    ("dim = 3", "dim = 3\n  coords = x1, x2\n  constraint = (x1^2 + x2^2 - 1)", 7),
+    ("constant = 0, 0, 1", "constant = 0, 1", 16),
+    ("constant = 0, 0, 1", "expression = (u, v)\n  params = u, v", 16),
+    ("constant = 0, 0, 1", "expression = (0, 0, s)\n  params = s", 17),
+    ("constant = 0, 0, 1", "transport_base = 0.5\n  vector = 1, 0, 0", 16),
+    ("constant = 0, 0, 1", "transport_base = 0.5, 0.5\n  vector = 1, 0", 17),
+    ("direction = 0, 0, 1", "direction = 0, 1", 21),
+])
+def test_scene_sizes_are_refused_at_load_with_their_line(tmp_path, capsys, old, new, line):
+    path = tmp_path / "probe.scene"
+    path.write_text((MINIMAL + TUBE).replace(old, new))
+    assert run(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: probe.scene:{line}: ") and err.count("\n") == 1, err

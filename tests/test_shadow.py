@@ -261,6 +261,33 @@ def test_certificate_rank_deficient_case():
     assert cert.min_ratio == 0.0
 
 
+def test_certificate_reads_the_rank_rule_of_the_chart_gates(monkeypatch):
+    # sigma_min = rank_tol * sigma_max passes, as it does in the chart gate;
+    # a Jacobian row with a NaN entry reads ratio 0 and is flagged singular
+    # instead of sending LAPACK a matrix it cannot decompose
+    tol = DEFAULT_TOLS.rank_tol
+    real = shadow.shadow_system
+    rows = {"tie": np.diag([1.0, tol]), "nan": np.array([[np.nan, 0.0], [0.0, 1.0]])}
+    pts = np.array([[1.0, 0.5], [1.2, 0.7]])
+
+    def certify(*kinds):
+        def system(patch, field, points, tols):
+            frames = real(patch, field, points, tols)[2]
+            return np.zeros((2, 2)), np.array([rows[k] for k in kinds]), frames
+
+        monkeypatch.setattr(shadow, "shadow_system", system)
+        return smoothness_certificate(shapes.sphere(), E3, pts)
+
+    cert = certify("tie", "tie")
+    assert cert.flags.tolist() == [True, True] and cert.ok
+    assert cert.min_ratio == tol
+    cert = certify("tie", "nan")
+    assert cert.flags.tolist() == [True, False] and not cert.ok
+    assert cert.ratios.tolist() == [tol, 0.0]
+    assert cert.min_ratio == 0.0 and cert.argmin.tolist() == pts[1].tolist()
+    assert np.isnan(cert.sigma_min[1])
+
+
 def test_certificate_empty_raises():
     with pytest.raises(GeometryError):
         smoothness_certificate(shapes.plane(), E1, np.zeros((0, 2)))
@@ -327,6 +354,18 @@ def test_product_mixed_flat_and_curved():
     assert pp.m == 5
     assert pp.ambient.n_constraints == 1
     assert validate_patch(pp, resolution=7).ok
+    # either order: the stacked constraint is the curved factor's, bit for
+    # bit, on its own coordinates, and has no derivative along the flat ones
+    sphere = me.ambient.constraint
+    for pp, curved, flat in ((pp, slice(2, 5), slice(0, 2)),
+                             (product_patch(me, c2), slice(0, 3), slice(3, 5))):
+        assert validate_patch(pp, resolution=7).ok
+        x = pp.chart.eval_values(pp.domain.grid(5))
+        jets = pp.ambient.constraint.eval_jets(x, order=1)
+        ref = sphere.eval_jets(x[:, curved], order=1)
+        assert jets.value.tobytes() == ref.value.tobytes()
+        assert jets.jac[:, :, curved].tobytes() == ref.jac.tobytes()
+        assert not jets.jac[:, :, flat].any()
 
 
 def test_block_field_jacobian_consistency():
