@@ -384,8 +384,11 @@ def induced_metric(jac) -> np.ndarray:
 
 def _on_ambient_residual(cvalues, x):
     """Constraint residuals |c(x)|_inf relative to 1 + |x|, (B,), from
-    constraint values (B, kc) at ambient points x (B, m)."""
-    return np.abs(cvalues).max(axis=1) / (1.0 + np.linalg.norm(x, axis=1))
+    constraint values (B, kc) at ambient points x (B, m); inf for a row
+    with a value that is not finite."""
+    finite = np.isfinite(cvalues).all(axis=1) & np.isfinite(x).all(axis=1)
+    res = np.abs(cvalues).max(axis=1) / (1.0 + np.linalg.norm(x, axis=1))
+    return np.where(finite, res, np.inf)
 
 
 def check_on_ambient(cvalues, x, points, tols: Tolerances):

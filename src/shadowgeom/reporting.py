@@ -13,13 +13,15 @@ then combines the hypothesis side with the conclusion side:
 Failed preconditions short-circuit to hypotheses-not-met.
 
 Reports serialize to canonical JSON: keys sorted, floats in shortest
-round-trip form, LF newlines, written atomically via a temp file.
+round-trip form, a float that is not finite as null, LF newlines,
+written atomically via a temp file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -179,9 +181,11 @@ def build_report(theorem: str, subject: str, hypotheses, conclusions,
 
 
 def _plain(obj):
-    """Recursively convert report content to JSON-ready python values."""
+    """Recursively convert report content to JSON-ready python values; a
+    float that is not finite becomes None (JSON null)."""
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+        return None if isinstance(obj, float) and not math.isfinite(obj) else obj
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -196,14 +200,16 @@ def _plain(obj):
         return _plain(obj.as_dict())
     if isinstance(obj, float):
         # normalize -0.0 so equal reports serialize identically
-        return obj + 0.0
+        return obj + 0.0 if math.isfinite(obj) else None
     return obj
 
 
 def canonical_json(obj) -> str:
-    """Canonical JSON text: sorted keys, LF, trailing newline."""
+    """Canonical JSON text: sorted keys, LF, trailing newline; strict
+    JSON, so a NaN or inf that reaches it raises ValueError."""
     payload = _plain(obj)
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str):

@@ -39,6 +39,7 @@ SHA-256 of the raw file bytes, so any edit shows up in reports.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -149,15 +150,20 @@ def _split_list(text: str):
 
 
 def _number(text: str, source: str, line: int) -> float:
+    """The value of a number or constant expression; one that is not
+    finite (nan, inf, 1e400, exp(1000)) is refused at its line."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        chart = parse_chart(f"({text})", ())
-        return float(chart.eval_values(np.zeros((1, 0)))[0, 0])
-    except (ParseError, ValueError, EvalDomainError) as exc:
-        raise SceneError(f"cannot evaluate number {text!r}: {exc}", source, line)
+        try:
+            chart = parse_chart(f"({text})", ())
+            with np.errstate(all="ignore"):
+                value = float(chart.eval_values(np.zeros((1, 0)))[0, 0])
+        except (ParseError, ValueError, EvalDomainError) as exc:
+            raise SceneError(f"cannot evaluate number {text!r}: {exc}", source, line)
+    if not math.isfinite(value):
+        raise SceneError(f"number {text!r} is not finite", source, line)
+    return value
 
 
 def _numbers(text: str, source: str, line: int):

@@ -27,7 +27,10 @@ sign from the scan.  Everything else goes through damped Gauss-Newton
 from grid seeds.  Newton iterates only the active set: a seed is
 evaluated again only when its coordinates changed in the previous
 iteration and it stayed in the box; every other seed carries the
-residual of its last evaluation.
+residual of its last evaluation.  Seeds whose coordinates meet bit for
+bit after a step follow one trajectory from then on, so only the one
+with the lowest index stays active and the others take its final point,
+residual and box membership.
 
 Each F has one evaluator.  The edge route reads F of its one normal as
 det[x_u | Y | Dc^T] / sqrt(det(A^T A)), A = [x_u | Dc^T], building no
@@ -52,9 +55,10 @@ built, so memory follows the grid's point count and not the size of its
 frames: traced peaks grow by about 55 bytes a grid row on the edge route
 (torus_e3, grids 128 to 1024) and 300 on the Newton route
 (product_spheres, grids 12 to 20).  Every numpy kernel on this path,
-`pinv` included, works row by row or matrix by matrix, so the slicing
-changes no bit of any result; when rows in two slices are faulty, the
-fault of the earlier slice is raised.
+`pinv` included, works row by row or matrix by matrix, so neither the
+slicing nor the merging of met seeds changes a bit of any result; when
+rows in two slices are faulty, the fault of the earlier slice is raised,
+and a merged seed's leader is the earlier row, so the same one.
 """
 
 from __future__ import annotations
@@ -441,6 +445,23 @@ def _dedup(box: Box, points, radius):
     return np.array(keep_pts).reshape(-1, box.n)
 
 
+def _merge_met(u, active, leader):
+    """`active` (ascending) less every row whose `u` equals, bit for bit,
+    that of an active row with a lower index; `leader` maps each dropped
+    row to the lowest of them.  One stable lexsort over the rows' bits
+    puts equal rows next to each other, lowest index first."""
+    bits = u[active].view(np.int64)
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    met = np.zeros(order.size, dtype=bool)
+    met[1:] = np.all(bits[1:] == bits[:-1], axis=1)
+    if not met.any():
+        return active
+    first = np.maximum.accumulate(np.where(met, 0, np.arange(order.size)))
+    leader[active[order[met]]] = active[order[first[met]]]
+    return np.sort(active[order[~met]])
+
+
 def _extract_newton(patch, field, grid, res, tols, mag, step):
     """Damped Gauss-Newton from every grid seed; returns (points, dropped
     seeds).
@@ -455,11 +476,14 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     evaluated again.  A row whose `u` did not change would get
     the same F and the same step again (a zero step where the Jacobian is
     singular, or one below an ulp), so it keeps the residual of its last
-    evaluation instead.  The loop makes `_NEWTON_ITERS` steps and one pass
-    more, which evaluates the rows still active and takes no step, so
-    every carried residual is that of the row's final `u`.  The residuals
-    only decide which rows are kept; the reported ones come from the
-    certificate.
+    evaluation instead.  Rows whose `u` is equal bit for bit after a step
+    get the same F and step from then on, so only the lowest of them stays
+    active (`_merge_met`); at the end each of the others copies the final
+    `u`, residual and box membership of that leader.  The loop makes
+    `_NEWTON_ITERS` steps and one pass more, which evaluates the rows
+    still active and takes no step, so every carried residual is that of
+    the row's final `u`.  The residuals only decide which rows are kept;
+    the reported ones come from the certificate.
     """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
@@ -468,6 +492,7 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     alive = np.ones(u.shape[0], dtype=bool)
     resid = np.empty(u.shape[0])
     active = np.arange(u.shape[0])
+    leader = active.copy()
     for it in range(_NEWTON_ITERS + 1):
         if it:
             mag, step = _stream_rows(patch, field, u[active], tols, order=2)
@@ -485,9 +510,13 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
         inside = box.contains(new, pad=float(cell.max()))
         alive[active] = inside
         moved = np.any(new.view(np.int64) != old.view(np.int64), axis=1)
-        active = active[moved & inside]
+        active = _merge_met(u, active[moved & inside], leader)
         if not active.size:
             break
+    # a leader may itself have met a row of a lower index later on
+    while not np.array_equal(leader[leader], leader):
+        leader = leader[leader]
+    u, resid, alive = u[leader], resid[leader], alive[leader]
     if not bool(alive.any()):
         return np.zeros((0, box.n)), int(u.shape[0])
     u, resid = u[alive], resid[alive]
@@ -692,11 +721,13 @@ def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
     cell_diag = float(np.linalg.norm(prod.domain.cell_sizes(res)))
     gap = _hausdorff(prod.domain, direct.params, reference)
 
-    residuals = [0.0]
-    for s in (direct, sa, sb):
-        if s.n_points and not s.degenerate:
-            residuals.append(float(s.residuals.max()))
-    hyp = [ResidualEntry("extraction-residual", max(residuals),
+    # an extraction that kept no point is no evidence against a side that
+    # kept some: its NaN makes the entry ambiguous (np.max, unlike max,
+    # returns NaN in any position); two empty sides agree
+    empty = np.nan if (direct.n_points == 0) != (reference.shape[0] == 0) else 0.0
+    residuals = [0.0] + [s.residuals.max() if s.n_points else empty
+                         for s in (direct, sa, sb) if not s.degenerate]
+    hyp = [ResidualEntry("extraction-residual", float(np.max(residuals)),
                          tols.extract_tol * 10.0, 1e-3)]
     concl = [ResidualEntry("hausdorff-gap", gap, cell_diag, 2.0 * cell_diag)]
     return build_report(

@@ -715,3 +715,48 @@ def test_overflowing_chart_never_reaches_lapack(tmp_path, capsys):
     assert code == 1 and out == ""
     assert re.match(r"^error: chart Jacobian is rank-deficient \(singular value ratio "
                     r"\S+\) at parameters \(\S+, \S+\)\n$", err), err
+
+
+# the chart's jets overflow to inf, which dual.py reports as warnings
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_constrained_chart_reports_null_residual(tmp_path, capsys):
+    # inf / (1 + inf) used to make the constraint residual NaN
+    with open(find_scene("equator_in_s2")) as fh:
+        text = fh.read()
+    path = tmp_path / "overflow.scene"
+    path.write_text(text.replace("chart = (cos(s), sin(s), 0)",
+                                 "chart = (cos(s), sin(s), exp(1000*s))"))
+    code, out, _ = invoke(capsys, "validate", str(path))
+    assert code == 2
+    validation = _strict_json(out)["results"]["validation"]
+    assert validation["max_constraint_residual"] is None and not validation["ok"]
+
+
+def test_product_check_with_every_newton_seed_lost_is_not_met(capsys):
+    # at grid 2 every Newton seed of the product leaves the box; the empty
+    # direct set is no evidence against the factors' four points, so the
+    # infinite Hausdorff gap is no counterexample
+    code, out, _ = invoke(capsys, "verify", "product-shadow", "product_spheres",
+                          "--grid", "2")
+    assert code == 2
+    report = _strict_json(out)["results"]["report"]
+    assert report["verdict"] == "hypotheses-not-met"
+    assert report["details"]["n_direct"] == 0 and report["details"]["n_reference"] == 4
+    (hyp,), (concl,) = report["hypotheses"], report["conclusions"]
+    assert (hyp["label"], hyp["value"], hyp["status"]) == ("extraction-residual", None,
+                                                           "ambiguous")
+    assert (concl["value"], concl["status"]) == (None, "large")
+
+
+def test_every_bundled_command_writes_strict_json(capsys):
+    # NaN and Infinity are not JSON; no report may contain them
+    runs = [("verify-all",)]
+    for name in sorted(os.listdir(SCENES_DIR)):
+        scene = name[: -len(".scene")]
+        runs += [("validate", scene), ("shadow", scene, "--format", "json")]
+    for argv in runs:
+        code, out, err = invoke(capsys, *argv)
+        if code == 1:  # an error names itself on stderr and writes no report
+            assert out == "" and err.startswith("error: "), (argv, err)
+        else:
+            assert _strict_json(out), argv

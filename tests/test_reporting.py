@@ -94,6 +94,15 @@ def test_canonical_json_is_stable_and_exact():
     assert t1.index('"a"') < t1.index('"arr"') < t1.index('"b"')
 
 
+def test_canonical_json_writes_non_finite_floats_as_null():
+    obj = {"nan": float("nan"), "inf": np.float64(np.inf), "low": np.float32(-np.inf),
+           "arr": np.array([1.0, np.nan]), "entry": entry(float("nan"))}
+    data = json.loads(canonical_json(obj), parse_constant=pytest.fail)
+    assert data["nan"] is data["inf"] is data["low"] is None
+    assert data["arr"] == [1.0, None]
+    assert data["entry"]["value"] is None and data["entry"]["status"] == "ambiguous"
+
+
 def test_write_report_atomic(tmp_path):
     path = tmp_path / "out" / "report.json"
     path.parent.mkdir()

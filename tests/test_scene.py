@@ -437,6 +437,16 @@ TUBE = "\ntube {\n  of = plane\n  direction = 0, 0, 1\n  eps = 0.5\n}\n"
     ("constant = 0, 0, 1", "transport_base = 0.5\n  vector = 1, 0, 0", 16),
     ("constant = 0, 0, 1", "transport_base = 0.5, 0.5\n  vector = 1, 0", 17),
     ("direction = 0, 0, 1", "direction = 0, 1", 21),
+    # a number that is not finite; a NaN field value used to give an empty
+    # shadow set and NaN in reports
+    ("constant = 0, 0, 1", "constant = 0, nan, 1", 16),
+    ("constant = 0, 0, 1", "constant = 0, 0, 1\n  scale = inf", 17),
+    ("lo = -1, -1", "lo = 1e400, -1", 11),
+    ("hi = 1, 1", "hi = 1, exp(1000)", 12),
+    ("chart = (u, v, 0)", "chart = (u, v, a)\n  constants = a: -1e400", 10),
+    ("constant = 0, 0, 1", "transport_base = 0.5, 0.5\n  vector = 1, 0, exp(1000) - exp(1000)",
+     17),
+    ("eps = 0.5", "eps = nan", 22),
 ])
 def test_scene_sizes_are_refused_at_load_with_their_line(tmp_path, capsys, old, new, line):
     path = tmp_path / "probe.scene"

@@ -511,9 +511,10 @@ def test_newton_evaluates_only_moving_rows(monkeypatch):
     patch, field, resolution = _product_spheres()
     _grid_newton(patch, field, patch.domain._res_tuple(resolution))
     # the grid scan, then one pass per Newton iteration after the first; the
-    # full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1 rows
-    assert passes == [20736, 20736, 20736, 20160, 12096, 576]
-    assert sum(passes) == 95040
+    # full-batch loop ran 6 x 20,736 = 124,416 rows, then 20,736 order-1
+    # rows, and the unmerged active set 95,040 rows
+    assert passes == [20736, 20736, 20736, 17016, 6854, 248]
+    assert sum(passes) == 86326
     # each pass reaches shadow_system in slices of 1,040 rows, the order-2
     # jets of a 6 x 4 chart being 1,008 bytes a row
     size = shadow._slice_rows(patch, 2)
@@ -542,7 +543,7 @@ def test_newton_route_builds_grid_frames_once(monkeypatch):
     assert [built[bytes(row)] for row in grid] == [1] * grid.shape[0]
 
 
-@pytest.mark.parametrize("resolution, rows, calls", [(12, 580, 6), (24, 3140, 9)])
+@pytest.mark.parametrize("resolution, rows, calls", [(12, 512, 6), (24, 2971, 9)])
 def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatch):
     # seeds where the Jacobian is singular get a zero step; once they stop
     # moving they leave the active set instead of running all 30 iterations
@@ -558,6 +559,76 @@ def test_newton_drops_seeds_that_cannot_move(resolution, rows, calls, monkeypatc
     pts, _ = _grid_newton(patch, field, patch.domain._res_tuple(resolution))
     assert pts.shape[0] == 4
     assert (sum(batches), len(batches)) == (rows, calls)
+
+
+def _newton_unmerged(patch, field, grid, res, tols, mag, step):
+    """Reference `_extract_newton` with no merging: every active row is
+    evaluated again, also when another row has reached the same `u`."""
+    box = patch.domain
+    cell = np.array(box.cell_sizes(res))
+    diag = float(np.linalg.norm(cell))
+    u = grid.copy()
+    alive = np.ones(u.shape[0], dtype=bool)
+    resid = np.empty(u.shape[0])
+    active = np.arange(u.shape[0])
+    for it in range(shadow._NEWTON_ITERS + 1):
+        if it:
+            mag, step = shadow._stream_rows(patch, field, u[active], tols, order=2)
+        resid[active] = mag
+        move = mag > tols.extract_tol
+        active = active[move]
+        if it == shadow._NEWTON_ITERS or not active.size:
+            break
+        step = step[move]
+        norms = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, diag / np.maximum(norms, 1e-300))[:, None]
+        old = u[active]
+        new = box.wrap(old + step)
+        u[active] = new
+        inside = box.contains(new, pad=float(cell.max()))
+        alive[active] = inside
+        moved = np.any(new.view(np.int64) != old.view(np.int64), axis=1)
+        active = active[moved & inside]
+        if not active.size:
+            break
+    if not bool(alive.any()):
+        return np.zeros((0, box.n)), int(u.shape[0])
+    u, resid = u[alive], resid[alive]
+    good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
+    dropped = int(grid.shape[0] - np.count_nonzero(good))
+    return shadow._dedup(box, u[good], 0.5 * diag), dropped
+
+
+@pytest.mark.parametrize("make", [
+    _product_spheres,
+    lambda: _product_circles(12),
+    lambda: _product_circles(24),
+], ids=["product-spheres-12", "product-circles-12", "product-circles-24"])
+def test_merged_newton_matches_unmerged_reference(make):
+    # rows that meet bit for bit follow one trajectory, so merging them
+    # moves no bit of the points and no dropped-seed count
+    patch, field, resolution = make()
+    res = patch.domain._res_tuple(resolution)
+    grid = patch.domain.grid(res)
+    mag, step = shadow._stream_rows(patch, field, grid, DEFAULT_TOLS, order=2)
+    pts, dropped = shadow._extract_newton(patch, field, grid, res, DEFAULT_TOLS,
+                                          mag, step)
+    ref_pts, ref_dropped = _newton_unmerged(patch, field, grid, res, DEFAULT_TOLS,
+                                            mag, step)
+    assert pts.shape[0] > 0
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert dropped == ref_dropped
+
+
+def test_merge_met_keeps_the_lowest_row_of_each_meeting():
+    # rows 1, 4 and 6 meet row 0's u, row 5 meets row 3's; -0.0 and 0.0
+    # differ in their bits, so row 2 meets no one; row 7 is not active
+    u = np.array([[1.0, 2.0], [1.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 2.0],
+                  [0.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
+    leader = np.arange(8)
+    active = shadow._merge_met(u, np.arange(7), leader)
+    assert active.tolist() == [0, 2, 3]
+    assert leader.tolist() == [0, 0, 2, 3, 0, 3, 0, 7]
 
 
 def _dedup_unique(box, points, radius):
