@@ -177,8 +177,8 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
         field_norm_drift=drift,
         scale=scale,
         is_helix=bool(h_dev <= tols.helix_tol * guard),
-        orthogonal=bool(h.max(initial=0.0) <= tols.helix_tol * guard),
-        tangent=bool(nor.max(initial=0.0) <= tols.helix_tol * guard),
+        orthogonal=bool(h.max() <= tols.helix_tol * guard),
+        tangent=bool(nor.max() <= tols.helix_tol * guard),
         resolution=resolution,
         frames=frames,
     )
@@ -368,7 +368,7 @@ def _nested_sample(parent: SubmanifoldPatch, sub_chart, sub_domain: Box, field,
     nested = nested_second_form(sub_jets, frames_m)
     y = field.values(nested.parent_points)
     h, nor, ynorm = _split_components(frames_l, y)
-    mem = np.abs(np.einsum("bmj,bm->bj", frames_m.normal, y)).max(initial=0.0)
+    mem = np.abs(np.einsum("bmj,bm->bj", frames_m.normal, y)).max()
     return (pts, nested, frames_l, frames_m, y, h, nor, max(float(ynorm.mean()), _TINY),
             float(mem))
 

@@ -14,7 +14,11 @@ Failed preconditions short-circuit to hypotheses-not-met.
 
 Reports serialize to canonical JSON: keys sorted, floats in shortest
 round-trip form, a float that is not finite as null, LF newlines,
-written atomically via a temp file.
+written atomically via a temp file.  `_plain` is the one serializer: a
+report dataclass serializes field by field, and a type defines
+`as_dict` only where its JSON is a computed view (keys renamed, dropped
+or derived).  Commands hand report objects, never dicts, to
+`canonical_json`.
 """
 
 from __future__ import annotations
@@ -61,34 +65,22 @@ class ToleranceFloorError(ValueError):
 
 @dataclass(frozen=True)
 class ResidualEntry:
-    """One measured residual with its decision thresholds."""
+    """One measured residual with its decision thresholds; `status`
+    follows from them (a NaN value reads ambiguous)."""
 
     label: str
     value: float
     tol: float
     floor: float
+    status: str = field(init=False)
 
     def __post_init__(self):
         if not self.tol < self.floor:
             raise ToleranceFloorError(f"{self.label}: tolerance {self.tol} "
                                       f"must lie below floor {self.floor}")
-
-    @property
-    def status(self) -> str:
-        if self.value <= self.tol:
-            return STATUS_SMALL
-        if self.value >= self.floor:
-            return STATUS_LARGE
-        return STATUS_AMBIGUOUS
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": float(self.value),
-            "tol": float(self.tol),
-            "floor": float(self.floor),
-            "status": self.status,
-        }
+        status = (STATUS_SMALL if self.value <= self.tol else
+                  STATUS_LARGE if self.value >= self.floor else STATUS_AMBIGUOUS)
+        object.__setattr__(self, "status", status)
 
 
 @dataclass(frozen=True)
@@ -99,14 +91,6 @@ class Precondition:
     ok: bool
     value: float
     threshold: float
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "ok": bool(self.ok),
-            "value": float(self.value),
-            "threshold": float(self.threshold),
-        }
 
 
 def combine_side(entries) -> str:
@@ -144,17 +128,6 @@ class TheoremReport:
     verdict: str
     details: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "subject": self.subject,
-            "preconditions": [p.as_dict() for p in self.preconditions],
-            "hypotheses": [e.as_dict() for e in self.hypotheses],
-            "conclusions": [e.as_dict() for e in self.conclusions],
-            "verdict": self.verdict,
-            "details": _plain(self.details),
-        }
-
 
 def build_report(theorem: str, subject: str, hypotheses, conclusions,
                  preconditions=(), details=None) -> TheoremReport:
@@ -181,26 +154,23 @@ def build_report(theorem: str, subject: str, hypotheses, conclusions,
 
 
 def _plain(obj):
-    """Recursively convert report content to JSON-ready python values; a
-    float that is not finite becomes None (JSON null)."""
+    """Recursively convert report content to JSON-ready python values: an
+    `as_dict` view where a type has one, else a dataclass field by field;
+    a non-finite float becomes None (JSON null) and -0.0 becomes 0.0."""
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
-        return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+    if isinstance(obj, float):
+        return obj + 0.0 if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "as_dict"):
-            return _plain(obj.as_dict())
-        return _plain(dataclasses.asdict(obj))
     if hasattr(obj, "as_dict"):
         return _plain(obj.as_dict())
-    if isinstance(obj, float):
-        # normalize -0.0 so equal reports serialize identically
-        return obj + 0.0 if math.isfinite(obj) else None
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

@@ -188,7 +188,7 @@ class ShadowSet:
     itself.
     `certificate` is the smoothness certificate of the extracted points,
     None for a degenerate or empty set; `as_dict` reports its min_ratio
-    and ok as `rank_ratio` and `rank_ok`.
+    and ok as `rank_ratio` and `rank_ok`, an empty set's max_residual as null.
     """
 
     params: np.ndarray
@@ -215,17 +215,22 @@ class ShadowSet:
 
     def as_dict(self) -> dict:
         cert = self.certificate
-        return {
-            "n_points": self.n_points,
+        d = {
+            "points": self.n_points,
             "n_components": self.n_components,
             "degenerate": self.degenerate,
             "degenerate_fraction": self.degenerate_fraction,
             "resolution": list(self.resolution),
-            "max_residual": float(self.residuals.max()) if self.n_points else 0.0,
+            "max_residual": float(self.residuals.max()) if self.n_points else None,
             "rank_ratio": None if cert is None else cert.min_ratio,
             "rank_ok": None if cert is None else cert.ok,
             "dropped_seeds": self.dropped_seeds,
         }
+        if self.degenerate:
+            d["set_equals_patch"] = True
+        if cert is not None:
+            d["certificate"] = cert
+        return d
 
 
 def _sign(values):
@@ -701,7 +706,7 @@ def _hausdorff(box: Box, a, b):
 
 def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
                          patch_b: SubmanifoldPatch, field_b: FieldAlongM,
-                         resolution=24,
+                         resolution=12,
                          tols: Tolerances = DEFAULT_TOLS) -> TheoremReport:
     """Shadow set of a product vs product of factor shadow sets.
 

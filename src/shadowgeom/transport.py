@@ -539,7 +539,8 @@ class TransportField(FieldAlongM):
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Outcome of probing a patch for holonomy obstructions."""
+    """Outcome of probing a patch for holonomy obstructions; `per_loop`
+    holds one {"label", "deviation"} entry per probe loop."""
 
     ok: bool
     max_deviation: float
@@ -547,18 +548,6 @@ class ObstructionReport:
     n_loops: int
     note: str
     per_loop: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "max_deviation": float(self.max_deviation),
-            "worst_loop": self.worst_loop,
-            "n_loops": self.n_loops,
-            "note": self.note,
-            "per_loop": [
-                {"label": lbl, "deviation": float(dev)} for lbl, dev in self.per_loop
-            ],
-        }
 
 
 def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=None,
@@ -586,17 +575,19 @@ def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=No
     # batch the field values at all loop bases so line caches build once
     y_bases = fld.values(np.array([loop.start for loop in loops]))
     hols = holonomy_loop(patch, loops, steps=1024, tols=tols)
-    per = [(hol.label, float(np.linalg.norm(hol.ambient_matrix @ y0 - y0)))
+    per = [{"label": hol.label,
+            "deviation": float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))}
            for hol, y0 in zip(hols, y_bases)]
-    worst_label, max_dev = max(per, key=lambda item: item[1])
+    worst = max(per, key=lambda loop: loop["deviation"])
+    max_dev = worst["deviation"]
     ok = max_dev <= tols.holonomy_tol
     note = OBSTRUCTION_CLEAR_NOTE if ok else (
-        f"holonomy moves the field by {max_dev:.3e} around loop {worst_label}"
+        f"holonomy moves the field by {max_dev:.3e} around loop {worst['label']}"
     )
     report = ObstructionReport(
         ok=ok,
         max_deviation=max_dev,
-        worst_loop=worst_label,
+        worst_loop=worst["label"],
         n_loops=len(per),
         note=note,
         per_loop=tuple(per),

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import inspect
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shadowgeom import cli, geometry, helix, shadow
+from shadowgeom import cli, geometry, helix, shadow, transport
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.geometry import MAX_GRID_ROWS, ChartRankError, frames_at, validate_patch
 from shadowgeom.scene import SceneError, load_scene
@@ -80,6 +81,8 @@ def test_shadow_empty_report(capsys):
     shadow = report_of(out)["results"]["shadow"]
     assert shadow["points"] == 0
     assert shadow["degenerate"] is False
+    # an empty sample measured nothing, so its residual is null, not small
+    assert shadow["max_residual"] is None
 
 
 def test_shadow_empty_export_needs_allow_empty(capsys):
@@ -702,8 +705,8 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# the chart's jets overflow to inf and NaN, which dual.py reports as warnings
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the chart's jets overflow to inf and NaN; with warnings as errors, the run
+# also proves that the CLI emits no numpy floating-point warning
 def test_overflowing_chart_never_reaches_lapack(tmp_path, capsys):
     path = tmp_path / "overflow.scene"
     path.write_text(OVERFLOW_SCENE)
@@ -717,8 +720,7 @@ def test_overflowing_chart_never_reaches_lapack(tmp_path, capsys):
                     r"\S+\) at parameters \(\S+, \S+\)\n$", err), err
 
 
-# the chart's jets overflow to inf, which dual.py reports as warnings
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the chart's jets overflow to inf; no numpy warning may reach stderr
 def test_overflowing_constrained_chart_reports_null_residual(tmp_path, capsys):
     # inf / (1 + inf) used to make the constraint residual NaN
     with open(find_scene("equator_in_s2")) as fh:
@@ -760,3 +762,19 @@ def test_every_bundled_command_writes_strict_json(capsys):
             assert out == "" and err.startswith("error: "), (argv, err)
         else:
             assert _strict_json(out), argv
+
+
+def test_theorem_functions_default_to_the_cli_grid():
+    # a library call without `resolution` runs the grid that `verify` runs
+    functions = {
+        "orthogonal-tgs": helix.orthogonal_tgs_check,
+        "tgs-helix": helix.tgs_helix_check,
+        "minimality": helix.minimality_criterion,
+        "parallel-normal-frame-tgs": transport.parallel_normal_frame_tgs_check,
+        "hypersurface-helix-classification": helix.classify_hypersurface_helix,
+        "geodesic-alignment": helix.geodesic_alignment_check,
+        "product-shadow": shadow.product_shadow_check,
+    }
+    defaults = {theorem: inspect.signature(fn).parameters["resolution"].default
+                for theorem, fn in functions.items()}
+    assert defaults == cli._THEOREM_RES

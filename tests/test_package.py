@@ -143,3 +143,21 @@ def test_rank_rule_and_svd_live_in_geometry_only():
                 found += [f"{path.name}:{node.lineno}: import {a.name}"
                           for a in node.names if a.name == "svd"]
     assert found == []
+
+
+def test_reports_serialize_through_one_path():
+    # reporting._plain is the one serializer: no other module calls an
+    # `as_dict` view, and the report types whose JSON is their fields keep none
+    field_reports = {"ResidualEntry", "Precondition", "TheoremReport", "ObstructionReport"}
+    found = []
+    for path in PACKAGE_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name != "reporting.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "as_dict"):
+                found.append(f"{path.name}:{node.lineno}: .as_dict()")
+            elif isinstance(node, ast.ClassDef) and node.name in field_reports:
+                found += [f"{path.name}:{item.lineno}: {node.name}.as_dict"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "as_dict"]
+    assert found == []

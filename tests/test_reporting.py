@@ -79,6 +79,30 @@ def test_report_as_dict_roundtrips_to_json():
     assert data["details"]["count"] == 3
 
 
+def test_report_serializes_numpy_scalars_field_by_field():
+    # the dataclass path gives the bytes the former hand-written views gave:
+    # numpy scalars as python values, NaN as null, -0.0 as 0.0
+    rep = build_report(
+        "t", "s",
+        hypotheses=[entry(np.float64(-0.0), "h"), entry(float("nan"), "n")],
+        conclusions=[entry(np.float64(0.5), "c")],
+        preconditions=[Precondition("gate", ok=np.bool_(True), value=np.float64(2.5),
+                                    threshold=1.0)],
+    )
+    assert canonical_json(rep) == canonical_json({
+        "theorem": "t", "subject": "s", "verdict": "hypotheses-not-met", "details": {},
+        "preconditions": [{"label": "gate", "ok": True, "value": 2.5, "threshold": 1.0}],
+        "hypotheses": [
+            {"label": "h", "value": 0.0, "tol": 1e-8, "floor": 1e-3, "status": "small"},
+            {"label": "n", "value": None, "tol": 1e-8, "floor": 1e-3,
+             "status": "ambiguous"},
+        ],
+        "conclusions": [
+            {"label": "c", "value": 0.5, "tol": 1e-8, "floor": 1e-3, "status": "large"},
+        ],
+    })
+
+
 def test_canonical_json_is_stable_and_exact():
     obj = {"b": 0.1, "a": -0.0, "n": np.float64(2.0) / 3.0, "arr": np.arange(3)}
     t1 = canonical_json(obj)
