@@ -69,17 +69,18 @@ EXIT_NOT_MET = 2
 
 SCENES_DIR = os.path.join(os.path.dirname(__file__), "scenes")
 
-# grid defaults per theorem when neither --grid nor the scene set one
-_THEOREM_RES = {
-    "orthogonal-tgs": 24,
-    "tgs-helix": 24,
-    "minimality": 24,
-    "parallel-normal-frame-tgs": 7,
-    "hypersurface-helix-classification": 16,
-    "geodesic-alignment": 9,
-    "product-shadow": 12,
+# the check behind each theorem id; its `resolution` default is the grid
+# `verify` runs when neither --grid nor the scene sets one
+_THEOREMS = {
+    "orthogonal-tgs": orthogonal_tgs_check,
+    "tgs-helix": tgs_helix_check,
+    "minimality": minimality_criterion,
+    "parallel-normal-frame-tgs": parallel_normal_frame_tgs_check,
+    "hypersurface-helix-classification": classify_hypersurface_helix,
+    "geodesic-alignment": geodesic_alignment_check,
+    "product-shadow": product_shadow_check,
 }
-THEOREM_IDS = tuple(_THEOREM_RES)
+THEOREM_IDS = tuple(_THEOREMS)
 
 # scene, theorem, expected verdict; `verify-all` passes iff every row matches
 VERIFY_PLAN = (
@@ -147,62 +148,53 @@ def _open_scene(name: str, tol_flags):
     return scene, path, _tols_with_flags(scene, tol_flags)
 
 
-def _resolution(scene: Scene, args, fallback):
-    if args.grid is not None:
-        return args.grid
-    if scene.resolution is not None:
-        return scene.resolution
-    return fallback
+def _grid(scene: Scene, args) -> dict:
+    """--grid, else the scene's grid block, as the check's `resolution`
+    keyword; empty when neither sets one, so the check keeps its default."""
+    res = args.grid if args.grid is not None else scene.resolution
+    return {} if res is None else {"resolution": res}
 
 
-def _field_maybe(scene: Scene, name: str, tols: Tolerances):
+def _field(scene: Scene, name: str, tols: Tolerances):
+    """The field bound to patch `name`, or None."""
     if name in scene.fields:
         return scene.fields[name]
-    if name in scene.seeds:
-        seed = scene.seeds[name]
-        if seed.vector is None:
-            return None
-        return TransportField(scene.patch(name), seed.base, seed.vector, tols=tols)
-    return None
+    seed = scene.seeds.get(name)
+    if seed is None or seed.vector is None:
+        return None
+    return TransportField(scene.patch(name), seed.base, seed.vector, tols=tols)
+
+
+def _tube(scene: Scene, tols: Tolerances):
+    """(swept patch, curve, curve chart in the swept patch) of the tube block."""
+    if scene.tube is None:
+        raise SceneError("scene declares no tube block", scene.name)
+    curve = scene.patch(scene.tube.of)
+    patch, sub_chart = tube_patch(curve, scene.tube.direction, scene.tube.eps, tols=tols)
+    return patch, curve, sub_chart
 
 
 def _root_setup(scene: Scene, tols: Tolerances):
     """Main subject of the scene: the declared tube or product, else the root."""
     if scene.tube is not None:
-        curve = scene.patch(scene.tube.of)
-        patch, _ = tube_patch(curve, scene.tube.direction, scene.tube.eps, tols=tols)
+        patch, _, _ = _tube(scene, tols)
         return patch, ConstantField(scene.tube.direction)
     if scene.product is not None:
         a, b = scene.product
         patch = product_patch(scene.patch(a), scene.patch(b))
-        field_a = _field_maybe(scene, a, tols)
-        field_b = _field_maybe(scene, b, tols)
-        field = None
-        if field_a is not None and field_b is not None:
-            field = product_field(field_a, field_b, scene.patch(a))
-        return patch, field
+        field_a, field_b = _field(scene, a, tols), _field(scene, b, tols)
+        if field_a is None or field_b is None:
+            return patch, None
+        return patch, product_field(field_a, field_b, scene.patch(a))
     name = scene.root_name
-    return scene.patch(name), _field_maybe(scene, name, tols)
+    return scene.patch(name), _field(scene, name, tols)
 
 
 def _require_field(scene: Scene, patch, field):
+    """(patch, field), or a SceneError when no field is bound to the patch."""
     if field is None:
         raise SceneError(f"no field bound to patch {patch.name!r}", scene.name)
-    return field
-
-
-def _nested_setup(scene: Scene, tols: Tolerances):
-    """(parent, sub_chart, sub_domain, field, name) for the nested checks."""
-    if scene.tube is not None:
-        curve = scene.patch(scene.tube.of)
-        parent, sub_chart = tube_patch(curve, scene.tube.direction, scene.tube.eps,
-                                       tols=tols)
-        field = ConstantField(scene.tube.direction)
-        return parent, sub_chart, curve.domain, field, curve.name
-    spec = scene.first_nested()
-    parent = scene.patch(spec.parent)
-    field = _require_field(scene, parent, _field_maybe(scene, spec.parent, tols))
-    return parent, spec.chart, spec.domain, field, spec.name
+    return patch, field
 
 
 def _run_report(scene: Scene | None, path: str, command: str, results: dict,
@@ -241,8 +233,7 @@ def _exit_for(verdicts) -> int:
 
 def cmd_validate(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, field = _root_setup(scene, tols)
-    report = validate_patch(patch, field=field,
-                            resolution=_resolution(scene, args, 9), tols=tols)
+    report = validate_patch(patch, field=field, tols=tols, **_grid(scene, args))
     results = {"patch": patch.name, "validation": report}
     _emit(canonical_json(_run_report(scene, path, "validate", results, t0)),
           args.out)
@@ -268,11 +259,8 @@ def _shadow_rows(patch, shadow_set):
 
 
 def cmd_shadow(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
-    patch, field = _root_setup(scene, tols)
-    field = _require_field(scene, patch, field)
-    shadow_set = extract_shadow_set(patch, field,
-                                    resolution=_resolution(scene, args, 64),
-                                    tols=tols)
+    patch, field = _require_field(scene, *_root_setup(scene, tols))
+    shadow_set = extract_shadow_set(patch, field, tols=tols, **_grid(scene, args))
     if args.format == "json":
         results = {"patch": patch.name, "shadow": shadow_set}
         _emit(canonical_json(_run_report(scene, path, "shadow", results, t0)),
@@ -291,12 +279,10 @@ def cmd_shadow(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> in
 
 
 def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
-    patch, field = _root_setup(scene, tols)
-    field = _require_field(scene, patch, field)
-    res = _resolution(scene, args, 32)
+    patch, field = _require_field(scene, *_root_setup(scene, tols))
     # one frame build on the grid serves the constancy test, the
     # Gauss-Kronecker curvature and the classification
-    constancy = helix_constancy_report(patch, field, resolution=res, tols=tols)
+    constancy = helix_constancy_report(patch, field, tols=tols, **_grid(scene, args))
     results = {"patch": patch.name, "constancy": constancy}
     verdicts = []
     if patch.codim == 1:
@@ -316,18 +302,15 @@ def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int
 def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     patch, _ = _root_setup(scene, tols)
     loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=args.seed)
-    per = []
-    worst = None
-    for hol in holonomy_loop(patch, loops, steps=1024, tols=tols):
-        per.append({"label": hol.label, "deviation": hol.deviation,
-                    "rotation": hol.rotation})
-        if worst is None or hol.deviation > worst.deviation:
-            worst = hol
+    per = [{"label": hol.label, "deviation": hol.deviation, "rotation": hol.rotation}
+           for hol in holonomy_loop(patch, loops, steps=1024, tols=tols)]
+    # n_random=8 gives at least 8 loops; the first maximum is the worst
+    worst = max(per, key=lambda entry: entry["deviation"])
     results = {
         "patch": patch.name,
         "n_loops": len(per),
-        "max_deviation": 0.0 if worst is None else worst.deviation,
-        "worst_loop": "" if worst is None else worst.label,
+        "max_deviation": worst["deviation"],
+        "worst_loop": worst["label"],
         "loops": per,
     }
     _emit(canonical_json(_run_report(scene, path, "transport", results, t0)),
@@ -338,9 +321,8 @@ def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) ->
 def cmd_parallel_field(args, scene: Scene, path: str, tols: Tolerances,
                        t0: float) -> int:
     patch, _ = _root_setup(scene, tols)
-    seed_spec = scene.seeds.get(patch.name)
-    base = seed_spec.base if seed_spec else None
-    vector = seed_spec.vector if seed_spec is not None else None
+    seed = scene.seeds.get(patch.name)
+    base, vector = (seed.base, seed.vector) if seed is not None else (None, None)
     fld, report = construct_parallel_field(patch, base_point=base, vector=vector,
                                            seed=args.seed, tols=tols)
     results = {
@@ -358,39 +340,35 @@ def cmd_parallel_field(args, scene: Scene, path: str, tols: Tolerances,
     return EXIT_OK if report.ok else EXIT_NOT_MET
 
 
-def _run_theorem(scene: Scene, theorem: str, res, tols: Tolerances):
+def _run_theorem(scene: Scene, theorem: str, tols: Tolerances, grid: dict):
+    """Run one theorem's check on the scene's subject; `grid` is `_grid`'s."""
+    extra = {}
     if theorem in ("orthogonal-tgs", "tgs-helix", "minimality"):
-        parent, sub_chart, sub_domain, field, name = _nested_setup(scene, tols)
-        check = {"orthogonal-tgs": orthogonal_tgs_check,
-                 "tgs-helix": tgs_helix_check,
-                 "minimality": minimality_criterion}[theorem]
-        return check(parent, sub_chart, sub_domain, field, resolution=res,
-                     name=name, tols=tols)
-    if theorem == "parallel-normal-frame-tgs":
-        patch, _ = _root_setup(scene, tols)
-        return parallel_normal_frame_tgs_check(patch, resolution=res, tols=tols)
-    if theorem == "hypersurface-helix-classification":
-        patch, field = _root_setup(scene, tols)
-        field = _require_field(scene, patch, field)
-        return classify_hypersurface_helix(patch, field, resolution=res, tols=tols)
-    if theorem == "geodesic-alignment":
-        patch, field = _root_setup(scene, tols)
-        field = _require_field(scene, patch, field)
-        return geodesic_alignment_check(patch, field, resolution=res, tols=tols)
-    if theorem == "product-shadow":
+        if scene.tube is not None:
+            parent, curve, sub_chart = _tube(scene, tols)
+            args = (parent, sub_chart, curve.domain, ConstantField(scene.tube.direction))
+            extra["name"] = curve.name
+        else:
+            spec = scene.first_nested()
+            parent, field = _require_field(scene, scene.patch(spec.parent),
+                                           _field(scene, spec.parent, tols))
+            args = (parent, spec.chart, spec.domain, field)
+            extra["name"] = spec.name
+    elif theorem == "product-shadow":
         if scene.product is None:
             raise SceneError("scene declares no product block", scene.name)
-        a, b = scene.product
-        field_a = _require_field(scene, scene.patch(a), _field_maybe(scene, a, tols))
-        field_b = _require_field(scene, scene.patch(b), _field_maybe(scene, b, tols))
-        return product_shadow_check(scene.patch(a), field_a, scene.patch(b),
-                                    field_b, resolution=res, tols=tols)
-    raise SceneError(f"unknown theorem {theorem!r}", scene.name)
+        args = ()
+        for name in scene.product:
+            args += _require_field(scene, scene.patch(name), _field(scene, name, tols))
+    elif theorem == "parallel-normal-frame-tgs":
+        args = _root_setup(scene, tols)[:1]
+    else:
+        args = _require_field(scene, *_root_setup(scene, tols))
+    return _THEOREMS[theorem](*args, tols=tols, **grid, **extra)
 
 
 def cmd_verify(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
-    res = _resolution(scene, args, _THEOREM_RES[args.theorem])
-    report = _run_theorem(scene, args.theorem, res, tols)
+    report = _run_theorem(scene, args.theorem, tols, _grid(scene, args))
     results = {"theorem": args.theorem, "report": report}
     _emit(canonical_json(_run_report(scene, path, f"verify {args.theorem}",
                                      results, t0)), args.out)
@@ -401,8 +379,7 @@ def cmd_verify_all(args, t0: float) -> int:
     rows = []
     for scene_name, theorem, expected in VERIFY_PLAN:
         scene, _, tols = _open_scene(scene_name, args.tol)
-        res = _resolution(scene, args, _THEOREM_RES[theorem])
-        report = _run_theorem(scene, theorem, res, tols)
+        report = _run_theorem(scene, theorem, tols, _grid(scene, args))
         rows.append({
             "scene": scene_name,
             "theorem": theorem,
@@ -441,11 +418,7 @@ def _patch_block(name: str, chart, box, parent: str | None = None) -> list:
 
 
 def cmd_tube(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
-    if scene.tube is None:
-        raise SceneError("scene declares no tube block", scene.name)
-    curve = scene.patch(scene.tube.of)
-    patch, sub_chart = tube_patch(curve, scene.tube.direction, scene.tube.eps,
-                                  tols=tols)
+    patch, curve, sub_chart = _tube(scene, tols)
     lines = [f"scene {scene.name}_swept", ""]
     lines += ["ambient {", f"  dim = {patch.m}", "}", ""]
     lines += _patch_block(patch.name, patch.chart, patch.domain)

@@ -211,6 +211,8 @@ def obj_text(vertices, polylines) -> str:
     sequences (0-based).
     """
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if verts.shape[1] not in (2, 3):
+        raise ValueError(f"OBJ needs a 2- or 3-dimensional ambient, got {verts.shape[1]}")
     if verts.shape[1] == 2:
         verts = np.column_stack([verts, np.zeros(len(verts))])
     lines = []

@@ -84,7 +84,6 @@ class TubeSpec:
 class SeedSpec:
     """Base point (and optional seed vector) for transported fields."""
 
-    patch: str
     base: np.ndarray
     vector: np.ndarray | None
 
@@ -369,7 +368,7 @@ def _build_field(block: _Block, source: str, patch: SubmanifoldPatch, seeds_out:
                                  source, line))
         vector = (np.asarray(_sized(_numbers(vec_txt, source, vec_line), patch.m, "vector",
                                     source, vec_line)) if vec_txt else None)
-        seeds_out[block.name] = SeedSpec(block.name, base, vector)
+        seeds_out[block.name] = SeedSpec(base, vector)
         fld = None
     if fld is not None and scale_txt is not None:
         fld = fld.scaled(_number(scale_txt, source, scale_line))

@@ -539,15 +539,16 @@ def _cell_centres(box: Box, grid, res):
 
 
 def extract_shadow_set(patch: SubmanifoldPatch, field: FieldAlongM,
-                       resolution=128, tols: Tolerances = DEFAULT_TOLS) -> ShadowSet:
+                       resolution=64, tols: Tolerances = DEFAULT_TOLS) -> ShadowSet:
     """Locate the zero set of F on the chart domain.
 
-    A grid scan decides degeneracy first: F must vanish on at least
-    DEGENERATE_FRACTION of the grid nodes and of the cell centres, since
-    a coarse grid can sit on zeros of a thin set.  Otherwise zeros are
-    pinned by bisection (curves and surface level sets) or damped
-    Gauss-Newton (higher codimension); the certificate's evaluation at
-    the extracted points also gives their residuals and positions.
+    A grid scan (`resolution` nodes an axis, 64 by default) decides
+    degeneracy first: F must vanish on at least DEGENERATE_FRACTION of
+    the nodes and of the cell centres, since a coarse grid can sit on
+    zeros of a thin set.  Otherwise zeros are pinned by bisection
+    (curves and surface level sets) or damped Gauss-Newton (higher
+    codimension); the certificate's evaluation at the extracted points
+    also gives their residuals and positions.
     """
     box = patch.domain
     res = box._res_tuple(resolution)

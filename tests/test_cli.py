@@ -1,6 +1,5 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
-import inspect
 import json
 import os
 import re
@@ -10,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shadowgeom import cli, geometry, helix, shadow, transport
+from shadowgeom import cli, geometry, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.geometry import MAX_GRID_ROWS, ChartRankError, frames_at, validate_patch
 from shadowgeom.scene import SceneError, load_scene
@@ -73,6 +72,14 @@ def test_shadow_torus_obj_two_loops(capsys):
     code, out, _ = invoke(capsys, "shadow", "torus_e3", "--format", "obj")
     assert code == 0
     assert sum(1 for l in out.splitlines() if l.startswith("l ")) == 2
+
+
+@pytest.mark.parametrize("scene, dim", [("product_circles", 4), ("product_spheres", 6)])
+def test_shadow_obj_refuses_an_ambient_beyond_three_dimensions(capsys, scene, dim):
+    # OBJ reads a fourth vertex coordinate as a weight
+    code, out, err = invoke(capsys, "shadow", scene, "--format", "obj")
+    assert (code, out) == (1, "")
+    assert err == f"error: OBJ needs a 2- or 3-dimensional ambient, got {dim}\n"
 
 
 def test_shadow_empty_report(capsys):
@@ -764,17 +771,38 @@ def test_every_bundled_command_writes_strict_json(capsys):
             assert _strict_json(out), argv
 
 
-def test_theorem_functions_default_to_the_cli_grid():
-    # a library call without `resolution` runs the grid that `verify` runs
-    functions = {
-        "orthogonal-tgs": helix.orthogonal_tgs_check,
-        "tgs-helix": helix.tgs_helix_check,
-        "minimality": helix.minimality_criterion,
-        "parallel-normal-frame-tgs": transport.parallel_normal_frame_tgs_check,
-        "hypersurface-helix-classification": helix.classify_hypersurface_helix,
-        "geodesic-alignment": helix.geodesic_alignment_check,
-        "product-shadow": shadow.product_shadow_check,
-    }
-    defaults = {theorem: inspect.signature(fn).parameters["resolution"].default
-                for theorem, fn in functions.items()}
-    assert defaults == cli._THEOREM_RES
+class _Called(Exception):
+    """Raised by a spy once it has recorded its call."""
+
+
+def test_cli_passes_a_grid_only_where_one_is_set(monkeypatch):
+    # each check owns its default grid: `resolution` is passed only when
+    # --grid or the scene's grid block sets one
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("resolution", "default"))
+        raise _Called
+
+    for theorem in cli.THEOREM_IDS:
+        monkeypatch.setitem(cli._THEOREMS, theorem, spy)
+    for name in ("extract_shadow_set", "validate_patch", "helix_constancy_report"):
+        monkeypatch.setattr(cli, name, spy)
+    runs = [
+        (("verify", "minimality", "equator_in_sphere"), "default"),
+        (("verify", "minimality", "tube_circle"), "default"),
+        (("verify", "parallel-normal-frame-tgs", "plane_e3"), "default"),
+        (("verify", "geodesic-alignment", "cone_axis"), 16),
+        (("verify", "product-shadow", "product_spheres"), 12),
+        (("validate", "plane_e3"), "default"),
+        (("shadow", "plane_e3"), "default"),
+        (("helix", "plane_e3"), "default"),
+        (("shadow", "cone_axis"), 16),
+        (("helix", "cone_axis"), 16),
+    ]
+    for argv, scene_grid in runs:
+        for flags, want in (((), scene_grid), (("--grid", "5"), 5)):
+            seen.clear()
+            with pytest.raises(_Called):
+                run([*argv, *flags])
+            assert seen == [want], (argv, flags)
