@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .curvature import gauss_kronecker
 from .expr import EvalDomainError
-from .fields import ConstantField
+from .fields import BlockField, ConstantField
 from .geometry import GeometryError, validate_patch
 from .helix import (
     _classify,
@@ -45,12 +45,7 @@ from .reporting import (
     obj_text,
 )
 from .scene import Scene, SceneError, load_scene
-from .shadow import (
-    extract_shadow_set,
-    product_field,
-    product_patch,
-    product_shadow_check,
-)
+from .shadow import extract_shadow_set, product_patch, product_shadow_check
 from .tolerances import Tolerances
 from .transport import (
     TransportField,
@@ -180,12 +175,12 @@ def _root_setup(scene: Scene, tols: Tolerances):
         patch, _, _ = _tube(scene, tols)
         return patch, ConstantField(scene.tube.direction)
     if scene.product is not None:
-        a, b = scene.product
-        patch = product_patch(scene.patch(a), scene.patch(b))
-        field_a, field_b = _field(scene, a, tols), _field(scene, b, tols)
+        a, b = (scene.patch(name) for name in scene.product)
+        patch = product_patch(a, b)
+        field_a, field_b = (_field(scene, name, tols) for name in scene.product)
         if field_a is None or field_b is None:
             return patch, None
-        return patch, product_field(field_a, field_b, scene.patch(a))
+        return patch, BlockField(field_a, field_b, a.n, a.m)
     name = scene.root_name
     return scene.patch(name), _field(scene, name, tols)
 

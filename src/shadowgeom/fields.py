@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import ChartExpr
 
-__all__ = ["FieldAlongM", "ConstantField", "ExprField", "ScaledField", "BlockField"]
+__all__ = ["FieldAlongM", "ConstantField", "ExprField", "BlockField"]
 
 
 class FieldAlongM:
@@ -26,9 +26,6 @@ class FieldAlongM:
 
     def param_jacobian(self, points):
         raise NotImplementedError
-
-    def scaled(self, factor: float) -> "FieldAlongM":
-        return ScaledField(self, float(factor))
 
 
 class ConstantField(FieldAlongM):
@@ -55,18 +52,6 @@ class ExprField(FieldAlongM):
 
     def param_jacobian(self, points):
         return self.chart.eval_jets(points, order=1).jac
-
-
-class ScaledField(FieldAlongM):
-    def __init__(self, inner: FieldAlongM, factor: float):
-        self.inner = inner
-        self.factor = factor
-
-    def values(self, points):
-        return self.factor * self.inner.values(points)
-
-    def param_jacobian(self, points):
-        return self.factor * self.inner.param_jacobian(points)
 
 
 class BlockField(FieldAlongM):

@@ -531,25 +531,26 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, resolution: int = 9
     geodesic of the ambient space as well.
 
     A fan of unit-speed geodesics leaves the domain midpoint, plus the
-    tan(Y) direction when it does not degenerate.  Curves whose pairing
-    drift stays below the transport tolerance are selected; the
-    conclusion is their worst ambient geodesic defect.
+    tan(Y) direction when it does not degenerate.  Transversality is
+    tested on the grid and at that start point, one frame batch with the
+    midpoint as its last row.  Curves whose pairing drift stays below
+    the transport tolerance are selected; the conclusion is their worst
+    ambient geodesic defect.
     """
-    grid = patch.domain.grid(resolution)
-    frames_g = frames_at(patch, grid, order=1, tols=tols)
-    y = field.values(grid)
-    _, nor, ynorm = _split_components(frames_g, y)
-    guard = max(float(ynorm.mean()), _TINY)
+    center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
+    pts = np.vstack([patch.domain.grid(resolution), center])
+    frames = frames_at(patch, pts, order=1, tols=tols)
+    y = field.values(pts)
+    _, nor, ynorm = _split_components(frames, y)
+    guard = max(float(ynorm[:-1].mean()), _TINY)
     trans_min = float((nor / guard).min())
     pre = _hypersurface_preconditions(patch, field, resolution, tols)
     pre.append(Precondition("field-transverse", trans_min >= tols.transversality_floor,
                             trans_min, tols.transversality_floor))
 
-    center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
-    frames_c = frames_at(patch, center[None, :], order=1, tols=tols)
-    metric_c = frames_c.metric[0]
-    dirs = _fan_directions(frames_c.rinv[0])
-    yc = tangent_coords(frames_c.jac, field.values(center[None, :]))[0]
+    metric_c = frames.metric[-1]
+    dirs = _fan_directions(frames.rinv[-1])
+    yc = tangent_coords(frames.jac[-1:], y[-1:])[0]
     yc_norm = math.sqrt(float(yc @ metric_c @ yc))
     if yc_norm > tols.transversality_floor * guard:
         dirs = np.concatenate([dirs, (yc / yc_norm)[None, :]], axis=0)

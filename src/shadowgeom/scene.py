@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .expr import EvalDomainError, ParseError, parse_chart
+from .expr import ChartExpr, Const, EvalDomainError, Mul, ParseError, parse_chart
 from .fields import ConstantField, ExprField, FieldAlongM
 from .geometry import AmbientSpace, Box, SubmanifoldPatch
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -343,6 +343,8 @@ def _build_field(block: _Block, source: str, patch: SubmanifoldPatch, seeds_out:
         txt, line = _take(block, "constant", source)
         _finish(block, source)
         vector = _sized(_numbers(txt, source, line), patch.m, "constant", source, line)
+        if scale_txt is not None:
+            vector = _number(scale_txt, source, scale_line) * np.asarray(vector)
         fld: FieldAlongM = ConstantField(vector)
     elif kind == "expression":
         txt, line = _take(block, "expression", source)
@@ -356,6 +358,10 @@ def _build_field(block: _Block, source: str, patch: SubmanifoldPatch, seeds_out:
             raise SceneError(f"bad field expression: {exc}", source, line)
         _sized(chart.outputs, patch.m, "expression", source, line)
         _sized(chart.params, patch.n, "params", source, params_line)
+        if scale_txt is not None:  # c * output has the bits of c times its jets
+            c = Const(value=_number(scale_txt, source, scale_line))
+            chart = ChartExpr(chart.params, tuple(Mul(a=c, b=o) for o in chart.outputs),
+                              chart.constants)
         fld = ExprField(chart)
     else:
         if scale_txt is not None:
@@ -370,8 +376,6 @@ def _build_field(block: _Block, source: str, patch: SubmanifoldPatch, seeds_out:
                                     source, vec_line)) if vec_txt else None)
         seeds_out[block.name] = SeedSpec(base, vector)
         fld = None
-    if fld is not None and scale_txt is not None:
-        fld = fld.scaled(_number(scale_txt, source, scale_line))
     return fld
 
 

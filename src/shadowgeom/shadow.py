@@ -34,8 +34,9 @@ residual and box membership.
 
 Each F has one evaluator.  The edge route reads F of its one normal as
 det[x_u | Y | Dc^T] / sqrt(det(A^T A)), A = [x_u | Dc^T], building no
-frame (`shadow_values`); the Newton route and every reported point read
-frame F (`shadow_system`).  The two agree up to rounding.
+frame (`geometry.normal_component`); the Newton route and every
+reported point read frame F (`shadow_system`).  The two agree up to
+rounding.
 
 Every number reported for an extracted point comes from one evaluation
 at that exact point, wrapped into the box: the smoothness certificate's
@@ -87,12 +88,10 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 __all__ = [
     "ShadowSet",
     "SmoothnessReport",
-    "shadow_values",
     "shadow_system",
     "extract_shadow_set",
     "smoothness_certificate",
     "product_patch",
-    "product_field",
     "product_shadow_check",
 ]
 
@@ -104,15 +103,6 @@ _SLICE_BYTES = 2**20
 
 
 # -- residual and Jacobian ---------------------------------------------------
-
-
-def shadow_values(patch: SubmanifoldPatch, field: FieldAlongM, points,
-                  tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """F = <Y, xi> at parameter points of a patch with one normal, (B, 1),
-    read as a ratio of determinants with no frame built
-    (`geometry.normal_component`, which raises the errors of `frames_at`,
-    and ValueError for two or more normals: `shadow_system` reads those)."""
-    return normal_component(patch, points, field.values, tols)[:, None]
 
 
 def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
@@ -146,9 +136,9 @@ def _stream_rows(patch, field, points, tols, order):
     Gauss-Newton step -pinv(J) F (B, n) of every row whose max|F| exceeds
     extract_tol (zero on the others), evaluated `_slice_rows` rows at a time.
 
-    Order 1, for patches with one normal, goes through `shadow_values`
-    (the determinant form, which builds no frame), order 2 through
-    `shadow_system`.
+    Order 1, for patches with one normal, goes through
+    `geometry.normal_component` (the determinant form, which builds no
+    frame), order 2 through `shadow_system`.
     J lives only inside its slice; `pinv` and the step's einsum work
     matrix by matrix, so a row's step does not depend on its slice.
     """
@@ -164,7 +154,7 @@ def _stream_rows(patch, field, points, tols, order):
             pinv = np.linalg.pinv(jac[move], rcond=1e-10)
             tail[move] = -np.einsum("bnk,bk->bn", pinv, f[move])
         else:
-            tail = shadow_values(patch, field, rows, tols)
+            tail = normal_component(patch, rows, field.values, tols)[:, None]
             mag = np.max(np.abs(tail), axis=1)
         parts = (mag, tail)
         if out is None:
@@ -263,7 +253,7 @@ def _bisect(patch, field, a_pts, b_pts, s_lo, tols):
         if float(np.max(np.linalg.norm(hi - lo, axis=1))) <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        same = _sign(shadow_values(patch, field, mid, tols)[:, 0]) == s_lo
+        same = _sign(normal_component(patch, mid, field.values, tols)) == s_lo
         lo = np.where(same[:, None], mid, lo)
         hi = np.where(same[:, None], hi, mid)
     return 0.5 * (lo + hi)
@@ -676,19 +666,13 @@ def _product_ambient(a: AmbientSpace, b: AmbientSpace) -> AmbientSpace:
     return AmbientSpace(m, product_chart(*charts))
 
 
-def product_patch(a: SubmanifoldPatch, b: SubmanifoldPatch,
-                  name: str | None = None) -> SubmanifoldPatch:
+def product_patch(a: SubmanifoldPatch, b: SubmanifoldPatch) -> SubmanifoldPatch:
     """Block patch of a Cartesian product, constraints stacked."""
     chart = product_chart(a.chart, b.chart)
     box = Box(a.domain.lo + b.domain.lo, a.domain.hi + b.domain.hi,
               a.domain.periodic + b.domain.periodic)
     return SubmanifoldPatch(chart, box, _product_ambient(a.ambient, b.ambient),
-                            name=name or f"{a.name}x{b.name}")
-
-
-def product_field(field_a: FieldAlongM, field_b: FieldAlongM,
-                  patch_a: SubmanifoldPatch) -> BlockField:
-    return BlockField(field_a, field_b, patch_a.n, patch_a.m)
+                            name=f"{a.name}x{b.name}")
 
 
 def _pair_grid(pts_a, pts_b):
@@ -716,7 +700,7 @@ def product_shadow_check(patch_a: SubmanifoldPatch, field_a: FieldAlongM,
     degenerate factor contributes its whole grid.
     """
     prod = product_patch(patch_a, patch_b)
-    pf = product_field(field_a, field_b, patch_a)
+    pf = BlockField(field_a, field_b, patch_a.n, patch_a.m)
 
     direct = extract_shadow_set(prod, pf, resolution, tols)
     sa = extract_shadow_set(patch_a, field_a, resolution, tols)

@@ -62,7 +62,6 @@ from .reporting import Precondition, ResidualEntry, build_report
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
-    "DEFAULT_STEPS",
     "OBSTRUCTION_CLEAR_NOTE",
     "ParamCurve",
     "TransportResult",
@@ -81,7 +80,6 @@ __all__ = [
     "track_defects",
 ]
 
-DEFAULT_STEPS = 4096
 # transported-field stations per domain span; a cached line sweep reaches
 # two stations past either end
 _STATIONS = 1024
@@ -121,10 +119,6 @@ class ParamCurve:
         if closed and np.linalg.norm(verts[0] - verts[-1]) > 0.0:
             verts = np.vstack([verts, verts[:1]])
         return cls(verts, label=label)
-
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[1]
 
     @property
     def start(self):
@@ -258,21 +252,17 @@ def _check_seed_tangent(dc, v, tols, point):
 
 @dataclass(frozen=True)
 class TransportResult:
-    params: np.ndarray  # (S+1, n) step-end parameters
-    positions: np.ndarray  # (S+1, m)
-    vectors: np.ndarray  # (S+1, m)
+    vectors: np.ndarray  # (S+1, m) at the step ends
     norm_drift: float
     tangency_drift: float
     step_error: float  # Richardson estimate from a half-resolution run
-    steps: int
 
 
-def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector,
-                       steps: int = DEFAULT_STEPS,
+def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector, steps: int,
                        tols: Tolerances = DEFAULT_TOLS) -> TransportResult:
     """Transport an ambient-tangent vector along a curve in the patch."""
     v0 = np.asarray(vector, dtype=float)
-    mats, end_u, end_x, dc = _step_matrices(patch, curve, steps, tols)
+    mats, end_u, _, dc = _step_matrices(patch, curve, steps, tols)
     _check_seed_tangent(dc[0], v0, tols, end_u[0])
     vecs = _fold(mats) @ v0
     coarse_mats = _step_matrices(patch, curve, max(steps // 2, 1), tols)[0]
@@ -283,13 +273,10 @@ def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector,
     dots = np.linalg.norm(np.einsum("bam,bm->ba", dc, vecs), axis=1)
     tangency_drift = float((dots / (1.0 + norms)).max())
     return TransportResult(
-        params=end_u,
-        positions=end_x,
         vectors=vecs,
         norm_drift=norm_drift,
         tangency_drift=tangency_drift,
         step_error=step_error,
-        steps=int(mats.shape[0]),
     )
 
 
@@ -307,7 +294,7 @@ class HolonomyResult:
     label: str
 
 
-def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int = DEFAULT_STEPS,
+def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int,
                   tols: Tolerances = DEFAULT_TOLS) -> list:
     """Full transport around each of a sequence of loops: one
     HolonomyResult per loop, in order.
@@ -616,10 +603,7 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
     stays normal to the patch exactly when the patch is totally geodesic."""
     box = patch.domain
     base = 0.5 * (np.asarray(box.lo, float) + np.asarray(box.hi, float))
-    fb = frames_at(patch, base[None, :], tols=tols)
-    pre = []
-    if fb.k == 0:
-        pre.append(Precondition("normal-directions", ok=False, value=0.0, threshold=1.0))
+    if patch.codim == 0:
         return build_report(
             "parallel-normal-frame-tgs", patch.name, hypotheses=(
                 ResidualEntry("transported-frame-tangential-part", 0.0,
@@ -629,15 +613,17 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
                 ResidualEntry("second-form-residual", 0.0, tols.tgs_tol,
                               tols.ntgs_floor),
             ),
-            preconditions=pre,
+            preconditions=[Precondition("normal-directions", ok=False, value=0.0,
+                                        threshold=1.0)],
             details={"base_point": [float(v) for v in base]},
         )
+    normals = frames_at(patch, base[None, :], order=1, tols=tols).normal[0]
     grid = box.grid(resolution)
     frames = frames_at(patch, grid, order=2, tols=tols)
     worst_overlap = 0.0
     worst_point = tuple(base)
-    for a in range(fb.k):
-        fld = TransportField(patch, base, fb.normal[0, :, a], tols=tols)
+    for normal in normals.T:
+        fld = TransportField(patch, base, normal, tols=tols)
         yv = fld.values(grid)
         overlap = np.linalg.norm(
             np.einsum("bmi,bm->bi", frames.tangent, yv), axis=1
@@ -743,8 +729,8 @@ def track_defects(frames, speeds, h: float):
     return tan_res.max(axis=0), amb_res.max(axis=0)
 
 
-def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float = 1.0,
-                    steps: int = DEFAULT_STEPS, tols: Tolerances = DEFAULT_TOLS):
+def geodesic_traces(patch: SubmanifoldPatch, starts, velocities, t1: float, steps: int,
+                    tols: Tolerances = DEFAULT_TOLS):
     """Integrate several patch geodesics at once; returns one result each.
 
     The residuals are independent of the integrator: the recorded track

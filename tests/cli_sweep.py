@@ -6,10 +6,13 @@
 The first form runs every command in-process on the checkout this file
 sits in (its `src/` goes first on the import path; copy the file into
 another checkout to sweep that one) and writes, per command, the exit
-code, the sha256 of stdout and stderr.  A JSON report is hashed with its
-`timings` object dropped, so two runs of the same code give the same
-file.  The second form prints the commands whose records differ and
-exits 1 when any do.
+code, stderr, the sha256 of stdout and stdout itself: a JSON report as
+data, with its `timings` object dropped (the digest is taken without it
+too), so two runs of the same code give the same file; other output as
+text.  The second form prints the commands whose exit code, stderr or
+digest differ, and under each what moved: every differing leaf of a
+JSON report as `path: A -> B`, else the first differing line of stdout.
+It exits 1 when any command differs.
 
 The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
 (JSON and CSV) on every bundled scene, each at the default grid and at
@@ -45,15 +48,18 @@ def commands() -> list:
     return out
 
 
-def _stdout_digest(text: str) -> str:
+def _stdout_record(text: str) -> dict:
     try:
         report = json.loads(text)
     except ValueError:
         report = None
-    if isinstance(report, dict) and "timings" in report:
-        del report["timings"]
-        text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    record = {"stdout": text}
+    if isinstance(report, dict):
+        record = {"report": report}
+        if "timings" in report:
+            del report["timings"]
+            text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return {"stdout_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(), **record}
 
 
 def run_one(argv: list) -> dict:
@@ -63,8 +69,7 @@ def run_one(argv: list) -> dict:
             code = cli.run(argv)
         except Exception as exc:  # an escaped exception is a result too
             code = f"raised {type(exc).__name__}: {exc}"
-    return {"exit": code, "stdout_sha256": _stdout_digest(out.getvalue()),
-            "stderr": err.getvalue()}
+    return {"exit": code, "stderr": err.getvalue(), **_stdout_record(out.getvalue())}
 
 
 def sweep(path: str) -> int:
@@ -76,16 +81,63 @@ def sweep(path: str) -> int:
     return 0
 
 
+_ABSENT = "<absent>"
+
+
+def _leaves(value, path=""):
+    """(path, JSON text) of every leaf of a JSON value, in document order;
+    an empty object or list is a leaf."""
+    if isinstance(value, dict) and value:
+        for k, v in value.items():
+            yield from _leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, json.dumps(value, sort_keys=True)
+
+
+def _moves(ra: dict, rb: dict):
+    """Lines saying what differs between two records of one command."""
+    for field in ("exit", "stderr"):
+        if ra.get(field) != rb.get(field):
+            yield f"{field}: {ra.get(field)!r} -> {rb.get(field)!r}"
+    if ra.get("stdout_sha256") == rb.get("stdout_sha256"):
+        return
+    if "report" in ra and "report" in rb:
+        la, lb = dict(_leaves(ra["report"])), dict(_leaves(rb["report"]))
+        for path in list(la) + [p for p in lb if p not in la]:
+            if la.get(path, _ABSENT) != lb.get(path, _ABSENT):
+                yield f"{path or '.'}: {la.get(path, _ABSENT)} -> {lb.get(path, _ABSENT)}"
+        return
+    lines_a = ra.get("stdout", json.dumps(ra.get("report"))).splitlines()
+    lines_b = rb.get("stdout", json.dumps(rb.get("report"))).splitlines()
+    for i in range(max(len(lines_a), len(lines_b))):
+        la = lines_a[i] if i < len(lines_a) else _ABSENT
+        lb = lines_b[i] if i < len(lines_b) else _ABSENT
+        if la != lb:
+            yield f"stdout line {i + 1}: {la} -> {lb}"
+            return
+
+
+def _key(record):
+    return None if record is None else tuple(record.get(f) for f in
+                                             ("exit", "stderr", "stdout_sha256"))
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    differ = sorted(k for k in a.keys() | b.keys() if _key(a.get(k)) != _key(b.get(k)))
     for key in differ:
         print(key)
-        print(f"  A: {a.get(key)}")
-        print(f"  B: {b.get(key)}")
+        if key not in a or key not in b:
+            print(f"  only in {'B' if key in b else 'A'}")
+            continue
+        for line in _moves(a[key], b[key]):
+            print(f"  {line}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} commands differ")
     return 1 if differ else 0
 

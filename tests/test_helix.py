@@ -96,8 +96,8 @@ def test_splitting_pythagoras_on_corpus():
 
 
 def test_helix_verdict_invariant_under_field_rescaling():
-    big = ConstantField([0.0, 0.0, 1.0]).scaled(1e6)
-    small = ConstantField([0.0, 0.0, 1.0]).scaled(1e-6)
+    big = ConstantField([0.0, 0.0, 1e6])
+    small = ConstantField([0.0, 0.0, 1e-6])
     for field in (big, small):
         rep = helix_constancy_report(shapes.cone(), field)
         assert rep.is_helix
@@ -402,6 +402,17 @@ def test_alignment_needs_transverse_field():
     assert report.verdict == "hypotheses-not-met"
     gate = {p.label: p.ok for p in report.preconditions}
     assert gate["field-transverse"] is False
+
+
+@pytest.mark.parametrize("resolution", [8, 64])
+def test_alignment_tests_transversality_at_the_fan_start(resolution):
+    # an even grid on the sphere skips the equator, where e3 is tangent;
+    # the fan starts there, at the domain midpoint
+    report = geodesic_alignment_check(shapes.sphere(), E3, resolution)
+    assert report.verdict == "hypotheses-not-met"
+    gate = {p.label: p for p in report.preconditions}
+    assert gate["field-transverse"].ok is False
+    assert gate["field-transverse"].value < 1e-12
 
 
 # -- sweeps ------------------------------------------------------------------------

@@ -193,6 +193,26 @@ def test_scaled_field():
     np.testing.assert_allclose(y, [[0.0, 0.0, 2.5]])
 
 
+@pytest.mark.parametrize("scale, factor", [("-0.7", -0.7), ("pi/3", math.pi / 3)])
+def test_scale_multiplies_values_and_jacobian_bit_for_bit(scale, factor):
+    pts = np.array([[0.0, 0.0], [0.25, -0.5], [-1.0, 0.75], [0.9, 1.0]])
+
+    def field(kind):
+        plain = MINIMAL.replace("constant = 0, 0, 1", kind)
+        scaled = plain.replace(kind, f"{kind}\n  scale = {scale}")
+        return parse_scene(plain).fields["plane"], parse_scene(scaled).fields["plane"]
+
+    # every output depends on the parameters, so every Jacobian entry,
+    # zeros included, is the factor times the unscaled entry
+    plain, scaled = field("expression = (-v, u * v, sin(u) + v^2)\n  params = u, v")
+    assert scaled.values(pts).tobytes() == (factor * plain.values(pts)).tobytes()
+    assert (scaled.param_jacobian(pts).tobytes()
+            == (factor * plain.param_jacobian(pts)).tobytes())
+    plain, scaled = field("constant = 0.5, -2, 1")
+    assert scaled.values(pts).tobytes() == (factor * plain.values(pts)).tobytes()
+    assert not scaled.param_jacobian(pts).any()
+
+
 def test_expression_field():
     text = MINIMAL.replace(
         "constant = 0, 0, 1",

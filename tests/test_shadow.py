@@ -8,7 +8,7 @@ import pytest
 from shadowgeom import geometry, shadow
 from shadowgeom.cli import SCENES_DIR, _root_setup, find_scene
 from shadowgeom.expr import parse_chart
-from shadowgeom.fields import ConstantField, ExprField
+from shadowgeom.fields import BlockField, ConstantField, ExprField
 from shadowgeom.geometry import (
     AmbientSpace,
     Box,
@@ -17,16 +17,15 @@ from shadowgeom.geometry import (
     OffAmbientError,
     SubmanifoldPatch,
     frames_at,
+    normal_component,
     validate_patch,
 )
 from shadowgeom.scene import load_scene
 from shadowgeom.shadow import (
     extract_shadow_set,
-    product_field,
     product_patch,
     product_shadow_check,
     shadow_system,
-    shadow_values,
     smoothness_certificate,
 )
 from shadowgeom.tolerances import DEFAULT_TOLS
@@ -39,21 +38,27 @@ E2 = ConstantField([0.0, 1.0, 0.0])
 E3 = ConstantField([0.0, 0.0, 1.0])
 
 
+def _det_f(patch, field, points, tols=DEFAULT_TOLS):
+    """F = <Y, xi> of a patch with one normal by the edge route's
+    determinant form, (B,)."""
+    return normal_component(patch, points, field.values, tols)
+
+
 # -- residual values -----------------------------------------------------------
 
 
 def test_sphere_residual_is_cos_theta():
     sp = shapes.sphere()
     pts = sp.domain.grid(9)
-    f = shadow_values(sp, E3, pts)
-    assert f.shape == (81, 1)
+    f = _det_f(sp, E3, pts)
+    assert f.shape == (81,)
     # single normal is +-(position vector), so |F| = |cos theta|
-    np.testing.assert_allclose(np.abs(f[:, 0]), np.abs(np.cos(pts[:, 0])), atol=1e-12)
+    np.testing.assert_allclose(np.abs(f), np.abs(np.cos(pts[:, 0])), atol=1e-12)
 
 
 def test_cylinder_axis_field_residual_vanishes():
     cy = shapes.cylinder()
-    f = shadow_values(cy, E3, cy.domain.grid(8))
+    f = _det_f(cy, E3, cy.domain.grid(8))
     np.testing.assert_allclose(f, 0.0, atol=1e-14)
 
 
@@ -372,7 +377,7 @@ def test_block_field_jacobian_consistency():
     c = shapes.circle2()
     y = ConstantField([0.0, 1.0])
     pp = product_patch(c, shapes.circle2())
-    pf = product_field(y, y, c)
+    pf = BlockField(y, y, c.n, c.m)
     pts = np.array([[0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]])
     diff, _ = shadow_jacobian_consistency(pp, pf, pts)
     assert diff < 1e-6
@@ -419,13 +424,13 @@ def _newton_full_batch(patch, field, grid, res, tols):
 
 def _product_spheres():
     sp = shapes.sphere()
-    return product_patch(sp, sp), product_field(E3, E3, sp), 12
+    return product_patch(sp, sp), BlockField(E3, E3, sp.n, sp.m), 12
 
 
 def _product_circles(resolution=24):
     c = shapes.circle2()
     y = ConstantField([0.0, 1.0])
-    return product_patch(c, c), product_field(y, y, c), resolution
+    return product_patch(c, c), BlockField(y, y, c.n, c.m), resolution
 
 
 def _grid_newton(patch, field, res):
@@ -689,7 +694,7 @@ def _merge_roots(box, roots, keys, radius):
 
 def _bisect_from(patch, field, a_pts, b_pts):
     """`_bisect` with the start signs evaluated afresh."""
-    f = shadow_values(patch, field, a_pts, DEFAULT_TOLS)[:, 0]
+    f = _det_f(patch, field, a_pts)
     return shadow._bisect(patch, field, a_pts, b_pts, np.where(f < 0.0, -1.0, 1.0),
                           DEFAULT_TOLS)
 
@@ -956,7 +961,7 @@ def test_coarse_grid_shadow_points_are_zeros(scene, name):
     for resolution in range(2, 9):
         s = extract_shadow_set(patch, field, resolution, tols)
         if s.n_points:
-            f = shadow_values(patch, field, s.params, tols)
+            f = _det_f(patch, field, s.params, tols)
             assert np.abs(f).max() <= tols.extract_tol, resolution
 
 
@@ -993,7 +998,7 @@ DET_SUBJECTS = list(_det_subjects())
                          ids=[s.name for s, _, _ in DET_SUBJECTS])
 def test_determinant_f_matches_frame_f(scene, patch, field, resolution):
     grid = patch.domain.grid(resolution)
-    f = shadow_values(patch, field, grid, scene.tols)[:, 0]
+    f = _det_f(patch, field, grid, scene.tols)
     y = field.values(grid)
     normal = frames_at(patch, grid, order=1, tols=scene.tols).normal[:, :, 0]
     frame_f = np.einsum("bm,bm->b", normal, y)
@@ -1017,8 +1022,8 @@ def test_determinant_f_is_scale_free(scale):
                                            (False, True)), AmbientSpace(3))
     grid = sphere(1.0).domain.grid(16)
     field = ConstantField([0.3, -0.4, 1.0])
-    want = shadow_values(sphere(1.0), field, grid)
-    assert shadow_values(sphere(scale), field, grid).tobytes() == want.tobytes()
+    want = _det_f(sphere(1.0), field, grid)
+    assert _det_f(sphere(scale), field, grid).tobytes() == want.tobytes()
 
 
 def _equator_in_s2():
@@ -1087,7 +1092,7 @@ def test_shadow_values_raises_what_frames_at_raises(chart, params, ambient, poin
     assert patch.codim == 1
     field = ConstantField([0.0] * (dim - 1) + [1.0])
     pts = np.array(points)
-    got = _gate_error(lambda: shadow_values(patch, field, pts))
+    got = _gate_error(lambda: _det_f(patch, field, pts))
     assert got == _gate_error(lambda: frames_at(patch, pts, order=1))
     assert got[0] in (ChartRankError, OffAmbientError)
 
@@ -1101,14 +1106,14 @@ def test_vanishing_constraint_gradient_raises():
                              Box((0.0,), (2 * np.pi,), (True,)), amb)
     with pytest.raises(ChartRankError, match=r"^constraint Jacobian is rank-deficient "
                        r"\(singular value ratio 0\.000e\+00\) at parameters \(0\.5,\)$"):
-        shadow_values(patch, E3, [(0.5,), (1.0,)])
+        _det_f(patch, E3, [(0.5,), (1.0,)])
 
 
 def test_shadow_values_needs_one_normal():
     # frame F with two or more normals comes only from shadow_system
     patch, field, _ = _product_spheres()
     with pytest.raises(ValueError, match="needs one normal, patch has 2"):
-        shadow_values(patch, field, patch.domain.grid(2))
+        _det_f(patch, field, patch.domain.grid(2))
 
 
 # -- streaming in row slices -------------------------------------------------------
