@@ -48,6 +48,7 @@ from .scene import Scene, SceneError, load_scene
 from .shadow import extract_shadow_set, product_patch, product_shadow_check
 from .tolerances import Tolerances
 from .transport import (
+    HOLONOMY_STEPS,
     TransportField,
     construct_parallel_field,
     holonomy_loop,
@@ -298,7 +299,7 @@ def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) ->
     patch, _ = _root_setup(scene, tols)
     loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=args.seed)
     per = [{"label": hol.label, "deviation": hol.deviation, "rotation": hol.rotation}
-           for hol in holonomy_loop(patch, loops, steps=1024, tols=tols)]
+           for hol in holonomy_loop(patch, loops, steps=HOLONOMY_STEPS, tols=tols)]
     # n_random=8 gives at least 8 loops; the first maximum is the worst
     worst = max(per, key=lambda entry: entry["deviation"])
     results = {

@@ -45,21 +45,25 @@ ambient positions and their rank.  A degenerate set, the grid itself,
 reports residuals from `shadow_system` too, streamed over the grid, so
 every reported F is read off a frame.
 
-Every evaluation over the whole grid, and every Newton iteration, streams
-its points through `_stream_rows` in slices of `_slice_rows` rows and
-keeps per row only what the next step reads: max|F|, and F (B, 1) on the
-edge route or the Gauss-Newton step (B, n) on the Newton route.  The step
-is taken inside the slice, so J exists for one slice at a time, and the
-chart points x are kept by no scan (a degenerate set evaluates its grid's
-chart values).  A slice's frames are freed before the next slice is
-built, so memory follows the grid's point count and not the size of its
-frames: traced peaks grow by about 55 bytes a grid row on the edge route
-(torus_e3, grids 128 to 1024) and 300 on the Newton route
-(product_spheres, grids 12 to 20).  Every numpy kernel on this path,
-`pinv` included, works row by row or matrix by matrix, so neither the
-slicing nor the merging of met seeds changes a bit of any result; when
-rows in two slices are faulty, the fault of the earlier slice is raised,
-and a merged seed's leader is the earlier row, so the same one.
+Every evaluation over the whole grid, and every Newton iteration, runs
+its points through one slicing loop, `_evaluate_slices`, `_slice_rows`
+rows at a time.  The grid scan (`_stream_rows`) keeps per row only what
+the next step reads: max|F|, and F (B, 1) on the edge route or the
+Gauss-Newton step (B, n) on the Newton route, so J exists for one slice
+at a time.  Newton takes each later step inside the slice that evaluated
+it, so per seed it keeps only u, its residual, its box membership, its
+leader and the active index; the gathered rows, the step and the moved
+point live for one slice.  The chart points x are kept by no scan (a
+degenerate set evaluates its grid's chart values).  A slice's frames are
+freed before the next slice is built, so memory follows the grid's point
+count and not the size of its frames: traced peaks grow by about 55
+bytes a grid row on the edge route (torus_e3, grids 128 to 1024) and 210
+on the Newton route (product_spheres, grids 12 to 20).  Every numpy
+kernel on this path, `pinv`, the step's clamp, the wrap and the box test
+included, works row by row or matrix by matrix, so neither the slicing
+nor the merging of met seeds changes a bit of any result; when rows in
+two slices are faulty, the fault of the earlier slice is raised, and a
+merged seed's leader is the earlier row, so the same one.
 """
 
 from __future__ import annotations
@@ -131,37 +135,52 @@ def _slice_rows(patch, order):
     return max(1, min(_CHUNK_ROWS, _SLICE_BYTES // row_bytes))
 
 
-def _stream_rows(patch, field, points, tols, order):
-    """max|F| per row (B,), then F (B, k) at order 1 or, at order 2, the
-    Gauss-Newton step -pinv(J) F (B, n) of every row whose max|F| exceeds
-    extract_tol (zero on the others), evaluated `_slice_rows` rows at a time.
+def _spans(total, size):
+    """Consecutive slices of at most `size` rows over `total` rows: the one
+    slicing loop of the grid scan and of Newton."""
+    return (slice(start, start + size) for start in range(0, total, size))
+
+
+def _evaluate_slices(patch, field, points, tols, order, index=None):
+    """Per slice of `_slice_rows` rows of `points`, or of `points[index]`:
+    (rows, max|F| (b,), tail), where rows is the slice, or the slice of
+    `index`, that selects them.  tail is F (b, k) at order 1 or, at order
+    2, the Gauss-Newton step -pinv(J) F (b, n) of every row whose max|F|
+    exceeds extract_tol (zero on the others).
 
     Order 1, for patches with one normal, goes through
     `geometry.normal_component` (the determinant form, which builds no
-    frame), order 2 through `shadow_system`.
-    J lives only inside its slice; `pinv` and the step's einsum work
-    matrix by matrix, so a row's step does not depend on its slice.
+    frame), order 2 through `shadow_system`.  Only the slice's own rows
+    are gathered, and J lives only inside its slice; `pinv` and the step's
+    einsum work matrix by matrix, so a row's step does not depend on its
+    slice.
     """
-    size = _slice_rows(patch, order)
-    out = None
-    for start in range(0, points.shape[0], size):
-        rows = points[start:start + size]
+    total = points.shape[0] if index is None else index.size
+    for span in _spans(total, _slice_rows(patch, order)):
+        rows = span if index is None else index[span]
+        pts = points[rows]
         if order == 2:
-            f, jac = shadow_system(patch, field, rows, tols)[:2]  # frames freed here
+            f, jac = shadow_system(patch, field, pts, tols)[:2]  # frames freed here
             mag = np.max(np.abs(f), axis=1)
             move = mag > tols.extract_tol
-            tail = np.zeros((rows.shape[0], patch.n))
+            tail = np.zeros((pts.shape[0], patch.n))
             pinv = np.linalg.pinv(jac[move], rcond=1e-10)
             tail[move] = -np.einsum("bnk,bk->bn", pinv, f[move])
         else:
-            tail = normal_component(patch, rows, field.values, tols)[:, None]
+            tail = normal_component(patch, pts, field.values, tols)[:, None]
             mag = np.max(np.abs(tail), axis=1)
-        parts = (mag, tail)
-        if out is None:
-            out = tuple(np.empty((points.shape[0],) + p.shape[1:]) for p in parts)
-        for o, p in zip(out, parts):
-            o[start:start + rows.shape[0]] = p
-    return out
+        yield rows, mag, tail
+
+
+def _stream_rows(patch, field, points, tols, order):
+    """max|F| per row (B,) and the tail (B, k) or (B, n) of
+    `_evaluate_slices`, stacked over all of `points`."""
+    mag, tail = np.empty(points.shape[0]), None
+    for rows, m, t in _evaluate_slices(patch, field, points, tols, order):
+        if tail is None:
+            tail = np.empty((points.shape[0], t.shape[1]))
+        mag[rows], tail[rows] = m, t
+    return mag, tail
 
 
 # -- extraction --------------------------------------------------------------
@@ -444,10 +463,10 @@ def _merge_met(u, active, leader):
     """`active` (ascending) less every row whose `u` equals, bit for bit,
     that of an active row with a lower index; `leader` maps each dropped
     row to the lowest of them.  One stable lexsort over the rows' bits
-    puts equal rows next to each other, lowest index first."""
-    bits = u[active].view(np.int64)
-    order = np.lexsort(bits.T)
-    bits = bits[order]
+    puts equal rows next to each other, lowest index first; the rows are
+    gathered again in that order, so one copy of them is alive at a time."""
+    order = np.lexsort(u[active].view(np.int64).T)
+    bits = u[active[order]].view(np.int64)
     met = np.zeros(order.size, dtype=bool)
     met[1:] = np.all(bits[1:] == bits[:-1], axis=1)
     if not met.any():
@@ -462,9 +481,16 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     seeds).
 
     `mag` and `step` are max|F| and the Gauss-Newton step of the grid
-    scan, so the first step evaluates nothing.  Each later pass streams
-    its rows through `_stream_rows`, so no pass holds more than one slice
-    of frames or Jacobians.
+    scan, so the first step evaluates nothing.  Each later pass evaluates
+    its rows through `_evaluate_slices`, so no pass holds more than one
+    slice of frames or Jacobians.
+
+    Per seed the loop keeps only `u`, its residual, its box membership,
+    its leader and the active index.  Each step is taken inside the slice
+    that evaluated it (in the first pass, inside the same slices of the
+    scan's arrays), so the gathered rows, max|F|, the step, its clamp, the
+    wrap, the box test and the moved flags live for one slice at a time;
+    each of them reads only its own row, so the slicing moves no bit.
 
     Only the active rows, those whose coordinates changed bit for bit in
     the previous iteration and are still inside the padded box, are
@@ -473,51 +499,55 @@ def _extract_newton(patch, field, grid, res, tols, mag, step):
     singular, or one below an ulp), so it keeps the residual of its last
     evaluation instead.  Rows whose `u` is equal bit for bit after a step
     get the same F and step from then on, so only the lowest of them stays
-    active (`_merge_met`); at the end each of the others copies the final
-    `u`, residual and box membership of that leader.  The loop makes
-    `_NEWTON_ITERS` steps and one pass more, which evaluates the rows
-    still active and takes no step, so every carried residual is that of
-    the row's final `u`.  The residuals only decide which rows are kept;
-    the reported ones come from the certificate.
+    active (`_merge_met`, once a pass over the whole active set); at the
+    end each of the others takes the final `u`, residual and box
+    membership of that leader.  The loop makes `_NEWTON_ITERS` steps and
+    one pass more, which evaluates the rows still active and takes no
+    step, so every carried residual is that of the row's final `u`.  The
+    residuals only decide which rows are kept; the reported ones come from
+    the certificate.
     """
     box = patch.domain
     cell = np.array(box.cell_sizes(res))
     diag = float(np.linalg.norm(cell))
+    pad = float(cell.max())
     u = grid.copy()
     alive = np.ones(u.shape[0], dtype=bool)
     resid = np.empty(u.shape[0])
     active = np.arange(u.shape[0])
     leader = active.copy()
+    passes = ((active[s], mag[s], step[s])
+              for s in _spans(active.size, _slice_rows(patch, 2)))
     for it in range(_NEWTON_ITERS + 1):
         if it:
-            mag, step = _stream_rows(patch, field, u[active], tols, order=2)
-        resid[active] = mag
-        move = mag > tols.extract_tol
-        active = active[move]
-        if it == _NEWTON_ITERS or not active.size:
+            passes = _evaluate_slices(patch, field, u, tols, 2, active)
+        kept = []
+        for rows, row_mag, row_step in passes:
+            resid[rows] = row_mag
+            move = row_mag > tols.extract_tol
+            if it == _NEWTON_ITERS:
+                continue  # the last pass only records residuals
+            rows, row_step = rows[move], row_step[move]
+            norms = np.linalg.norm(row_step, axis=1)
+            row_step *= np.minimum(1.0, diag / np.maximum(norms, 1e-300))[:, None]
+            old = u[rows]
+            new = box.wrap(old + row_step)
+            u[rows] = new
+            inside = box.contains(new, pad=pad)
+            alive[rows] = inside
+            moved = np.any(new.view(np.int64) != old.view(np.int64), axis=1)
+            kept.append(rows[moved & inside])
+        if it == _NEWTON_ITERS:
             break
-        step = step[move]
-        norms = np.linalg.norm(step, axis=1)
-        step *= np.minimum(1.0, diag / np.maximum(norms, 1e-300))[:, None]
-        old = u[active]
-        new = box.wrap(old + step)
-        u[active] = new
-        inside = box.contains(new, pad=float(cell.max()))
-        alive[active] = inside
-        moved = np.any(new.view(np.int64) != old.view(np.int64), axis=1)
-        active = _merge_met(u, active[moved & inside], leader)
+        active = _merge_met(u, np.concatenate(kept), leader)
         if not active.size:
             break
     # a leader may itself have met a row of a lower index later on
     while not np.array_equal(leader[leader], leader):
         leader = leader[leader]
-    u, resid, alive = u[leader], resid[leader], alive[leader]
-    if not bool(alive.any()):
-        return np.zeros((0, box.n)), int(u.shape[0])
-    u, resid = u[alive], resid[alive]
-    good = (resid <= tols.extract_tol) & box.contains(u, pad=1e-9)
-    dropped = int(grid.shape[0] - np.count_nonzero(good))
-    return _dedup(box, u[good], 0.5 * diag), dropped
+    u = u[leader[alive[leader] & (resid[leader] <= tols.extract_tol)]]
+    u = u[box.contains(u, pad=1e-9)]
+    return _dedup(box, u, 0.5 * diag), int(grid.shape[0] - u.shape[0])
 
 
 def _cell_centres(box: Box, grid, res):

@@ -24,12 +24,16 @@ constraint once: stage points pass the one on-ambient rule,
 projectors.  The builder hands those rows on, so the seed tangency
 check, the tangency drift and the holonomy base basis read them instead
 of evaluating the constraint again.  One fold, `_fold`, turns step
-matrices into the running products that curves, holonomy loops and
-transported fields read; transported fields build a line's station
-matrices in one builder call.  `holonomy_loop` is batch-first: it takes
-all probe loops of a command, builds them one builder call each, and
-folds loops that share a step count together, one batched `_fold` per
-group of at most `_GROUP_BYTES` of step matrices.
+matrices into running products by one sequential matmul a step.  Curves
+and transported fields read every product; holonomy loops and the coarse
+run of `parallel_transport` read only the last, so for them the fold
+writes the products into two buffers in turn, with the same matmul calls
+in the same order, and holds two products rather than S + 1.
+Transported fields build a line's station matrices in one builder call.
+`holonomy_loop` is batch-first: it takes all probe loops of a command,
+builds them one builder call each, and folds loops that share a step
+count together, one batched `_fold` per group of at most `_GROUP_BYTES`
+of step matrices.
 Patch geodesics here and the integral curves of tan(Y) in `helix` come
 from one nonlinear RK4 integrator, `rk4_tracks`, which raises
 DomainExitError when a track crosses a wall of the chart domain.  Each
@@ -63,6 +67,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "OBSTRUCTION_CLEAR_NOTE",
+    "HOLONOMY_STEPS",
     "ParamCurve",
     "TransportResult",
     "parallel_transport",
@@ -85,8 +90,10 @@ __all__ = [
 _STATIONS = 1024
 _REACH = _STATIONS + 2
 # stacked step matrices of one holonomy fold group stay within this many
-# bytes; the fold's running products take as many again
+# bytes; the fold keeps two running products a loop besides
 _GROUP_BYTES = 1 << 21
+# RK4 steps around each probe loop of `transport` and `parallel-field`
+HOLONOMY_STEPS = 1024
 OBSTRUCTION_CLEAR_NOTE = "no obstruction found at probe resolution"
 
 
@@ -224,15 +231,22 @@ def _step_matrices(patch: SubmanifoldPatch, curve: ParamCurve, steps: int,
     return proj @ mats, end_u, end_x, end_dc
 
 
-def _fold(mats):
+def _fold(mats, every=True):
     """Running products of step matrices (..., S, m, m): (..., S+1, m, m)
-    with P_0 = I and P_s = M_{s-1} ... M_0, one sequential matmul a step."""
+    with P_0 = I and P_s = M_{s-1} ... M_0, one sequential matmul a step.
+
+    With every=False only P_S (..., m, m) is returned: the products are
+    written into two buffers in turn, by the same matmul calls in the same
+    order, so P_S is the same bit for bit.
+    """
     steps = np.moveaxis(mats, -3, 0)
-    out = np.empty((steps.shape[0] + 1,) + steps.shape[1:])
+    out = np.empty((steps.shape[0] + 1 if every else 2,) + steps.shape[1:])
     out[0] = np.eye(mats.shape[-1])
     matmul = np.matmul  # per-step call overhead, not the small product, sets the cost
-    for step, prev, nxt in zip(steps, out, out[1:]):
-        matmul(step, prev, nxt)  # writes out[s + 1]
+    for s, step in enumerate(steps):
+        matmul(step, out[s % len(out)], out[(s + 1) % len(out)])  # P_{s+1}
+    if not every:
+        return out[steps.shape[0] % 2]
     return np.moveaxis(out, 0, -3)
 
 
@@ -266,7 +280,7 @@ def parallel_transport(patch: SubmanifoldPatch, curve: ParamCurve, vector, steps
     _check_seed_tangent(dc[0], v0, tols, end_u[0])
     vecs = _fold(mats) @ v0
     coarse_mats = _step_matrices(patch, curve, max(steps // 2, 1), tols)[0]
-    v_coarse = _fold(coarse_mats)[-1] @ v0
+    v_coarse = _fold(coarse_mats, every=False) @ v0
     step_error = float(np.linalg.norm(vecs[-1] - v_coarse) / 15.0)
     norms = np.linalg.norm(vecs, axis=1)
     norm_drift = float(np.abs(norms - norms[0]).max())
@@ -334,8 +348,7 @@ def holonomy_loop(patch: SubmanifoldPatch, loops, steps: int,
         if len(heads) < len(stack):
             continue
         del pending[count]
-        # a copy, so results hold no step-sized buffer alive
-        for (j, basis0, label), total in zip(heads, _fold(stack)[:, -1].copy()):
+        for (j, basis0, label), total in zip(heads, _fold(stack, every=False)):
             hol = basis0.T @ total @ basis0
             d = hol.shape[0]
             rotation = None
@@ -544,10 +557,10 @@ def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=No
     Returns the transported field together with an obstruction report:
     each probe loop (dyadic cells at levels 1-3, 20 seeded random
     polygons, the periodic wraps) transports the field's value at the
-    loop base all the way around in 1024 steps, and the deviation from
-    returning unchanged is recorded.  A clean report certifies flatness
-    of the connection only at the probe resolution, which the note says
-    verbatim.
+    loop base all the way around in HOLONOMY_STEPS steps, and the
+    deviation from returning unchanged is recorded.  A clean report
+    certifies flatness of the connection only at the probe resolution,
+    which the note says verbatim.
     """
     box = patch.domain
     if base_point is None:
@@ -561,7 +574,7 @@ def construct_parallel_field(patch: SubmanifoldPatch, base_point=None, vector=No
     loops = probe_loops(patch, levels=(1, 2, 3), n_random=20, seed=seed)
     # batch the field values at all loop bases so line caches build once
     y_bases = fld.values(np.array([loop.start for loop in loops]))
-    hols = holonomy_loop(patch, loops, steps=1024, tols=tols)
+    hols = holonomy_loop(patch, loops, steps=HOLONOMY_STEPS, tols=tols)
     per = [{"label": hol.label,
             "deviation": float(np.linalg.norm(hol.ambient_matrix @ y0 - y0))}
            for hol, y0 in zip(hols, y_bases)]

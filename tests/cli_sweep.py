@@ -17,7 +17,10 @@ It exits 1 when any command differs.
 The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
 (JSON and CSV) on every bundled scene, each at the default grid and at
 `--grid 5`; `transport`, `parallel-field`, `tube` and `shadow --format
-obj` on every scene.  The file name keeps pytest from collecting it.
+obj` on every scene; and the benchmark's own commands: both grid-256
+`shadow` commands, the probe-loop commands at `--seed` 0, 1 and 99, and
+`verify product-shadow product_spheres --grid 16`, a Newton grid past the
+benchmark's.  The file name keeps pytest from collecting it.
 """
 
 import contextlib
@@ -45,6 +48,12 @@ def commands() -> list:
                     ["shadow", scene, "--format", "csv"] + g]
         out += [["transport", scene], ["parallel-field", scene], ["tube", scene],
                 ["shadow", scene, "--format", "obj"]]
+    out += [["shadow", "torus_e3", "--grid", "256"],
+            ["shadow", "sphere_e3", "--grid", "256", "--format", "json"],
+            ["verify", "product-shadow", "product_spheres", "--grid", "16"]]
+    for command, scene in (("transport", "latitude_p3"), ("parallel-field", "latitude_p3"),
+                           ("parallel-field", "equator_in_s2")):
+        out += [[command, scene, "--seed", seed] for seed in ("0", "1", "99")]
     return out
 
 

@@ -319,13 +319,22 @@ def test_holonomy_folds_once_per_group(monkeypatch):
     monkeypatch.setattr(transport, "_GROUP_BYTES", 3 * one_loop + 1)
     sizes = []
 
-    def spy(mats):
+    def spy(mats, every=True):
         sizes.append(mats.shape[:-3])
-        return _fold(mats)
+        return _fold(mats, every)
 
     monkeypatch.setattr(transport, "_fold", spy)
     _assert_batch_matches_loops(patch, loops, 64)
     assert sizes == [(3,)] * 6 + [(2,)]
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 3), (2, 3, 3), (7, 3, 3), (4, 5, 2, 2)])
+def test_fold_of_the_last_product_matches_the_full_fold(shape):
+    # the two-buffer fold makes the full fold's matmul calls in its order
+    mats = np.random.default_rng(3).standard_normal(shape)
+    last = _fold(mats, every=False)
+    assert last.shape == shape[:-3] + shape[-2:]
+    assert last.tobytes() == _fold(mats)[..., -1, :, :].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
