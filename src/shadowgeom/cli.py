@@ -27,6 +27,7 @@ from .fields import BlockField, ConstantField
 from .geometry import GeometryError, validate_patch
 from .helix import (
     _classify,
+    _hypersurface_preconditions,
     classify_hypersurface_helix,
     geodesic_alignment_check,
     helix_constancy_report,
@@ -288,7 +289,8 @@ def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int
             "max_abs": float(np.abs(gk[i])),
             "argmax": [float(v) for v in constancy.points[i]],
         }
-        classification = _classify(patch, field, constancy, tols)
+        pre = _hypersurface_preconditions(patch, field, constancy.resolution, tols)
+        classification = _classify(patch, field, constancy, pre, tols)
         results["classification"] = classification
         verdicts.append(classification.verdict)
     _emit(canonical_json(_run_report(scene, path, "helix", results, t0)), args.out)

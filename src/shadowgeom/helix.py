@@ -140,6 +140,14 @@ class HelixReport:
         }
 
 
+def _check_helix_resolution(resolution):
+    """ValueError below 3 nodes on an axis: a symmetric 2-point axis
+    samples only mirror images, where a non-helix patch can show constant h."""
+    if np.min(resolution) < 3:
+        raise ValueError("the helix test needs a grid resolution of at least 3, "
+                         f"got {resolution!r}")
+
+
 def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
                            tols: Tolerances = DEFAULT_TOLS) -> HelixReport:
     """Grid test of the helix property; meaningful for parallel fields.
@@ -147,15 +155,11 @@ def helix_constancy_report(patch: SubmanifoldPatch, field, resolution: int = 32,
     Reports the deviation of h from its mean and, alongside, the
     deviation of |nor Y| and the drift of |Y| itself, since for a
     parallel field all three are constant together.  Each axis needs at
-    least 3 samples: a symmetric 2-point axis samples only mirror images,
-    on which a non-helix patch can show a constant h.  The report keeps
-    the grid frames, built at order 2 so that the second fundamental
-    form on the grid reads them too.
+    least 3 samples.  The report keeps the grid frames, built at order 2
+    so that the second fundamental form on the grid reads them too.
     """
+    _check_helix_resolution(resolution)
     grid = patch.domain.grid(resolution)
-    if np.min(resolution) < 3:
-        raise ValueError("the helix test needs a grid resolution of at least 3, "
-                         f"got {resolution!r}")
     frames = frames_at(patch, grid, order=2, tols=tols)
     h, nor, ynorm = _split_components(frames, field.values(grid))
     scale = float(ynorm.mean())
@@ -260,14 +264,19 @@ def classify_hypersurface_helix(patch: SubmanifoldPatch, field, resolution: int 
       transversal: integral curves of tan(Y) are geodesics of the patch
                    and, on top, geodesics of the ambient space.
     """
-    rep = helix_constancy_report(patch, field, resolution=resolution, tols=tols)
-    return _classify(patch, field, rep, tols)
+    _check_helix_resolution(resolution)
+    pre = _hypersurface_preconditions(patch, field, resolution, tols)
+    rep = (helix_constancy_report(patch, field, resolution=resolution, tols=tols)
+           if all(p.ok for p in pre) else None)
+    return _classify(patch, field, rep, pre, tols)
 
 
-def _classify(patch: SubmanifoldPatch, field, rep: HelixReport, tols: Tolerances):
-    """`classify_hypersurface_helix` from a helix report already built."""
+def _classify(patch: SubmanifoldPatch, field, rep, pre: list, tols: Tolerances):
+    """`classify_hypersurface_helix` from its cheap gates `pre` and, when
+    they hold, a helix report already built."""
+    if not all(p.ok for p in pre):
+        return build_report("hypersurface-helix-classification", patch.name, (), (), pre)
     guard = max(rep.scale, _TINY)
-    pre = _hypersurface_preconditions(patch, field, rep.resolution, tols)
     pre.append(Precondition("helix-certified", rep.is_helix, rep.h_deviation / guard,
                             tols.helix_tol))
     floor = tols.transversality_floor
@@ -379,28 +388,30 @@ def orthogonal_tgs_check(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     """Equivalence: L sits in the parent's shadow set for Y exactly when
     L is totally geodesic in the parent.
 
-    Needs Y parallel along the parent, orthogonal to L, and L curved
-    somewhere-free in the ambient space (a totally geodesic L makes the
+    Needs Y parallel along the parent, orthogonal to L, and L curved in
+    the ambient space at every sample (a totally geodesic L makes the
     equivalence degenerate, so it is gated out).  Both directions are
     residuals: membership max|F| against the second form of L in the
     parent; the verdict accepts them simultaneously small or large.
     """
+    par_rel, _ = parallelity_residual(parent, field, resolution=9, tols=tols)
+    pre = [
+        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
+                     float(parent.n - sub_domain.n), 1.0),
+        Precondition("field-parallel-on-parent", par_rel <= tols.tgs_tol,
+                     par_rel, tols.tgs_tol),
+    ]
+    if not all(p.ok for p in pre):
+        return build_report("orthogonal-tgs", f"{name} in {parent.name}", (), (), pre)
     pts, nested, frames_l, _, _, h, _, guard, mem = _nested_sample(
         parent, sub_chart, sub_domain, field, resolution, name, tols)
     tan_rel = float(h.max() / guard)
     _, orth = second_form_components(frames_l)
     curve_norms = np.sqrt(np.einsum("bija,bija->b", orth, orth))
     min_curv = float(curve_norms.min())
-    par_rel, _ = parallelity_residual(parent, field, resolution=9, tols=tols)
-
     ii_norms = _nested_ii_norms(nested)
     ii_max = float(ii_norms.max())
-
-    pre = [
-        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
-                     float(parent.n - sub_domain.n), 1.0),
-        Precondition("field-parallel-on-parent", par_rel <= tols.tgs_tol,
-                     par_rel, tols.tgs_tol),
+    pre += [
         Precondition("field-orthogonal-to-nested", tan_rel <= tols.helix_tol,
                      tan_rel, tols.helix_tol),
         Precondition("nested-curved-in-ambient", min_curv > tols.ntgs_floor,
@@ -472,6 +483,14 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     shadow set and Y transverse to L.  The two-stage decomposition of
     the second form is recomputed independently and gates the check.
     """
+    pre = [
+        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
+                     float(parent.n - sub_domain.n), 1.0),
+        Precondition("parent-codimension-one", parent.codim == 1,
+                     float(parent.codim), 1.0),
+    ]
+    if not all(p.ok for p in pre):
+        return build_report("minimality", f"{name} in {parent.name}", (), (), pre)
     pts, nested, frames_l, frames_m, y, _, nor, guard, mem = _nested_sample(
         parent, sub_chart, sub_domain, field, resolution, name, tols)
     trans_min = float((nor / guard).min())
@@ -479,12 +498,7 @@ def minimality_criterion(parent: SubmanifoldPatch, sub_chart, sub_domain: Box,
     h_vec = mean_curvature(frames_l)
     align = np.abs(np.einsum("bm,bm->b", h_vec, y)) / guard
     mean_in_parent = np.linalg.norm(nested.mean_in_parent, axis=1)
-
-    pre = [
-        Precondition("nested-codimension-one", parent.n - sub_domain.n == 1,
-                     float(parent.n - sub_domain.n), 1.0),
-        Precondition("parent-codimension-one", parent.codim == 1,
-                     float(parent.codim), 1.0),
+    pre += [
         Precondition("shadow-membership", mem <= tols.extract_tol, mem,
                      tols.extract_tol),
         Precondition("field-transverse-to-nested",
@@ -547,6 +561,8 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, resolution: int = 9
     pre = _hypersurface_preconditions(patch, field, resolution, tols)
     pre.append(Precondition("field-transverse", trans_min >= tols.transversality_floor,
                             trans_min, tols.transversality_floor))
+    if not all(p.ok for p in pre):
+        return build_report("geodesic-alignment", patch.name, (), (), pre)
 
     metric_c = frames.metric[-1]
     dirs = _fan_directions(frames.rinv[-1])

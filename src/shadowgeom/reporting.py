@@ -10,7 +10,9 @@ then combines the hypothesis side with the conclusion side:
     one zero, the other nonzero     -> counterexample-flag
     anything ambiguous              -> hypotheses-not-met
 
-Failed preconditions short-circuit to hypotheses-not-met.
+Failed preconditions short-circuit to hypotheses-not-met.  A failed cheap
+gate stops a check before its measuring stage: the report lists the
+gates, with empty `hypotheses`, `conclusions` and `details`.
 
 Reports serialize to canonical JSON: keys sorted, floats in shortest
 round-trip form, a float that is not finite as null, LF newlines,

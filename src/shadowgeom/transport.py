@@ -614,22 +614,11 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
                                     tols: Tolerances = DEFAULT_TOLS):
     """Equivalence check: the normal frame transported from a base point
     stays normal to the patch exactly when the patch is totally geodesic."""
+    if patch.codim == 0:
+        return build_report("parallel-normal-frame-tgs", patch.name, (), (),
+                            [Precondition("normal-directions", False, 0.0, 1.0)])
     box = patch.domain
     base = 0.5 * (np.asarray(box.lo, float) + np.asarray(box.hi, float))
-    if patch.codim == 0:
-        return build_report(
-            "parallel-normal-frame-tgs", patch.name, hypotheses=(
-                ResidualEntry("transported-frame-tangential-part", 0.0,
-                              tols.tgs_tol, tols.ntgs_floor),
-            ),
-            conclusions=(
-                ResidualEntry("second-form-residual", 0.0, tols.tgs_tol,
-                              tols.ntgs_floor),
-            ),
-            preconditions=[Precondition("normal-directions", ok=False, value=0.0,
-                                        threshold=1.0)],
-            details={"base_point": [float(v) for v in base]},
-        )
     normals = frames_at(patch, base[None, :], order=1, tols=tols).normal[0]
     grid = box.grid(resolution)
     frames = frames_at(patch, grid, order=2, tols=tols)
@@ -646,23 +635,14 @@ def parallel_normal_frame_tgs_check(patch: SubmanifoldPatch, resolution: int = 7
             worst_overlap = float(overlap[i])
             worst_point = tuple(grid[i])
     tgs_value, tgs_point = tgs_scan(frames)
-    return build_report(
-        "parallel-normal-frame-tgs",
-        patch.name,
-        hypotheses=(
-            ResidualEntry("transported-frame-tangential-part", worst_overlap,
-                          tols.tgs_tol, tols.ntgs_floor),
-        ),
-        conclusions=(
-            ResidualEntry("second-form-residual", tgs_value, tols.tgs_tol,
-                          tols.ntgs_floor),
-        ),
-        details={
-            "base_point": [float(v) for v in base],
-            "overlap_argmax": list(worst_point),
-            "second_form_argmax": list(tgs_point),
-        },
-    )
+    hyp = [ResidualEntry("transported-frame-tangential-part", worst_overlap,
+                         tols.tgs_tol, tols.ntgs_floor)]
+    concl = [ResidualEntry("second-form-residual", tgs_value, tols.tgs_tol,
+                           tols.ntgs_floor)]
+    details = {"base_point": [float(v) for v in base], "overlap_argmax": list(worst_point),
+               "second_form_argmax": list(tgs_point)}
+    return build_report("parallel-normal-frame-tgs", patch.name, hypotheses=hyp,
+                        conclusions=concl, details=details)
 
 
 # -- geodesics --------------------------------------------------------------------

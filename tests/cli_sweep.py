@@ -9,10 +9,11 @@ another checkout to sweep that one) and writes, per command, the exit
 code, stderr, the sha256 of stdout and stdout itself: a JSON report as
 data, with its `timings` object dropped (the digest is taken without it
 too), so two runs of the same code give the same file; other output as
-text.  The second form prints the commands whose exit code, stderr or
-digest differ, and under each what moved: every differing leaf of a
-JSON report as `path: A -> B`, else the first differing line of stdout.
-It exits 1 when any command differs.
+text.  The second form first prints the commands whose exit code or
+any `verdict` leaf moved, with those moves, then every command whose
+exit code, stderr or digest differ, and under each what moved: every
+differing leaf of a JSON report as `path: A -> B`, else the first
+differing line of stdout.  It exits 1 when any command differs.
 
 The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
 (JSON and CSV) on every bundled scene, each at the default grid and at
@@ -107,17 +108,19 @@ def _leaves(value, path=""):
 
 
 def _moves(ra: dict, rb: dict):
-    """Lines saying what differs between two records of one command."""
+    """(what, "A -> B") pairs saying what differs between two records of
+    one command; `what` is `exit`, `stderr`, a report leaf's path or a
+    stdout line."""
     for field in ("exit", "stderr"):
         if ra.get(field) != rb.get(field):
-            yield f"{field}: {ra.get(field)!r} -> {rb.get(field)!r}"
+            yield field, f"{ra.get(field)!r} -> {rb.get(field)!r}"
     if ra.get("stdout_sha256") == rb.get("stdout_sha256"):
         return
     if "report" in ra and "report" in rb:
         la, lb = dict(_leaves(ra["report"])), dict(_leaves(rb["report"]))
         for path in list(la) + [p for p in lb if p not in la]:
             if la.get(path, _ABSENT) != lb.get(path, _ABSENT):
-                yield f"{path or '.'}: {la.get(path, _ABSENT)} -> {lb.get(path, _ABSENT)}"
+                yield path or ".", f"{la.get(path, _ABSENT)} -> {lb.get(path, _ABSENT)}"
         return
     lines_a = ra.get("stdout", json.dumps(ra.get("report"))).splitlines()
     lines_b = rb.get("stdout", json.dumps(rb.get("report"))).splitlines()
@@ -125,8 +128,21 @@ def _moves(ra: dict, rb: dict):
         la = lines_a[i] if i < len(lines_a) else _ABSENT
         lb = lines_b[i] if i < len(lines_b) else _ABSENT
         if la != lb:
-            yield f"stdout line {i + 1}: {la} -> {lb}"
+            yield f"stdout line {i + 1}", f"{la} -> {lb}"
             return
+
+
+def _is_outcome(what: str) -> bool:
+    """Whether a move is of a command's outcome: its exit code, a verdict
+    leaf, or the command itself missing from one side."""
+    return what in ("exit", "only in") or what.endswith("verdict")
+
+
+def _print_moves(moves: dict):
+    for key, moved in moves.items():
+        print(key)
+        for what, text in moved:
+            print(f"  {what}: {text}")
 
 
 def _key(record):
@@ -140,13 +156,14 @@ def compare(path_a: str, path_b: str) -> int:
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     differ = sorted(k for k in a.keys() | b.keys() if _key(a.get(k)) != _key(b.get(k)))
-    for key in differ:
-        print(key)
-        if key not in a or key not in b:
-            print(f"  only in {'B' if key in b else 'A'}")
-            continue
-        for line in _moves(a[key], b[key]):
-            print(f"  {line}")
+    moves = {key: list(_moves(a[key], b[key])) if key in a and key in b
+             else [("only in", "B" if key in b else "A")] for key in differ}
+    outcomes = {key: [m for m in moved if _is_outcome(m[0])] for key, moved in moves.items()}
+    outcomes = {key: moved for key, moved in outcomes.items() if moved}
+    print(f"{len(outcomes)} commands moved an exit code or a verdict")
+    _print_moves(outcomes)
+    print()
+    _print_moves(moves)
     print(f"{len(differ)} of {len(a.keys() | b.keys())} commands differ")
     return 1 if differ else 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "circle3",
     "helix_curve",
     "sphere_cap",
+    "sphere_region",
     "BUILTIN_PATCHES",
     "build_patch",
 ]
@@ -74,6 +75,14 @@ def sphere(margin: float = 0.2) -> SubmanifoldPatch:
     )
     box = Box((margin, 0.0), (math.pi - margin, TWO_PI), (False, True))
     return SubmanifoldPatch(chart, box, flat_ambient(3), name="sphere")
+
+
+def sphere_region() -> SubmanifoldPatch:
+    """A region of the unit two-sphere as a patch of the sphere itself:
+    codimension 0, so it has no normal direction."""
+    chart = parse_chart("(sin(th)*cos(ph), sin(th)*sin(ph), cos(th))", ("th", "ph"))
+    box = Box((0.6, 0.5), (1.4, 1.5), (False, False))
+    return SubmanifoldPatch(chart, box, sphere_ambient())
 
 
 def cylinder(height: float = 1.0) -> SubmanifoldPatch:

@@ -215,6 +215,7 @@ def test_grid_above_the_row_cap_is_refused_before_allocation(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "hypersurface-helix-classification", "sphere_e3", "--grid", "2"),
+    ("verify", "hypersurface-helix-classification", "product_spheres", "--grid", "2"),
     ("verify-all", "--grid", "2"),
 ])
 def test_two_point_grid_cannot_confirm_a_helix_verdict(capsys, argv):

@@ -1,10 +1,13 @@
 """Helix angle constancy, hypersurface trichotomy, duality and minimality checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from shadowgeom import geometry, helix, transport
+from shadowgeom.cli import _root_setup, find_scene
 from shadowgeom.curvature import gauss_kronecker, mean_curvature
 from shadowgeom.expr import parse_chart
 from shadowgeom.fields import ConstantField
@@ -30,6 +33,7 @@ from shadowgeom.helix import (
     tgs_helix_check,
     tube_patch,
 )
+from shadowgeom.scene import load_scene
 from shadowgeom.transport import rk4_tracks
 
 import shapes
@@ -413,6 +417,51 @@ def test_alignment_tests_transversality_at_the_fan_start(resolution):
     gate = {p.label: p for p in report.preconditions}
     assert gate["field-transverse"].ok is False
     assert gate["field-transverse"].value < 1e-12
+
+
+# -- cheap gates --------------------------------------------------------------------
+
+# the measuring stages of the checks, by the module that defines them
+_STAGES = {"geodesic_traces": transport, "rk4_tracks": transport,
+           "TransportField": transport, "helix_constancy_report": helix,
+           "_nested_sample": helix, "frames_at": geometry}
+
+
+def _product_spheres():
+    scene = load_scene(find_scene("product_spheres"))
+    return _root_setup(scene, scene.tols)
+
+
+@pytest.mark.parametrize("check, subject", [
+    (geodesic_alignment_check, _product_spheres),
+    (geodesic_alignment_check, lambda: (shapes.torus(), E3)),
+    (classify_hypersurface_helix, _product_spheres),
+    (transport.parallel_normal_frame_tgs_check, lambda: (shapes.sphere_region(),)),
+], ids=["alignment-codim-2", "alignment-tangent-field", "classification-codim-2",
+        "normal-frame-codim-0"])
+def test_failed_cheap_gate_runs_no_stage(monkeypatch, check, subject):
+    # codimension one and Y transverse are known from one order-1 frame
+    # batch at most, so no fan, flow, helix grid, nested sample,
+    # transported field or order-2 frame batch may follow their failure
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            if name != "frames_at" or kwargs.get("order", 2) == 2:
+                calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name, home in _STAGES.items():
+        real = getattr(home, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("shadowgeom")]:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, spy(name, real))
+    report = check(*subject())
+    assert calls == []
+    assert report.hypotheses == report.conclusions == ()
+    assert report.verdict == "hypotheses-not-met"
+    assert not all(p.ok for p in report.preconditions)
 
 
 # -- sweeps ------------------------------------------------------------------------

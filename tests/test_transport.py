@@ -180,7 +180,7 @@ def test_holonomy_evaluates_the_constraint_once(monkeypatch):
 def test_step_builder_keeps_both_rows_at_a_polyline_corner(monkeypatch):
     # 3 + 5 steps on an L: each leg shares its inner step ends, but the
     # velocity turns at the corner, so the corner is evaluated twice
-    patch = sphere_region()
+    patch = shapes.sphere_region()
     u3, du3, h = ParamCurve.polyline([[1.0, 0.7], [1.2, 0.7], [1.2, 1.0]]).stage_points(8)
     assert list(h) == [1.0 / 3.0] * 3 + [0.2] * 5
     calls = _constraint_spy(monkeypatch, patch)
@@ -289,9 +289,9 @@ def test_batched_holonomy_matches_each_loop_on_latitude_p3():
 
 
 def test_batched_holonomy_matches_each_loop_on_sphere_cells():
-    loops = probe_loops(sphere_region(), levels=(1, 2), n_random=2, seed=5)
+    loops = probe_loops(shapes.sphere_region(), levels=(1, 2), n_random=2, seed=5)
     assert len(loops) == 4 + 16 + 2
-    _assert_batch_matches_loops(sphere_region(), loops, 256)
+    _assert_batch_matches_loops(shapes.sphere_region(), loops, 256)
 
 
 def test_batched_holonomy_matches_each_loop_on_a_flat_patch():
@@ -307,13 +307,13 @@ def test_batched_holonomy_groups_mixed_step_counts():
                 square + [[0.7, 1.0]], [[1.0, 0.6], [1.3, 0.9], [1.0, 1.4], [0.7, 0.9]]]
     loops = [ParamCurve.polyline(v, closed=True, label=f"poly-{i}")
              for i, v in enumerate(polygons)]
-    _assert_batch_matches_loops(sphere_region(), loops, 2)
+    _assert_batch_matches_loops(shapes.sphere_region(), loops, 2)
     assert [int(loop._allocate(2).sum()) for loop in loops] == [4, 3, 4, 5, 4]
 
 
 def test_holonomy_folds_once_per_group(monkeypatch):
     # a budget of three loops' step matrices: 20 cells fold as 3 * 6 + 2
-    patch = sphere_region()
+    patch = shapes.sphere_region()
     loops = probe_loops(patch, levels=(1, 2), n_random=0)
     one_loop = _step_matrices(patch, loops[0], 64, Tolerances())[0].nbytes
     monkeypatch.setattr(transport, "_GROUP_BYTES", 3 * one_loop + 1)
@@ -350,7 +350,7 @@ def test_batched_holonomy_matches_each_loop_on_random_polygons(polygons, steps):
     assume(all(len(set(verts)) > 1 for verts in polygons))
     loops = [ParamCurve.polyline(verts, closed=True, label=f"random-{i}")
              for i, verts in enumerate(polygons)]
-    _assert_batch_matches_loops(sphere_region(), loops, steps)
+    _assert_batch_matches_loops(shapes.sphere_region(), loops, steps)
 
 
 def test_parallel_field_holonomy_memory_is_bounded():
@@ -407,15 +407,8 @@ def test_latitude_obstruction_found_on_wrap():
     assert rep.note != OBSTRUCTION_CLEAR_NOTE
 
 
-def sphere_region():
-    chart = parse_chart("(sin(th)*cos(ph), sin(th)*sin(ph), cos(th))", ("th", "ph"))
-    return SubmanifoldPatch(
-        chart, Box((0.6, 0.5), (1.4, 1.5), (False, False)), shapes.sphere_ambient()
-    )
-
-
 def test_curved_region_obstruction_found():
-    _, rep = construct_parallel_field(sphere_region(), seed=3)
+    _, rep = construct_parallel_field(shapes.sphere_region(), seed=3)
     assert not rep.ok
     assert rep.max_deviation > 1e-3
 
@@ -470,7 +463,7 @@ def walked_lines(fld, axis, keys):
 def region_field():
     base = np.array([1.0, 1.0])
     seed = np.array([math.cos(1.0) ** 2, math.cos(1.0) * math.sin(1.0), -math.sin(1.0)])
-    return TransportField(sphere_region(), base, seed)
+    return TransportField(shapes.sphere_region(), base, seed)
 
 
 def latitude_field():
@@ -574,11 +567,7 @@ def test_parallel_frame_check_flat_patches():
 
 
 def test_parallel_frame_check_needs_normal_directions():
-    chart = parse_chart("(sin(th)*cos(ph), sin(th)*sin(ph), cos(th))", ("th", "ph"))
-    region = SubmanifoldPatch(
-        chart, Box((0.6, 0.5), (1.4, 1.5), (False, False)), shapes.sphere_ambient()
-    )
-    rep = parallel_normal_frame_tgs_check(region)
+    rep = parallel_normal_frame_tgs_check(shapes.sphere_region())
     assert rep.verdict == "hypotheses-not-met"
     assert not rep.preconditions[0].ok
 
