@@ -210,13 +210,6 @@ def _run_report(scene: Scene | None, path: str, command: str, results: dict,
     }
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _exit_for(verdicts) -> int:
     if any(v == VERDICT_NOT_MET for v in verdicts):
         return EXIT_NOT_MET
@@ -226,15 +219,15 @@ def _exit_for(verdicts) -> int:
 
 
 # -- commands -------------------------------------------------------------------
+# each returns (exit code, results): a JSON report's `results` dict, or the
+# text of a CSV, OBJ or scene export; `run` writes it
 
 
-def cmd_validate(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_validate(args, scene: Scene, tols: Tolerances):
     patch, field = _root_setup(scene, tols)
     report = validate_patch(patch, field=field, tols=tols, **_grid(scene, args))
-    results = {"patch": patch.name, "validation": report}
-    _emit(canonical_json(_run_report(scene, path, "validate", results, t0)),
-          args.out)
-    return EXIT_OK if report.ok else EXIT_NOT_MET
+    return (EXIT_OK if report.ok else EXIT_NOT_MET,
+            {"patch": patch.name, "validation": report})
 
 
 def _shadow_rows(patch, shadow_set):
@@ -242,82 +235,64 @@ def _shadow_rows(patch, shadow_set):
     header = ([f"u_{i + 1}" for i in range(patch.n)]
               + [f"x_{j + 1}" for j in range(patch.m)]
               + ["|F|", "sigma_min", "smooth"])
-    rows = []
-    for i in range(shadow_set.n_points):
-        if shadow_set.degenerate:
-            sigma, flag = 0.0, "degenerate"
-        else:
-            sigma = float(cert.sigma_min[i])
-            flag = "smooth" if cert.flags[i] else "singular"
-        rows.append(tuple(float(v) for v in shadow_set.params[i])
-                    + tuple(float(v) for v in shadow_set.ambient[i])
-                    + (float(shadow_set.residuals[i]), sigma, flag))
-    return header, rows
+    n = shadow_set.n_points
+    sigma, flags = np.zeros(n), ["degenerate"] * n  # no certificate: degenerate or empty
+    if cert is not None:
+        sigma, flags = cert.sigma_min, np.where(cert.flags, "smooth", "singular").tolist()
+    values = np.column_stack([shadow_set.params, shadow_set.ambient,
+                              shadow_set.residuals, sigma]).tolist()
+    return header, [row + [flag] for row, flag in zip(values, flags)]
 
 
-def cmd_shadow(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_shadow(args, scene: Scene, tols: Tolerances):
     patch, field = _require_field(scene, *_root_setup(scene, tols))
     shadow_set = extract_shadow_set(patch, field, tols=tols, **_grid(scene, args))
     if args.format == "json":
-        results = {"patch": patch.name, "shadow": shadow_set}
-        _emit(canonical_json(_run_report(scene, path, "shadow", results, t0)),
-              args.out)
-        return EXIT_OK
-
+        return EXIT_OK, {"patch": patch.name, "shadow": shadow_set}
     if shadow_set.n_points == 0 and not args.allow_empty:
         raise GeometryError(
             "shadow set is empty; pass --allow-empty to export anyway")
     if args.format == "obj":
-        _emit(obj_text(shadow_set.ambient, shadow_set.polylines), args.out)
-    else:
-        header, rows = _shadow_rows(patch, shadow_set)
-        _emit(csv_text(header, rows), args.out)
-    return EXIT_OK
+        return EXIT_OK, obj_text(shadow_set.ambient, shadow_set.polylines)
+    return EXIT_OK, csv_text(*_shadow_rows(patch, shadow_set))
 
 
-def cmd_helix(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_helix(args, scene: Scene, tols: Tolerances):
     patch, field = _require_field(scene, *_root_setup(scene, tols))
     # one frame build on the grid serves the constancy test, the
     # Gauss-Kronecker curvature and the classification
     constancy = helix_constancy_report(patch, field, tols=tols, **_grid(scene, args))
     results = {"patch": patch.name, "constancy": constancy}
-    verdicts = []
-    if patch.codim == 1:
-        gk = gauss_kronecker(constancy.frames)
-        i = int(np.argmax(np.abs(gk)))
-        results["gauss_kronecker"] = {
-            "max_abs": float(np.abs(gk[i])),
-            "argmax": [float(v) for v in constancy.points[i]],
-        }
-        pre = _hypersurface_preconditions(patch, field, constancy.resolution, tols)
-        classification = _classify(patch, field, constancy, pre, tols)
-        results["classification"] = classification
-        verdicts.append(classification.verdict)
-    _emit(canonical_json(_run_report(scene, path, "helix", results, t0)), args.out)
-    return _exit_for(verdicts) if verdicts else EXIT_OK
+    if patch.codim != 1:
+        return EXIT_OK, results
+    gk = gauss_kronecker(constancy.frames)
+    i = int(np.argmax(np.abs(gk)))
+    results["gauss_kronecker"] = {
+        "max_abs": float(np.abs(gk[i])),
+        "argmax": [float(v) for v in constancy.points[i]],
+    }
+    pre = _hypersurface_preconditions(patch, field, constancy.resolution, tols)
+    results["classification"] = _classify(patch, field, constancy, pre, tols)
+    return _exit_for([results["classification"].verdict]), results
 
 
-def cmd_transport(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_transport(args, scene: Scene, tols: Tolerances):
     patch, _ = _root_setup(scene, tols)
     loops = probe_loops(patch, levels=(1, 2), n_random=8, seed=args.seed)
     per = [{"label": hol.label, "deviation": hol.deviation, "rotation": hol.rotation}
            for hol in holonomy_loop(patch, loops, steps=HOLONOMY_STEPS, tols=tols)]
     # n_random=8 gives at least 8 loops; the first maximum is the worst
     worst = max(per, key=lambda entry: entry["deviation"])
-    results = {
+    return EXIT_OK, {
         "patch": patch.name,
         "n_loops": len(per),
         "max_deviation": worst["deviation"],
         "worst_loop": worst["label"],
         "loops": per,
     }
-    _emit(canonical_json(_run_report(scene, path, "transport", results, t0)),
-          args.out)
-    return EXIT_OK
 
 
-def cmd_parallel_field(args, scene: Scene, path: str, tols: Tolerances,
-                       t0: float) -> int:
+def cmd_parallel_field(args, scene: Scene, tols: Tolerances):
     patch, _ = _root_setup(scene, tols)
     seed = scene.seeds.get(patch.name)
     base, vector = (seed.base, seed.vector) if seed is not None else (None, None)
@@ -333,9 +308,7 @@ def cmd_parallel_field(args, scene: Scene, path: str, tols: Tolerances,
         residual, argmax = parallelity_residual(patch, fld, tols=tols)
         results["parallelity_residual"] = residual
         results["residual_argmax"] = [float(v) for v in argmax]
-    _emit(canonical_json(_run_report(scene, path, "parallel-field", results, t0)),
-          args.out)
-    return EXIT_OK if report.ok else EXIT_NOT_MET
+    return EXIT_OK if report.ok else EXIT_NOT_MET, results
 
 
 def _run_theorem(scene: Scene, theorem: str, tols: Tolerances, grid: dict):
@@ -365,15 +338,12 @@ def _run_theorem(scene: Scene, theorem: str, tols: Tolerances, grid: dict):
     return _THEOREMS[theorem](*args, tols=tols, **grid, **extra)
 
 
-def cmd_verify(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_verify(args, scene: Scene, tols: Tolerances):
     report = _run_theorem(scene, args.theorem, tols, _grid(scene, args))
-    results = {"theorem": args.theorem, "report": report}
-    _emit(canonical_json(_run_report(scene, path, f"verify {args.theorem}",
-                                     results, t0)), args.out)
-    return _exit_for([report.verdict])
+    return _exit_for([report.verdict]), {"theorem": args.theorem, "report": report}
 
 
-def cmd_verify_all(args, t0: float) -> int:
+def cmd_verify_all(args):
     rows = []
     for scene_name, theorem, expected in VERIFY_PLAN:
         scene, _, tols = _open_scene(scene_name, args.tol)
@@ -389,11 +359,8 @@ def cmd_verify_all(args, t0: float) -> int:
     n_match = sum(1 for r in rows if r["match"])
     results = {"checks": rows, "n_checks": len(rows), "n_match": n_match,
                "all_match": n_match == len(rows)}
-    _emit(canonical_json(_run_report(None, "", "verify-all", results, t0)), args.out)
-    if n_match == len(rows):
-        return EXIT_OK
     mismatched = [r["verdict"] for r in rows if not r["match"]]
-    return _exit_for(mismatched) or EXIT_ERROR
+    return (_exit_for(mismatched) or EXIT_ERROR) if mismatched else EXIT_OK, results
 
 
 def _fmt_num(v: float) -> str:
@@ -415,7 +382,7 @@ def _patch_block(name: str, chart, box, parent: str | None = None) -> list:
     return lines
 
 
-def cmd_tube(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
+def cmd_tube(args, scene: Scene, tols: Tolerances):
     patch, curve, sub_chart = _tube(scene, tols)
     lines = [f"scene {scene.name}_swept", ""]
     lines += ["ambient {", f"  dim = {patch.m}", "}", ""]
@@ -426,8 +393,7 @@ def cmd_tube(args, scene: Scene, path: str, tols: Tolerances, t0: float) -> int:
     lines += ["field {",
               f"  constant = {', '.join(_fmt_num(v) for v in scene.tube.direction)}",
               "}", ""]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -442,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"shadowgeom {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, scene=True, grid=True):
+    def common(sp, handler, seed=False, scene=True, grid=True):
+        sp.set_defaults(handler=handler)
         if scene:
             sp.add_argument("scene", help="scene file path or bundled scene name")
         if grid:
@@ -456,36 +423,26 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0, metavar="K",
                             help="seed for the random probe loops")
 
-    common(sub.add_parser("validate", help="chart rank / constraint / field checks"))
+    common(sub.add_parser("validate", help="chart rank / constraint / field checks"),
+           cmd_validate)
     sp = sub.add_parser("shadow", help="extract the shadow set")
-    common(sp)
+    common(sp, cmd_shadow)
     sp.add_argument("--format", choices=("csv", "obj", "json"), default="csv")
     sp.add_argument("--allow-empty", action="store_true",
                     help="export even when the set is empty")
-    common(sub.add_parser("helix", help="helix constancy and classification"))
-    common(sub.add_parser("transport", help="holonomy probe loops"), seed=True, grid=False)
+    common(sub.add_parser("helix", help="helix constancy and classification"), cmd_helix)
+    common(sub.add_parser("transport", help="holonomy probe loops"), cmd_transport,
+           seed=True, grid=False)
     common(sub.add_parser("parallel-field",
                           help="construct a parallel field, probe obstructions"),
-           seed=True, grid=False)
+           cmd_parallel_field, seed=True, grid=False)
     sp = sub.add_parser("verify", help="run one theorem check")
     sp.add_argument("theorem", choices=THEOREM_IDS)
-    common(sp)
-    common(sub.add_parser("tube", help="materialize the swept scene"), grid=False)
+    common(sp, cmd_verify)
+    common(sub.add_parser("tube", help="materialize the swept scene"), cmd_tube, grid=False)
     common(sub.add_parser("verify-all", help="run the bundled theorem suite"),
-           scene=False)
+           cmd_verify_all, scene=False)
     return parser
-
-
-# commands on one scene; `verify-all` runs the bundled corpus instead
-_HANDLERS = {
-    "validate": cmd_validate,
-    "shadow": cmd_shadow,
-    "helix": cmd_helix,
-    "transport": cmd_transport,
-    "parallel-field": cmd_parallel_field,
-    "verify": cmd_verify,
-    "tube": cmd_tube,
-}
 
 
 def run(argv=None) -> int:
@@ -505,9 +462,19 @@ def run(argv=None) -> int:
         # the checks read non-finite values themselves; numpy's warnings are noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "verify-all":
-                return cmd_verify_all(args, t0)
-            scene, path, tols = _open_scene(args.scene, args.tol)
-            return _HANDLERS[args.command](args, scene, path, tols, t0)
+                scene, path = None, ""
+                code, results = args.handler(args)
+            else:
+                scene, path, tols = _open_scene(args.scene, args.tol)
+                code, results = args.handler(args, scene, tols)
+            if not isinstance(results, str):
+                label = f"verify {args.theorem}" if args.command == "verify" else args.command
+                results = canonical_json(_run_report(scene, path, label, results, t0))
+            if args.out:
+                _atomic_write(args.out, results)
+            else:
+                sys.stdout.write(results)
+        return code
     except (SceneError, EvalDomainError, GeometryError, ValueError, KeyError,
             OSError) as exc:
         note = ""
@@ -517,6 +484,9 @@ def run(argv=None) -> int:
         return EXIT_ERROR
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError as exc:
+        print(f"error: expression is nested too deeply: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

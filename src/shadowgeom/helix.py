@@ -545,22 +545,23 @@ def geodesic_alignment_check(patch: SubmanifoldPatch, field, resolution: int = 9
     geodesic of the ambient space as well.
 
     A fan of unit-speed geodesics leaves the domain midpoint, plus the
-    tan(Y) direction when it does not degenerate.  Transversality is
-    tested on the grid and at that start point, one frame batch with the
-    midpoint as its last row.  Curves whose pairing drift stays below
-    the transport tolerance are selected; the conclusion is their worst
-    ambient geodesic defect.
+    tan(Y) direction when it does not degenerate.  Once the codimension
+    and parallelity gates hold, transversality is tested on the grid and
+    at that start point, one frame batch with the midpoint as its last
+    row.  Curves whose pairing drift stays below the transport tolerance
+    are selected; the conclusion is their worst ambient geodesic defect.
     """
-    center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
-    pts = np.vstack([patch.domain.grid(resolution), center])
-    frames = frames_at(patch, pts, order=1, tols=tols)
-    y = field.values(pts)
-    _, nor, ynorm = _split_components(frames, y)
-    guard = max(float(ynorm[:-1].mean()), _TINY)
-    trans_min = float((nor / guard).min())
     pre = _hypersurface_preconditions(patch, field, resolution, tols)
-    pre.append(Precondition("field-transverse", trans_min >= tols.transversality_floor,
-                            trans_min, tols.transversality_floor))
+    if all(p.ok for p in pre):
+        center = 0.5 * (np.asarray(patch.domain.lo) + np.asarray(patch.domain.hi))
+        pts = np.vstack([patch.domain.grid(resolution), center])
+        frames = frames_at(patch, pts, order=1, tols=tols)
+        y = field.values(pts)
+        _, nor, ynorm = _split_components(frames, y)
+        guard = max(float(ynorm[:-1].mean()), _TINY)
+        trans_min = float((nor / guard).min())
+        pre.append(Precondition("field-transverse", trans_min >= tols.transversality_floor,
+                                trans_min, tols.transversality_floor))
     if not all(p.ok for p in pre):
         return build_report("geodesic-alignment", patch.name, (), (), pre)
 

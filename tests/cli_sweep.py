@@ -12,7 +12,8 @@ too), so two runs of the same code give the same file; other output as
 text.  The second form first prints the commands whose exit code or
 any `verdict` leaf moved, with those moves, then every command whose
 exit code, stderr or digest differ, and under each what moved: every
-differing leaf of a JSON report as `path: A -> B`, else the first
+differing leaf of a JSON report as `path: A -> B`, a residual's `value`
+followed by its move in units of that residual's `tol`, else the first
 differing line of stdout.  It exits 1 when any command differs.
 
 The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
@@ -21,7 +22,9 @@ The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
 obj` on every scene; and the benchmark's own commands: both grid-256
 `shadow` commands, the probe-loop commands at `--seed` 0, 1 and 99, and
 `verify product-shadow product_spheres --grid 16`, a Newton grid past the
-benchmark's.  The file name keeps pytest from collecting it.
+benchmark's; and the commands behind `tests/shadow_digests.json`, `shadow
+<scene> --grid 7|16 --format csv --allow-empty`.  The file name keeps
+pytest from collecting it.
 """
 
 import contextlib
@@ -55,6 +58,8 @@ def commands() -> list:
     for command, scene in (("transport", "latitude_p3"), ("parallel-field", "latitude_p3"),
                            ("parallel-field", "equator_in_s2")):
         out += [[command, scene, "--seed", seed] for seed in ("0", "1", "99")]
+    out += [["shadow", scene, "--grid", grid, "--format", "csv", "--allow-empty"]
+            for scene in scenes for grid in ("7", "16")]
     return out
 
 
@@ -107,6 +112,28 @@ def _leaves(value, path=""):
         yield path, json.dumps(value, sort_keys=True)
 
 
+def _residual_tols(value, path=""):
+    """(path of its `value` leaf, tol) of every residual entry in a JSON
+    value, in the paths of `_leaves`."""
+    if isinstance(value, dict):
+        if {"label", "value", "tol", "floor", "status"} <= value.keys():
+            yield f"{path}.value", value["tol"]
+        for k, v in value.items():
+            yield from _residual_tols(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _residual_tols(v, f"{path}[{i}]")
+
+
+def _in_tols(a: str, b: str, tol) -> str:
+    """The move from JSON number `a` to `b` in units of `tol`, or "" when
+    either is no number or there is no tol."""
+    try:
+        return f" ({(float(b) - float(a)) / tol:+.3g} tol)"
+    except (TypeError, ValueError, ZeroDivisionError):
+        return ""
+
+
 def _moves(ra: dict, rb: dict):
     """(what, "A -> B") pairs saying what differs between two records of
     one command; `what` is `exit`, `stderr`, a report leaf's path or a
@@ -118,9 +145,11 @@ def _moves(ra: dict, rb: dict):
         return
     if "report" in ra and "report" in rb:
         la, lb = dict(_leaves(ra["report"])), dict(_leaves(rb["report"]))
+        tols = {**dict(_residual_tols(ra["report"])), **dict(_residual_tols(rb["report"]))}
         for path in list(la) + [p for p in lb if p not in la]:
-            if la.get(path, _ABSENT) != lb.get(path, _ABSENT):
-                yield path or ".", f"{la.get(path, _ABSENT)} -> {lb.get(path, _ABSENT)}"
+            a, b = la.get(path, _ABSENT), lb.get(path, _ABSENT)
+            if a != b:
+                yield path or ".", f"{a} -> {b}" + _in_tols(a, b, tols.get(path))
         return
     lines_a = ra.get("stdout", json.dumps(ra.get("report"))).splitlines()
     lines_b = rb.get("stdout", json.dumps(rb.get("report"))).splitlines()

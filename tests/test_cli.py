@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cli_sweep
 from shadowgeom import cli, geometry, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
 from shadowgeom.geometry import MAX_GRID_ROWS, ChartRankError, frames_at, validate_patch
@@ -411,14 +412,36 @@ def test_tol_above_floor_names_residual_and_override(capsys):
 
 
 def test_memory_error_is_reported(capsys, monkeypatch):
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the grid")
 
-    monkeypatch.setitem(cli._HANDLERS, "shadow", exhausted)
+    monkeypatch.setattr(cli, "extract_shadow_set", exhausted)
     code, out, err = invoke(capsys, "shadow", "sphere_e3")
     assert code == 1
     assert out == ""
     assert err.startswith("error: out of memory")
+
+
+# depths well past the recursion limit from any caller's stack: from the
+# command line 600 terms or 200 parentheses already pass it, while 300
+# terms and 190 parentheses evaluate
+@pytest.mark.parametrize("chart", [
+    "(cos(s)" + " + 0*s" * 2000 + ", sin(s))",
+    "(" + "(" * 1000 + "cos(s)" + ")" * 1000 + ", sin(s))",
+], ids=["long-sum", "deep-parentheses"])
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_deeply_nested_chart_is_an_error(capsys, tmp_path, chart, command):
+    # the long sum is lowered on its first evaluation, the parentheses are
+    # parsed at scene load; both recurse once a level
+    with open(find_scene("circle_r2_e2"), encoding="utf-8") as fh:
+        text = fh.read().replace("(cos(s), sin(s))", chart)
+    path = tmp_path / "deep.scene"
+    path.write_text(text)
+    code, out, err = invoke(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: expression is nested too deeply")
+    assert err.count("\n") == 1
 
 
 def test_verify_all_plan_matches(capsys):
@@ -467,15 +490,25 @@ def test_tube_command_needs_tube_block(capsys):
 # -- artifacts ----------------------------------------------------------------------
 
 
-def test_out_writes_file_atomically(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = invoke(capsys, "shadow", "circle_r2_e2", "--format", "json",
-                          "--out", str(target))
-    assert code == 0
-    assert out == ""
-    rep = json.loads(target.read_text())
-    assert rep["results"]["shadow"]["points"] == 2
-    assert not list(tmp_path.glob("*.part"))
+def _without_timings(text: str) -> str:
+    return re.sub(r'"total_seconds": .*', "", text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("shadow", "circle_r2_e2", "--format", "json"),
+    ("shadow", "circle_r2_e2"),
+    ("shadow", "torus_e3", "--format", "obj"),
+    ("tube", "tube_circle"),
+    ("verify-all",),
+], ids=["json", "csv", "obj", "tube", "verify-all"])
+def test_out_writes_every_output_kind_atomically(capsys, tmp_path, argv):
+    # every output kind goes through the one writer: the file holds what
+    # stdout would, and the temp file is renamed onto the target
+    code, printed, _ = invoke(capsys, *argv)
+    target = tmp_path / "out"
+    assert invoke(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert os.listdir(tmp_path) == ["out"]
+    assert _without_timings(target.read_text()) == _without_timings(printed)
 
 
 def test_failed_out_leaves_no_temp_file(capsys, tmp_path):
@@ -807,3 +840,19 @@ def test_cli_passes_a_grid_only_where_one_is_set(monkeypatch):
             with pytest.raises(_Called):
                 run([*argv, *flags])
             assert seen == [want], (argv, flags)
+
+
+def test_sweep_compare_gives_a_residual_move_in_tols(capsys, tmp_path):
+    entry = {"label": "r", "value": 1e-10, "tol": 1e-9, "floor": 1e-6, "status": "small"}
+    record = {"exit": 0, "stderr": "", "stdout_sha256": "a",
+              "report": {"results": {"report": {"hypotheses": [entry]}}}}
+    moved = json.loads(json.dumps(record))
+    moved["stdout_sha256"] = "b"
+    moved["report"]["results"]["report"]["hypotheses"][0]["value"] = 6e-10
+    paths = []
+    for name, rec in (("a.json", record), ("b.json", moved)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"verify minimality s": rec}))
+    assert cli_sweep.compare(*paths) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    assert rows == ["  results.report.hypotheses[0].value: 1e-10 -> 6e-10 (+0.5 tol)"]

@@ -432,22 +432,23 @@ def _product_spheres():
     return _root_setup(scene, scene.tols)
 
 
-@pytest.mark.parametrize("check, subject", [
-    (geodesic_alignment_check, _product_spheres),
-    (geodesic_alignment_check, lambda: (shapes.torus(), E3)),
-    (classify_hypersurface_helix, _product_spheres),
-    (transport.parallel_normal_frame_tgs_check, lambda: (shapes.sphere_region(),)),
+@pytest.mark.parametrize("check, subject, frame_orders", [
+    (geodesic_alignment_check, _product_spheres, ()),
+    (geodesic_alignment_check, lambda: (shapes.torus(), E3), (1,)),
+    (classify_hypersurface_helix, _product_spheres, ()),
+    (transport.parallel_normal_frame_tgs_check, lambda: (shapes.sphere_region(),), ()),
 ], ids=["alignment-codim-2", "alignment-tangent-field", "classification-codim-2",
         "normal-frame-codim-0"])
-def test_failed_cheap_gate_runs_no_stage(monkeypatch, check, subject):
-    # codimension one and Y transverse are known from one order-1 frame
-    # batch at most, so no fan, flow, helix grid, nested sample,
-    # transported field or order-2 frame batch may follow their failure
+def test_failed_cheap_gate_runs_no_stage(monkeypatch, check, subject, frame_orders):
+    # codimension one and Y parallel are free; Y transverse needs one
+    # order-1 frame batch, built only once both hold (`frame_orders`), so
+    # no fan, flow, helix grid, nested sample, transported field or other
+    # frame batch may follow a failed gate
     calls = []
 
     def spy(name, real):
         def call(*args, **kwargs):
-            if name != "frames_at" or kwargs.get("order", 2) == 2:
+            if name != "frames_at" or kwargs.get("order", 2) not in frame_orders:
                 calls.append(name)
             return real(*args, **kwargs)
         return call

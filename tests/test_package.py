@@ -161,3 +161,20 @@ def test_reports_serialize_through_one_path():
                           for item in node.body
                           if isinstance(item, ast.FunctionDef) and item.name == "as_dict"]
     assert found == []
+
+
+def test_cli_writes_through_run_only():
+    # one writer: only `run` builds the report envelope, serializes it and
+    # writes stdout or `--out`; commands return their results
+    tree = ast.parse((ROOT / "src" / "shadowgeom" / "cli.py").read_text(encoding="utf-8"))
+    writers = {"_run_report", "canonical_json", "_atomic_write", "sys.stdout.write"}
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    in_run = {id(node) for node in ast.walk(run)}
+    found = [f"line {node.lineno}: {ast.unparse(node.func)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in writers
+             and id(node) not in in_run]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert found == []
+    assert names & {"_emit", "_HANDLERS"} == set()
