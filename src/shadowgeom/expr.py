@@ -449,9 +449,21 @@ def _lower(outputs, n_params) -> tuple:
         return value
 
     def lower(node):
+        # a left-deep chain of + - * (a flat sum or product, as the parser
+        # builds it) is walked with a loop rather than one call a level,
+        # in tree-walk order: its bottom operand, then each right operand
+        # and the op that takes it
+        chain = []
+        while type(node) in _BINARY and id(node) not in by_id:
+            chain.append(node)
+            node = node.a
         if id(node) not in by_id:
             by_id[id(node)] = lower_node(node)
-        return by_id[id(node)]
+        value = by_id[id(node)]
+        for link in reversed(chain):
+            value = apply(_BINARY[type(link)], link, [value, lower(link.b)])
+            by_id[id(link)] = value
+        return value
 
     def lower_node(node):
         t = type(node)
@@ -480,8 +492,6 @@ def _lower(outputs, n_params) -> tuple:
             elif b < 0:
                 checks = [("nonzero", [a], f"negative power {b} of zero base")]
             return apply("powc", node, [a, b], checks)
-        if t in _BINARY:
-            return apply(_BINARY[t], node, [a, b])
         raise TypeError(f"unknown node {node!r}")
 
     for k, out in enumerate(outputs):

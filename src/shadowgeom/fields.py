@@ -5,7 +5,9 @@ Three realizations exist: constant vectors, closed-form expressions in
 the patch parameters, and transport-constructed samplers (built in
 :mod:`shadowgeom.transport`).  All are functions of a batch of parameter
 points only.  Derivative data is analytic where a closed form exists;
-only transported fields use central differences.
+only transported fields use central differences.  A field whose type
+makes dY/du identically zero says so with `constant`, so a caller can
+skip a contraction with zeros.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ __all__ = ["FieldAlongM", "ConstantField", "ExprField", "BlockField"]
 
 class FieldAlongM:
     """Base interface: `values(points)` gives Y, (B, m), and
-    `param_jacobian(points)` gives dY/du, (B, m, n)."""
+    `param_jacobian(points)` gives dY/du, (B, m, n).  `constant` is true
+    when dY/du is identically zero, which follows from the field's type."""
+
+    constant = False
 
     def values(self, points):
         raise NotImplementedError
@@ -29,6 +34,8 @@ class FieldAlongM:
 
 
 class ConstantField(FieldAlongM):
+    constant = True
+
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float)
 
@@ -66,6 +73,7 @@ class BlockField(FieldAlongM):
         self.second = second
         self.n_first = int(n_first)
         self.m_first = int(m_first)
+        self.constant = first.constant and second.constant
 
     def _split(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

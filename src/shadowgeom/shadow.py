@@ -11,7 +11,11 @@ where yc are the chart coordinates of the tangential part of Y.  The
 frame-rotation term <Y_nor, d xi_j> drops out because Y_nor = 0 there,
 so the formula is exact at zeros for any smooth choice of frame.  Full
 rank of this Jacobian certifies that the shadow set is locally a
-submanifold of dimension n - rank.
+submanifold of dimension n - rank.  A field whose type makes dY/du zero
+(`FieldAlongM.constant`: a constant field, or a block field of two)
+skips the <dY/du_l, xi_j> contraction and adds 0.0 in its place: the
+contraction summed into a +0.0 output, so it turned J's -0.0 entries
+into +0.0, and Newton's steps read that sign.
 
 Extraction walks a parameter grid.  On curves and surfaces with one
 normal direction, one edge scan finds the roots: a zero at a grid node
@@ -121,8 +125,12 @@ def shadow_system(patch: SubmanifoldPatch, field: FieldAlongM, points,
     f = np.einsum("bmj,bm->bj", frames.normal, y)
     coord = second_form_coord(frames)                  # (B, n, n, k)
     jac = -np.einsum("bp,bpla->bal", tangent_coords(frames.jac, y), coord)
-    dy = field.param_jacobian(points)
-    jac += np.einsum("bma,bml->bal", frames.normal, dy)
+    if field.constant:
+        # <xi, dY> is zero.  einsum sums it into a +0.0 output, so adding
+        # it turned J's -0.0 entries into +0.0; adding 0.0 keeps those bits
+        jac += 0.0
+    else:
+        jac += np.einsum("bma,bml->bal", frames.normal, field.param_jacobian(points))
     return f, jac, frames
 
 

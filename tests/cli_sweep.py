@@ -4,17 +4,21 @@
     python tests/cli_sweep.py --compare A.json B.json
 
 The first form runs every command in-process on the checkout this file
-sits in (its `src/` goes first on the import path; copy the file into
-another checkout to sweep that one) and writes, per command, the exit
-code, stderr, the sha256 of stdout and stdout itself: a JSON report as
-data, with its `timings` object dropped (the digest is taken without it
-too), so two runs of the same code give the same file; other output as
-text.  The second form first prints the commands whose exit code or
-any `verdict` leaf moved, with those moves, then every command whose
-exit code, stderr or digest differ, and under each what moved: every
-differing leaf of a JSON report as `path: A -> B`, a residual's `value`
-followed by its move in units of that residual's `tol`, else the first
-differing line of stdout.  It exits 1 when any command differs.
+sits in (its `src/` goes first on the import path; copy the file, with
+the test files beside it, into another checkout to sweep that one) and
+writes, per command, the exit code, stderr, the sha256 of stdout and
+stdout itself: a JSON report as data, with its `timings` object dropped
+(the digest is taken without it too), so two runs of the same code give
+the same file; other output as text.  It also writes one record per
+chart behind `tests/chart_digests.json`, keyed `chart <name>`: the
+chart's digests as that file holds them, and its values, Jacobians and
+Hessians at orders 0, 1 and 2 as data.  The second form first prints
+the commands whose exit code or any `verdict` leaf moved, with those
+moves, then every record whose exit code, stderr or digests differ, and
+under each what moved: every differing leaf of a JSON report or of a
+chart's jets as `path: A -> B`, a residual's `value` followed by its
+move in units of that residual's `tol`, else the first differing line of
+stdout.  It exits 1 when any record differs.
 
 The sweep: `verify-all`; every theorem, `validate`, `helix` and `shadow`
 (JSON and CSV) on every bundled scene, each at the default grid and at
@@ -87,16 +91,41 @@ def run_one(argv: list) -> dict:
     return {"exit": code, "stderr": err.getvalue(), **_stdout_record(out.getvalue())}
 
 
+def chart_record(chart, points) -> dict:
+    """A chart's digests, as `tests/chart_digests.json` holds them, and its
+    jets at those points as data."""
+    from test_chart_digests import chart_digests
+
+    jets = {"o0": {"value": chart.eval_values(points).tolist()}}
+    for order in (1, 2):
+        jet = chart.eval_jets(points, order=order)
+        jets[f"o{order}"] = {"value": jet.value.tolist(), "jac": jet.jac.tolist()}
+        if order == 2:
+            jets["o2"]["hess"] = jet.hess.tolist()
+    return {"digests": chart_digests(chart, points), "jets": jets}
+
+
+def chart_records() -> dict:
+    """`chart <name>` -> record of every chart behind tests/chart_digests.json."""
+    from test_chart_digests import bundled_charts
+
+    return {f"chart {name}": chart_record(chart, points)
+            for name, chart, points in bundled_charts()}
+
+
 def sweep(path: str) -> int:
     records = {" ".join(argv): run_one(argv) for argv in commands()}
+    records.update(chart_records())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    print(f"{len(records)} commands -> {path}")
+    print(f"{len(records)} records -> {path}")
     return 0
 
 
 _ABSENT = "<absent>"
+# what tells two records apart: a command's stdout digest, a chart's digests
+_DIGESTS = ("stdout_sha256", "digests")
 
 
 def _leaves(value, path=""):
@@ -134,18 +163,25 @@ def _in_tols(a: str, b: str, tol) -> str:
         return ""
 
 
+def _data(record: dict):
+    """A record's JSON data: a command's report or a chart's jets; None
+    for text output."""
+    return record.get("report", record.get("jets"))
+
+
 def _moves(ra: dict, rb: dict):
     """(what, "A -> B") pairs saying what differs between two records of
-    one command; `what` is `exit`, `stderr`, a report leaf's path or a
-    stdout line."""
+    one command or chart; `what` is `exit`, `stderr`, a leaf's path in a
+    report or in a chart's jets, or a stdout line."""
     for field in ("exit", "stderr"):
         if ra.get(field) != rb.get(field):
             yield field, f"{ra.get(field)!r} -> {rb.get(field)!r}"
-    if ra.get("stdout_sha256") == rb.get("stdout_sha256"):
+    if all(ra.get(field) == rb.get(field) for field in _DIGESTS):
         return
-    if "report" in ra and "report" in rb:
-        la, lb = dict(_leaves(ra["report"])), dict(_leaves(rb["report"]))
-        tols = {**dict(_residual_tols(ra["report"])), **dict(_residual_tols(rb["report"]))}
+    da, db = _data(ra), _data(rb)
+    if da is not None and db is not None:
+        la, lb = dict(_leaves(da)), dict(_leaves(db))
+        tols = {**dict(_residual_tols(da)), **dict(_residual_tols(db))}
         for path in list(la) + [p for p in lb if p not in la]:
             a, b = la.get(path, _ABSENT), lb.get(path, _ABSENT)
             if a != b:
@@ -175,8 +211,8 @@ def _print_moves(moves: dict):
 
 
 def _key(record):
-    return None if record is None else tuple(record.get(f) for f in
-                                             ("exit", "stderr", "stdout_sha256"))
+    return None if record is None else tuple(record.get(f) for f in ("exit", "stderr")
+                                             + _DIGESTS)
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -193,7 +229,7 @@ def compare(path_a: str, path_b: str) -> int:
     _print_moves(outcomes)
     print()
     _print_moves(moves)
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} commands differ")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ")
     return 1 if differ else 0
 
 

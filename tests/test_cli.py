@@ -12,6 +12,7 @@ import pytest
 import cli_sweep
 from shadowgeom import cli, geometry, helix, shadow
 from shadowgeom.cli import SCENES_DIR, VERIFY_PLAN, find_scene, run
+from shadowgeom.expr import parse_chart
 from shadowgeom.geometry import MAX_GRID_ROWS, ChartRankError, frames_at, validate_patch
 from shadowgeom.scene import SceneError, load_scene
 from shadowgeom.tolerances import DEFAULT_TOLS
@@ -422,26 +423,46 @@ def test_memory_error_is_reported(capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
-# depths well past the recursion limit from any caller's stack: from the
-# command line 600 terms or 200 parentheses already pass it, while 300
-# terms and 190 parentheses evaluate
-@pytest.mark.parametrize("chart", [
-    "(cos(s)" + " + 0*s" * 2000 + ", sin(s))",
-    "(" + "(" * 1000 + "cos(s)" + ")" * 1000 + ", sin(s))",
-], ids=["long-sum", "deep-parentheses"])
-@pytest.mark.parametrize("command", ["shadow", "validate"])
-def test_deeply_nested_chart_is_an_error(capsys, tmp_path, chart, command):
-    # the long sum is lowered on its first evaluation, the parentheses are
-    # parsed at scene load; both recurse once a level
+def _circle_scene(tmp_path, chart):
+    """circle_r2_e2 with its chart replaced, written under tmp_path."""
     with open(find_scene("circle_r2_e2"), encoding="utf-8") as fh:
         text = fh.read().replace("(cos(s), sin(s))", chart)
-    path = tmp_path / "deep.scene"
+    path = tmp_path / "circle.scene"
     path.write_text(text)
-    code, out, err = invoke(capsys, command, str(path))
+    return str(path)
+
+
+# depths well past the recursion limit from any caller's stack: from the
+# command line 600 divisions or 200 parentheses already pass it, while
+# 300 divisions and 190 parentheses evaluate
+@pytest.mark.parametrize("chart", [
+    "(cos(s)" + " / 1" * 2000 + ", sin(s))",
+    "(" + "(" * 1000 + "cos(s)" + ")" * 1000 + ", sin(s))",
+], ids=["long-quotient", "deep-parentheses"])
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_deeply_nested_chart_is_an_error(capsys, tmp_path, chart, command):
+    # the quotient chain is lowered on its first evaluation, the
+    # parentheses are parsed at scene load; both recurse once a level
+    code, out, err = invoke(capsys, command, _circle_scene(tmp_path, chart))
     assert code == 1
     assert out == ""
     assert err.startswith("error: expression is nested too deeply")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("terms", [600, 2000])
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_flat_sum_chart_runs_as_its_first_term(capsys, tmp_path, terms, command):
+    # a flat sum is a left-deep tree as deep as its terms; it is lowered
+    # with a loop, and adding 0*s leaves every bit of cos(s)'s jets
+    code, out, err = invoke(capsys, command,
+                            _circle_scene(tmp_path, "(cos(s)" + " + 0*s" * terms + ", sin(s))"))
+    plain_code, plain, _ = invoke(capsys, command, "circle_r2_e2")
+    assert (code, err) == (plain_code, "")
+    if command == "shadow":
+        assert out == plain
+    else:
+        assert report_of(out)["results"] == report_of(plain)["results"]
 
 
 def test_verify_all_plan_matches(capsys):
@@ -856,3 +877,23 @@ def test_sweep_compare_gives_a_residual_move_in_tols(capsys, tmp_path):
     assert cli_sweep.compare(*paths) == 1
     rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
     assert rows == ["  results.report.hypotheses[0].value: 1e-10 -> 6e-10 (+0.5 tol)"]
+
+
+def test_sweep_compare_lists_a_moved_chart_jet(capsys, tmp_path):
+    # d2(u*v)/du2 = 0 turned -0.0: the digests move, and the one moved
+    # leaf of the jets is listed, sign bit included
+    record = cli_sweep.chart_record(parse_chart("(u*v, sin(u))", ("u", "v")), [[0.5, 2.0]])
+    assert record["jets"]["o2"]["hess"][0][0][0][0] == 0.0
+    moved = json.loads(json.dumps(record))
+    moved["digests"]["o2"] = "b"
+    moved["jets"]["o2"]["hess"][0][0][0][0] = -0.0
+    paths = []
+    for name, rec in (("a.json", record), ("b.json", moved)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"chart ops/0": rec}))
+    assert cli_sweep.compare(*paths) == 1
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith("  ")]
+    assert rows == ["  o2.hess[0][0][0][0]: 0.0 -> -0.0"]
+    assert "0 commands moved an exit code or a verdict" in out
+    assert out.endswith("1 of 1 records differ\n")

@@ -8,7 +8,7 @@ import pytest
 from shadowgeom import geometry, shadow
 from shadowgeom.cli import SCENES_DIR, _root_setup, find_scene
 from shadowgeom.expr import parse_chart
-from shadowgeom.fields import BlockField, ConstantField, ExprField
+from shadowgeom.fields import BlockField, ConstantField, ExprField, FieldAlongM
 from shadowgeom.geometry import (
     AmbientSpace,
     Box,
@@ -381,6 +381,45 @@ def test_block_field_jacobian_consistency():
     pts = np.array([[0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]])
     diff, _ = shadow_jacobian_consistency(pp, pf, pts)
     assert diff < 1e-6
+
+
+def test_field_constant_follows_its_type():
+    y = ConstantField([0.0, 1.0])
+    swirl = ExprField(parse_chart("(-sin(s), cos(s))", ("s",)))
+    assert y.constant and not swirl.constant
+    assert BlockField(y, y, 1, 2).constant
+    assert not BlockField(y, swirl, 1, 2).constant
+    assert not BlockField(swirl, y, 1, 2).constant
+
+
+class _Contracted(FieldAlongM):
+    """A field taken through `shadow_system`'s general path: the explicit
+    <xi, dY> contraction, with the field's own (zero) dY/du."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def values(self, points):
+        return self.field.values(points)
+
+    def param_jacobian(self, points):
+        return self.field.param_jacobian(points)
+
+
+@pytest.mark.parametrize("grid", ["default", 5])
+@pytest.mark.parametrize("name", ["sphere_e3", "product_spheres", "product_circles"])
+def test_constant_field_system_matches_the_zero_dy_contraction(name, grid):
+    # the contraction turned J's -0.0 entries into +0.0, and Newton's
+    # steps read that sign (`shadow product_circles --grid 5`), so F and J
+    # must match the general path bit for bit, sign bits included
+    scene = load_scene(find_scene(name))
+    patch, field = _root_setup(scene, scene.tols)
+    assert field.constant
+    points = patch.domain.grid(scene.resolution if grid == "default" else grid)
+    f, jac, _ = shadow_system(patch, field, points)
+    f_ref, jac_ref, _ = shadow_system(patch, _Contracted(field), points)
+    assert f.tobytes() == f_ref.tobytes()
+    assert jac.tobytes() == jac_ref.tobytes()
 
 
 # -- Newton active set ------------------------------------------------------------
