@@ -10,9 +10,12 @@ unary minus, and the primitives sin, cos, tan, exp, log, sqrt, atan2.
 An outer parenthesized, comma-separated list gives several outputs.
 
 Parsing binds each identifier to a parameter, a named constant, or a
-primitive; anything else is a :class:`ParseError` with line/column.
-Printing a parsed expression and re-parsing it reproduces the same
-values exactly.
+primitive; anything else is a :class:`ParseError` with line/column, as
+is nesting (parentheses, call arguments, unary signs, exponents) more
+than `MAX_NESTING` levels deep.  Printing a parsed expression and
+re-parsing it reproduces the same values exactly.  Lowering, printing
+and rebuilding a chart (`compose`, `product_chart`) are visits of one
+walk, `_walk`, on an explicit stack, so they run at any depth.
 
 Evaluation is vectorized over a batch of parameter points and can carry
 first and second derivatives.  The first evaluation of a chart lowers
@@ -56,12 +59,13 @@ __all__ = [
     "ChartExpr",
     "Jet2Batch",
     "parse_chart",
-    "substitute_params",
     "compose",
     "product_chart",
 ]
 
 BUILTIN_CONSTANTS = {"pi": math.pi}
+
+MAX_NESTING = 100  # nesting levels the parser accepts; bundled charts nest 3
 
 # primitive name -> arity
 _FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "atan2": 2}
@@ -193,6 +197,7 @@ class _Parser:
         self.k = 0
         self.params = {name: i for i, name in enumerate(params)}
         self.constants = constants
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -225,14 +230,18 @@ class _Parser:
         return node
 
     def factor(self):
+        # every nesting level passes through here
         kind, tok, pos = self.peek()
-        if tok == "-":
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression is nested more than {MAX_NESTING} levels deep", *pos)
+        if tok in ("-", "+"):
             self.next()
-            return Neg(pos, self.factor())
-        if tok == "+":
-            self.next()
-            return self.factor()
-        return self.power()
+            node = Neg(pos, self.factor()) if tok == "-" else self.factor()
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -317,6 +326,38 @@ def _split_outputs(tokens):
     return pieces
 
 
+# -- tree walk -------------------------------------------------------------
+
+
+def _children(node) -> tuple:
+    t = type(node)
+    if t is Const or t is Param:
+        return ()
+    return node.args if t is Call else (node.a,) if t is Neg else (node.a, node.b)
+
+
+def _walk(roots, visit):
+    """Yield, for each root in turn, visit(root, results of its children).
+
+    visit runs once per distinct node, by identity, children first and
+    left to right (the order of a recursive post-order walk), on an
+    explicit stack, so a tree's depth is not bounded by Python's."""
+    memo = {}
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, kids = stack.pop()
+            if id(node) in memo:
+                continue
+            if kids is None:
+                kids = _children(node)
+                stack.append((node, kids))
+                stack += [(k, None) for k in reversed(kids)]
+            else:
+                memo[id(node)] = visit(node, [memo[id(k)] for k in kids])
+        yield memo[id(root)]
+
+
 # -- jets ------------------------------------------------------------------
 
 
@@ -385,7 +426,7 @@ _DOMAIN = {
 }
 
 
-_BINARY = {Add: "add", Sub: "sub", Mul: "mul"}
+_PLAIN_OPS = {Neg: "neg", Add: "add", Sub: "sub", Mul: "mul"}
 
 
 def _sqrt_check(jet: bool):
@@ -400,8 +441,8 @@ def _lower(outputs, n_params) -> tuple:
 
     Code is in SSA values: 0 .. n_params-1 are the parameters and each
     op defines the next value.  An operand is a value (int) or a folded
-    constant (float).  Instructions come in the order the tree walk
-    evaluates them:
+    constant (float).  Instructions come in the order `_walk` visits the
+    nodes, children first and left to right, output after output:
 
         ("op", name, operands, value)
         ("check", kind, operands, node, message)   before the op it guards
@@ -410,12 +451,12 @@ def _lower(outputs, n_params) -> tuple:
     A subtree that uses no parameter folds to a constant, computed with
     the same primitive functions so it has the same bits.  Its domain
     check runs here and raises EvalDomainError without a point, as does
-    a check whose tested operand is a constant.  Nodes are memoised by
-    identity (so compose()d trees lower in linear time) and then by op
-    and operands, so structurally equal subtrees become one op, checked
-    once, where they first occur.
+    a check whose tested operand is a constant.  The walk visits a node
+    once by identity (so compose()d trees lower in linear time), and ops
+    are memoised by name and operands, so structurally equal subtrees
+    become one op, checked once, where they first occur.
     """
-    code, by_id, by_key = [], {}, {}
+    code, by_key = [], {}
     n_ops = 0
 
     def apply(name, node, args, checks=()):
@@ -448,54 +489,34 @@ def _lower(outputs, n_params) -> tuple:
         code.append(("op", name, tuple(args), value))
         return value
 
-    def lower(node):
-        # a left-deep chain of + - * (a flat sum or product, as the parser
-        # builds it) is walked with a loop rather than one call a level,
-        # in tree-walk order: its bottom operand, then each right operand
-        # and the op that takes it
-        chain = []
-        while type(node) in _BINARY and id(node) not in by_id:
-            chain.append(node)
-            node = node.a
-        if id(node) not in by_id:
-            by_id[id(node)] = lower_node(node)
-        value = by_id[id(node)]
-        for link in reversed(chain):
-            value = apply(_BINARY[type(link)], link, [value, lower(link.b)])
-            by_id[id(link)] = value
-        return value
-
-    def lower_node(node):
+    def lower(node, args):
         t = type(node)
         if t is Const:
             return float(node.value)
         if t is Param:
             return node.index
-        if t is Neg:
-            return apply("neg", node, [lower(node.a)])
         if t is Call:
-            args = [lower(a) for a in node.args]
             checks = {"log": [("pos", args, "log of non-positive value")],
                       "sqrt": [("sqrt", args, None)],
                       "atan2": [("atan2", args, "atan2 at origin")]}.get(node.fn, ())
             return apply(node.fn, node, args, checks)
-        a, b = lower(node.a), lower(node.b)
         if t is Div:
-            return apply("div", node, [a, b], [("nonzero", [b], "division by zero")])
+            return apply("div", node, args, [("nonzero", args[1:], "division by zero")])
         if t is Pow:
+            a, b = args
             if type(b) is not float:
-                return apply("pow", node, [a, b],
+                return apply("pow", node, args,
                              [("pos", [a], "power with non-positive base")])
             checks = []
             if b != round(b):
                 checks = [("pos", [a], f"fractional power {b} of non-positive base")]
             elif b < 0:
                 checks = [("nonzero", [a], f"negative power {b} of zero base")]
-            return apply("powc", node, [a, b], checks)
-        raise TypeError(f"unknown node {node!r}")
+            return apply("powc", node, args, checks)
+        return apply(_PLAIN_OPS[t], node, args)
 
-    for k, out in enumerate(outputs):
-        code.append(("out", k, (lower(out),)))
+    for k, value in enumerate(_walk(outputs, lower)):
+        code.append(("out", k, (value,)))
     return code, n_ops
 
 
@@ -687,45 +708,30 @@ class _Tape:
 
 # -- printing --------------------------------------------------------------
 
-_PREC = {Add: 10, Sub: 10, Mul: 20, Div: 20, Neg: 15, Pow: 30}
-
-
-def _prec(node):
-    if type(node) is Const and node.name is None and node.value < 0:
-        return 15
-    return _PREC.get(type(node), 100)
+# operator -> (template, precedence, least precedence of each operand
+# printed without parentheses)
+_SYNTAX = {Neg: ("-{}", 15, (16,)), Add: ("{} + {}", 10, (10, 11)),
+           Sub: ("{} - {}", 10, (10, 11)), Mul: ("{}*{}", 20, (20, 21)),
+           Div: ("{}/{}", 20, (20, 21)), Pow: ("{}^{}", 30, (31, 30))}
 
 
 def to_source(node) -> str:
-    return _print(node, 0)
+    return next(_walk((node,), _print))[0]
 
 
-def _print(node, parent_prec):
+def _print(node, args):
+    """(source, precedence) of `node`, from those of its operands."""
     t = type(node)
     if t is Const:
-        s = node.name if node.name is not None else repr(node.value)
-    elif t is Param:
-        s = node.name
-    elif t is Neg:
-        s = "-" + _print(node.a, 16)
-    elif t is Add:
-        s = f"{_print(node.a, 10)} + {_print(node.b, 11)}"
-    elif t is Sub:
-        s = f"{_print(node.a, 10)} - {_print(node.b, 11)}"
-    elif t is Mul:
-        s = f"{_print(node.a, 20)}*{_print(node.b, 21)}"
-    elif t is Div:
-        s = f"{_print(node.a, 20)}/{_print(node.b, 21)}"
-    elif t is Pow:
-        s = f"{_print(node.a, 31)}^{_print(node.b, 30)}"
-    elif t is Call:
-        s = f"{node.fn}({', '.join(_print(a, 0) for a in node.args)})"
-        return s
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    if _prec(node) < parent_prec:
-        return f"({s})"
-    return s
+        if node.name is not None:
+            return node.name, 100
+        return repr(node.value), 15 if node.value < 0 else 100
+    if t is Param:
+        return node.name, 100
+    if t is Call:
+        return f"{node.fn}({', '.join(a for a, _ in args)})", 100
+    template, prec, least = _SYNTAX[t]
+    return template.format(*(a if p >= q else f"({a})" for (a, p), q in zip(args, least))), prec
 
 
 # -- chart container -------------------------------------------------------
@@ -748,7 +754,7 @@ class ChartExpr:
         return len(self.outputs)
 
     def to_source(self) -> str:
-        inner = ", ".join(to_source(o) for o in self.outputs)
+        inner = ", ".join(s for s, _ in _walk(self.outputs, _print))
         return f"({inner})"
 
     def __str__(self):
@@ -807,26 +813,20 @@ def parse_chart(text: str, params, constants=None) -> ChartExpr:
 # -- structural helpers ----------------------------------------------------
 
 
-def substitute_params(node, replacements):
-    """Rebuild `node` with Param(i) replaced by replacements[i]."""
-    t = type(node)
-    if t is Const:
-        return node
-    if t is Param:
-        return replacements[node.index]
-    if t is Neg:
-        return Neg(node.pos, substitute_params(node.a, replacements))
-    if t in (Add, Sub, Mul, Div, Pow):
-        return t(
-            node.pos,
-            substitute_params(node.a, replacements),
-            substitute_params(node.b, replacements),
-        )
-    if t is Call:
-        return Call(
-            node.pos, node.fn, tuple(substitute_params(a, replacements) for a in node.args)
-        )
-    raise TypeError(f"unknown node {node!r}")
+def _substitute(outputs, replacements) -> tuple:
+    """Rebuild `outputs` with Param(i) replaced by replacements[i]; a node
+    they share is rebuilt once, so the rebuilt outputs share it too."""
+    def rebuild(node, args):
+        t = type(node)
+        if t is Const:
+            return node
+        if t is Param:
+            return replacements[node.index]
+        if t is Call:
+            return Call(node.pos, node.fn, tuple(args))
+        return t(node.pos, *args)
+
+    return tuple(_walk(outputs, rebuild))
 
 
 def compose(outer: ChartExpr, inner: ChartExpr) -> ChartExpr:
@@ -836,7 +836,7 @@ def compose(outer: ChartExpr, inner: ChartExpr) -> ChartExpr:
             f"cannot compose: outer takes {outer.n_params} parameters, "
             f"inner yields {inner.n_outputs} outputs"
         )
-    outs = tuple(substitute_params(o, list(inner.outputs)) for o in outer.outputs)
+    outs = _substitute(outer.outputs, inner.outputs)
     constants = dict(inner.constants)
     constants.update(outer.constants)
     return ChartExpr(inner.params, outs, constants)
@@ -845,18 +845,10 @@ def compose(outer: ChartExpr, inner: ChartExpr) -> ChartExpr:
 def product_chart(a: ChartExpr, b: ChartExpr) -> ChartExpr:
     """Block chart of a Cartesian product; parameters renamed apart by the
     suffixes 1 and 2."""
-    pa = tuple(f"{p}1" for p in a.params)
-    pb = tuple(f"{p}2" for p in b.params)
-    params = pa + pb
-    outs_a = tuple(
-        substitute_params(o, [Param((0, 0), i, params[i]) for i in range(len(pa))])
-        for o in a.outputs
-    )
-    off = len(pa)
-    outs_b = tuple(
-        substitute_params(o, [Param((0, 0), i + off, params[i + off]) for i in range(len(pb))])
-        for o in b.outputs
-    )
+    params = tuple(f"{p}1" for p in a.params) + tuple(f"{p}2" for p in b.params)
+    renamed = [Param((0, 0), i, name) for i, name in enumerate(params)]
+    n = a.n_params
+    outs = _substitute(a.outputs, renamed[:n]) + _substitute(b.outputs, renamed[n:])
     constants = dict(a.constants)
     constants.update(b.constants)
-    return ChartExpr(params, outs_a + outs_b, constants)
+    return ChartExpr(params, outs, constants)

@@ -44,7 +44,7 @@ from .curvature import (
     tangent_coords,
     tgs_scan,
 )
-from .expr import parse_chart, to_source
+from .expr import Add, ChartExpr, Const, Mul, Param, parse_chart
 from .geometry import (
     Box,
     DomainExitError,
@@ -668,18 +668,15 @@ def tube_patch(curve: SubmanifoldPatch, direction, eps: float = 0.25,
     while lam in curve.chart.params or lam in curve.chart.constants:
         lam += "_"
     constants = dict(curve.chart.constants)
-    pieces = []
-    for j, out in enumerate(curve.chart.outputs):
-        src = to_source(out)
-        if v[j] != 0.0:
-            cname = f"w{j + 1}"
-            while cname in constants or cname in curve.chart.params or cname == lam:
-                cname += "_"
-            constants[cname] = float(v[j])
-            src = f"({src}) + {cname}*{lam}"
-        pieces.append(src)
-    chart = parse_chart("(" + ", ".join(pieces) + ")",
-                        curve.chart.params + (lam,), constants)
+    sweep = Param(index=curve.chart.n_params, name=lam)
+    outputs = list(curve.chart.outputs)
+    for j in np.flatnonzero(v):
+        cname = f"w{j + 1}"
+        while cname in constants or cname in curve.chart.params or cname == lam:
+            cname += "_"
+        constants[cname] = float(v[j])
+        outputs[j] = Add(a=outputs[j], b=Mul(a=Const(value=float(v[j]), name=cname), b=sweep))
+    chart = ChartExpr(curve.chart.params + (lam,), tuple(outputs), constants)
     box = Box(tuple(curve.domain.lo) + (-float(eps),),
               tuple(curve.domain.hi) + (float(eps),),
               tuple(curve.domain.periodic) + (False,))

@@ -423,46 +423,62 @@ def test_memory_error_is_reported(capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
-def _circle_scene(tmp_path, chart):
-    """circle_r2_e2 with its chart replaced, written under tmp_path."""
-    with open(find_scene("circle_r2_e2"), encoding="utf-8") as fh:
-        text = fh.read().replace("(cos(s), sin(s))", chart)
-    path = tmp_path / "circle.scene"
+def _scene_with_chart(tmp_path, chart, scene="circle_r2_e2"):
+    """`scene` with its first chart `(cos(s), sin(s))` replaced, written
+    under tmp_path."""
+    with open(find_scene(scene), encoding="utf-8") as fh:
+        text = fh.read().replace("(cos(s), sin(s))", chart, 1)
+    path = tmp_path / f"{scene}.scene"
     path.write_text(text)
     return str(path)
 
 
-# depths well past the recursion limit from any caller's stack: from the
-# command line 600 divisions or 200 parentheses already pass it, while
-# 300 divisions and 190 parentheses evaluate
-@pytest.mark.parametrize("chart", [
-    "(cos(s)" + " / 1" * 2000 + ", sin(s))",
-    "(" + "(" * 1000 + "cos(s)" + ")" * 1000 + ", sin(s))",
-], ids=["long-quotient", "deep-parentheses"])
-@pytest.mark.parametrize("command", ["shadow", "validate"])
-def test_deeply_nested_chart_is_an_error(capsys, tmp_path, chart, command):
-    # the quotient chain is lowered on its first evaluation, the
-    # parentheses are parsed at scene load; both recurse once a level
-    code, out, err = invoke(capsys, command, _circle_scene(tmp_path, chart))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: expression is nested too deeply")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("terms", [600, 2000])
-@pytest.mark.parametrize("command", ["shadow", "validate"])
-def test_flat_sum_chart_runs_as_its_first_term(capsys, tmp_path, terms, command):
-    # a flat sum is a left-deep tree as deep as its terms; it is lowered
-    # with a loop, and adding 0*s leaves every bit of cos(s)'s jets
-    code, out, err = invoke(capsys, command,
-                            _circle_scene(tmp_path, "(cos(s)" + " + 0*s" * terms + ", sin(s))"))
-    plain_code, plain, _ = invoke(capsys, command, "circle_r2_e2")
+def _assert_prints_like(capsys, command, path, scene):
+    """`command` on the scene file at `path` prints what it prints on the
+    bundled `scene`: the same output, or for `validate` the same results."""
+    code, out, err = invoke(capsys, command, path)
+    plain_code, plain, _ = invoke(capsys, command, scene)
     assert (code, err) == (plain_code, "")
     if command == "shadow":
         assert out == plain
     else:
         assert report_of(out)["results"] == report_of(plain)["results"]
+
+
+# the parser stops at MAX_NESTING (100) levels, at the token past it: the
+# 101st parenthesis is in column 102
+@pytest.mark.parametrize("chart", [
+    "(" + "(" * 1000 + "cos(s)" + ")" * 1000 + ", sin(s))",
+], ids=["deep-parentheses"])
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_deeply_nested_chart_is_an_error(capsys, tmp_path, chart, command):
+    code, out, err = invoke(capsys, command, _scene_with_chart(tmp_path, chart))
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: .*circle_r2_e2\.scene:\d+: bad chart: expression is nested "
+                        r"more than 100 levels deep \(line 1, column 102\)\n", err)
+
+
+# each chart is as deep as its chain or its nesting: 98 parentheses
+# around cos(s) reach the parser's cap, 100 levels with cos's argument;
+# adding 0*s, dividing by 1 and grouping leave every bit of cos(s)'s jets
+@pytest.mark.parametrize("chart", [
+    "(cos(s)" + " + 0*s" * 600 + ", sin(s))",
+    "(cos(s)" + " + 0*s" * 2000 + ", sin(s))",
+    "(cos(s)" + " / 1" * 2000 + ", sin(s))",
+    "(" + "(" * 98 + "cos(s)" + ")" * 98 + ", sin(s))",
+], ids=["600", "2000", "long-quotient", "nesting-cap"])
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_flat_sum_chart_runs_as_its_first_term(capsys, tmp_path, chart, command):
+    _assert_prints_like(capsys, command, _scene_with_chart(tmp_path, chart), "circle_r2_e2")
+
+
+@pytest.mark.parametrize("command", ["shadow", "validate"])
+def test_flat_sum_factor_chart_runs_as_its_first_term(capsys, tmp_path, command):
+    # product_chart rebuilds factor A's 2,000-level tree
+    path = _scene_with_chart(tmp_path, "(cos(s)" + " + 0*s" * 2000 + ", sin(s))",
+                             "product_circles")
+    _assert_prints_like(capsys, command, path, "product_circles")
 
 
 def test_verify_all_plan_matches(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowgeom.expr import (
+    MAX_NESTING,
     Call,
     Const,
     EvalDomainError,
@@ -136,6 +137,18 @@ def test_parse_error_syntax():
         parse_chart("(t +* 2)", ("t",))
     with pytest.raises(ParseError):
         parse_chart("", ("t",))
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("sin(", ")"), ("-", ""), ("2^", "")],
+                         ids=["parentheses", "call", "unary", "exponent"])
+def test_nesting_stops_at_the_cap(opener, closer):
+    # each opener is one level: MAX_NESTING - 1 of them around u parse, and
+    # one more is an error at u, the token that crosses the cap
+    at_cap = opener * (MAX_NESTING - 1) + "u" + closer * (MAX_NESTING - 1)
+    assert parse_chart(f"({at_cap})", ("u",)).n_outputs == 1
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} levels deep") as err:
+        parse_chart(f"({opener}{at_cap}{closer})", ("u",))
+    assert (err.value.line, err.value.col) == (1, 2 + MAX_NESTING * len(opener))
 
 
 def test_domain_error_division_by_zero():
@@ -348,3 +361,7 @@ def test_deep_composition_lowers_in_linear_time():
         v = v * v - v
     assert chart.eval_values([[0.1]])[0, 0] == v
     assert np.isfinite(chart.eval_jets([[0.1]]).hess).all()
+    # the product rebuilds each shared node once, so it lowers to the
+    # chart's ops and the factor's
+    factor = parse_chart("(v, 2*v)", ("v",))
+    assert product_chart(chart, factor)._tape.n_ops == chart._tape.n_ops + factor._tape.n_ops

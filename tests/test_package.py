@@ -178,3 +178,70 @@ def test_cli_writes_through_run_only():
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert found == []
     assert names & {"_emit", "_HANDLERS"} == set()
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body outside the functions and classes it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack += ast.iter_child_nodes(node)
+
+
+def _call_graph(tree) -> dict:
+    """Qualified function name -> the functions its own body names (calls
+    them, or passes them on), resolved as Python resolves the name: the
+    function's nested definitions, then its enclosing functions', then the
+    module's; in a method, `self.name` is a method of its class."""
+    module = {node.name: node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = [(node, node.name, module, {}) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        methods = {node.name: f"{cls.name}.{node.name}" for node in cls.body
+                   if isinstance(node, ast.FunctionDef)}
+        todo += [(node, methods[node.name], module, methods) for node in cls.body
+                 if isinstance(node, ast.FunctionDef)]
+    graph = {}
+    while todo:
+        fn, name, outer, methods = todo.pop()
+        inner = [node for node in _own_nodes(fn) if isinstance(node, ast.FunctionDef)]
+        scope = {**outer, **{node.name: f"{name}.{node.name}" for node in inner}}
+        edges = graph.setdefault(name, set())
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Name) and node.id in scope:
+                edges.add(scope[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self" and node.attr in methods):
+                edges.add(methods[node.attr])
+        todo += [(node, f"{name}.{node.name}", scope, methods) for node in inner]
+    return graph
+
+
+def _self_reaching(graph) -> list:
+    found = []
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack and start not in seen:
+            name = stack.pop()
+            if name not in seen:
+                seen.add(name)
+                stack += graph.get(name, ())
+        if start in seen:
+            found.append(start)
+    return sorted(found)
+
+
+def test_expression_walks_do_not_recurse():
+    # lowering, printing and rebuilding a chart go through expr._walk's
+    # explicit stack; only the parser recurses, and it caps its nesting
+    probe = ast.parse("def f(n):\n    return g(n)\n\n\ndef g(n):\n    return f\n\n\n"
+                      "def h():\n    def a():\n        return b()\n\n"
+                      "    def b():\n        return a()\n    return a()\n\n\n"
+                      "class C:\n    def m(self):\n        return self.m()\n")
+    assert _self_reaching(_call_graph(probe)) == ["C.m", "f", "g", "h.a", "h.b"]
+    tree = ast.parse((ROOT / "src" / "shadowgeom" / "expr.py").read_text(encoding="utf-8"))
+    found = _self_reaching(_call_graph(tree))
+    assert "_Parser.factor" in found
+    assert [name for name in found if not name.startswith("_Parser.")] == []
